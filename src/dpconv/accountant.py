@@ -6,9 +6,17 @@ CompositionQuery, the truncated and discretised integral
     delta(eps) = dx * sum_{l >= l_eps} (1 - exp(eps - x_l)) * C_l,
 
 where C is the convolved privacy loss density from module spectral and l_eps
-is the first grid index strictly to the right of eps. The reverse direction
-inverts delta(eps) with a bracketed Newton iteration that reuses the single
-convolution across all iterations.
+is the first grid index strictly to the right of eps. C does not depend on
+eps, so delta_of_epsilons answers any number of epsilons from one convolution
+per direction.
+
+The reverse direction inverts delta(eps) exactly on the grid, from the same
+convolution. With the suffix sums U[l] = dx * sum_{j >= l} C_j and
+W[l] = dx * sum_{j >= l} exp(-x_j) C_j, the sum above equals
+U[l] - exp(eps) W[l] for every eps in the cell [x_{l-1}, x_l). delta is
+therefore continuous and decreasing, the first grid point where it falls to
+the target closes the cell holding the crossing, and inside that cell
+epsilon = log((U[l] - target) / W[l]) in closed form.
 
 The remove/add relation is asymmetric: the tight delta is the larger of the
 two likelihood-ratio directions, so Poisson queries run the pipeline once per
@@ -27,15 +35,12 @@ from . import error_bounds
 from .discretization import Grid, discretize
 from .errors import (
     DomainError,
-    NonConvergenceError,
     TargetDeltaBelowFloor,
     TargetDeltaTooLarge,
 )
 from .mechanisms import Direction, MechanismSpec, Scheme
 from .spectral import ConvolvedPld, convolution_power, convolution_product
 
-_NEWTON_MAX_ITER = 50
-_DERIVATIVE_FLOOR = 1e-300
 _EMPTY_SUM_WARNING = "epsilon exceeds truncation radius"
 _OVER_UNITY_WARNING = "computed delta exceeded 1; the grid under-resolves this composition"
 
@@ -46,7 +51,10 @@ class CompositionQuery:
 
     specs and counts describe the composition: counts[i] invocations of
     specs[i], convolved together. Exactly one of epsilon (for delta_of_epsilon)
-    or delta (for epsilon_of_delta) should be set.
+    or delta (for epsilon_of_delta) should be set. directions restricts the
+    likelihood-ratio directions evaluated; None takes the tight max over both
+    where the relation is asymmetric. newton_tolerance is the absolute delta
+    tolerance of epsilon_of_delta (the name predates its exact inverse).
     """
 
     specs: tuple[MechanismSpec, ...]
@@ -55,6 +63,7 @@ class CompositionQuery:
     epsilon: float | None = None
     delta: float | None = None
     newton_tolerance: float = 1e-10
+    directions: tuple[Direction, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.specs:
@@ -69,8 +78,16 @@ class CompositionQuery:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise DomainError(f"target delta must lie in (0, 1), got {self.delta}")
-        if self.newton_tolerance <= 0.0:
+        if not self.newton_tolerance > 0.0:
             raise DomainError(f"newton_tolerance must be positive, got {self.newton_tolerance}")
+        if self.directions is not None and (
+            not self.directions
+            or len(set(self.directions)) != len(self.directions)
+            or not all(isinstance(d, Direction) for d in self.directions)
+        ):
+            raise DomainError(
+                f"directions must list distinct Direction values, got {self.directions}"
+            )
 
     @classmethod
     def homogeneous(
@@ -103,8 +120,8 @@ class DeltaResult:
     """Outcome of one accounting computation.
 
     For kind "delta", value is delta at the queried epsilon. For kind
-    "epsilon", value is the epsilon returned by the Newton inversion and
-    delta is the delta actually achieved there. per_direction maps each
+    "epsilon", value is the epsilon returned by the inversion and delta is
+    the delta actually achieved there. per_direction maps each
     evaluated likelihood-ratio direction to its delta; value is their max
     for kind "delta". ell_eps is the first grid index entering the weighted
     sum in the direction that attains the max.
@@ -121,13 +138,15 @@ class DeltaResult:
     tail_estimate: float
     tail_estimate_valid: bool
     discretization_estimate: float | None = None
-    newton_iterations: int | None = None
 
 
-def _directions_needed(specs: tuple[MechanismSpec, ...]) -> list[Direction]:
-    """Both directions when any mechanism uses the asymmetric remove/add
-    relation, a single pass otherwise (substitute losses are odd)."""
-    if any(s.scheme is Scheme.POISSON for s in specs):
+def _directions_needed(query: CompositionQuery) -> list[Direction]:
+    """The query's own directions when it names them; otherwise both when any
+    mechanism uses the asymmetric remove/add relation, a single pass
+    otherwise (substitute losses are odd)."""
+    if query.directions is not None:
+        return list(query.directions)
+    if any(s.scheme is Scheme.POISSON for s in query.specs):
         return [Direction.X_OVER_Y, Direction.Y_OVER_X]
     return [Direction.X_OVER_Y]
 
@@ -151,15 +170,9 @@ def _convolved(query: CompositionQuery, direction: Direction) -> ConvolvedPld:
     return convolution_product(plds, list(groups.values()))
 
 
-def _delta_terms(conv: ConvolvedPld, epsilon: float):
-    """Grid index l_eps and the summed tail arrays for one delta evaluation."""
+def _delta_value(conv: ConvolvedPld, epsilon: float) -> tuple[float, int, str | None]:
     points = conv.grid.points()
     ell_eps = int(np.searchsorted(points, epsilon, side="right"))
-    return points, ell_eps
-
-
-def _delta_value(conv: ConvolvedPld, epsilon: float) -> tuple[float, int, str | None]:
-    points, ell_eps = _delta_terms(conv, epsilon)
     n = conv.grid.size
     if ell_eps >= n:
         return 0.0, ell_eps, _EMPTY_SUM_WARNING
@@ -172,13 +185,29 @@ def _delta_value(conv: ConvolvedPld, epsilon: float) -> tuple[float, int, str | 
     return max(value, 0.0), ell_eps, None
 
 
-def _delta_slope(conv: ConvolvedPld, epsilon: float) -> float:
-    """d delta / d eps as the matching Riemann sum, always negative."""
-    points, ell_eps = _delta_terms(conv, epsilon)
-    if ell_eps >= conv.grid.size:
-        return 0.0
-    terms = np.exp(epsilon - points[ell_eps:]) @ conv.samples[ell_eps:]
-    return -conv.grid.dx * float(terms)
+def _grid_inverse(conv: ConvolvedPld, target: float) -> float:
+    """Smallest eps >= 0 with delta(eps) <= target for one direction.
+
+    Over the grid points x_m >= 0, delta(x_m) = U[m+1] - exp(x_m) W[m+1]
+    (see the module docstring). The first point at or below the target
+    closes the cell [x_{m-1}, x_m] holding the crossing, where
+    delta(eps) = U[m] - exp(eps) W[m] is solved for eps.
+    """
+    grid = conv.grid
+    points = grid.points()
+    start = int(np.searchsorted(points, 0.0))
+    points = points[start:]
+    tail = conv.samples[start:]
+    upper = grid.dx * np.cumsum(tail[::-1])[::-1]
+    weighted = grid.dx * np.cumsum((np.exp(-points) * tail)[::-1])[::-1]
+    at_points = np.append(upper[1:] - np.exp(points[:-1]) * weighted[1:], 0.0)
+    m = int(np.argmax(at_points <= target))
+    lo = float(points[m - 1]) if m else 0.0
+    if upper[m] <= target:
+        # Only in the first cell: delta(0) of this direction meets the target.
+        return lo
+    eps = math.log((upper[m] - target) / weighted[m]) if weighted[m] > 0.0 else math.inf
+    return min(max(eps, lo), float(points[m]))
 
 
 def _query_tail_estimate(query: CompositionQuery) -> tuple[float, bool]:
@@ -212,7 +241,6 @@ def _build_result(
     kind: str,
     epsilon: float,
     per_direction: list[tuple[str, float, int, str | None]],
-    newton_iterations: int | None = None,
 ) -> DeltaResult:
     best = max(per_direction, key=lambda item: item[1])
     warnings = tuple(sorted({w for *_rest, w in per_direction if w is not None}))
@@ -228,44 +256,51 @@ def _build_result(
         query=query,
         tail_estimate=tail,
         tail_estimate_valid=tail_valid,
-        newton_iterations=newton_iterations,
     )
 
 
 def delta_of_epsilon(query: CompositionQuery, epsilon: float | None = None) -> DeltaResult:
-    """Tight delta at a given epsilon for the queried composition.
+    """Tight delta at a given epsilon (default: the query's stored target)."""
+    return delta_of_epsilons(query, (query.epsilon if epsilon is None else epsilon,))[0]
 
-    epsilon defaults to the query's stored target. An epsilon beyond the
-    rightmost grid point leaves nothing to sum; the result is then 0 with an
-    explicit warning, since such an epsilon almost always means the
-    truncation radius was chosen too small.
+
+def delta_of_epsilons(query: CompositionQuery, epsilons) -> tuple[DeltaResult, ...]:
+    """Tight delta at each of several epsilons, from one convolution per direction.
+
+    Each result is the one delta_of_epsilon gives for that epsilon, bit for
+    bit. An epsilon beyond the rightmost grid point leaves nothing to sum;
+    its result is then 0 with an explicit warning, since such an epsilon
+    almost always means the truncation radius was chosen too small.
     """
-    eps = query.epsilon if epsilon is None else epsilon
-    if eps is None:
-        raise DomainError("delta_of_epsilon needs an epsilon target")
-    if eps < 0.0:
-        raise DomainError(f"epsilon must be >= 0, got {eps}")
-    per_direction = []
-    for direction in _directions_needed(query.specs):
+    epsilons = tuple(epsilons)
+    for eps in epsilons:
+        if eps is None:
+            raise DomainError("delta_of_epsilon needs an epsilon target")
+        if eps < 0.0:
+            raise DomainError(f"epsilon must be >= 0, got {eps}")
+    columns = []
+    for direction in _directions_needed(query):
         conv = _convolved(query, direction)
-        value, ell_eps, warning = _delta_value(conv, eps)
-        per_direction.append((direction.value, value, ell_eps, warning))
-    return _build_result(query, "delta", eps, per_direction)
+        columns.append([(direction.value, *_delta_value(conv, eps)) for eps in epsilons])
+    return tuple(
+        _build_result(query, "delta", eps, list(row)) for eps, row in zip(epsilons, zip(*columns))
+    )
 
 
 def epsilon_of_delta(query: CompositionQuery, delta: float | None = None) -> DeltaResult:
-    """Smallest epsilon whose tight delta meets the target, by Newton's method.
+    """Smallest epsilon whose tight delta meets the target, solved exactly on the grid.
 
-    The convolved density for each direction is built once; every iteration
-    only re-evaluates the weighted sums. Iteration starts at epsilon = 0 and
-    keeps a bracket [lo, hi] with delta(lo) >= target >= delta(hi); a Newton
-    proposal falling outside the bracket is replaced by its midpoint, so the
-    iteration cannot escape or stall outside the root's neighbourhood.
+    The convolved density for each direction is built once. A target within
+    newton_tolerance of delta(0) returns epsilon = 0. Otherwise each
+    direction's crossing comes from _grid_inverse, and the tight epsilon is
+    the largest of them, where every direction's delta is at most the
+    target. The forward sum at that epsilon must then lie within
+    newton_tolerance of the target.
 
     Raises TargetDeltaTooLarge when even epsilon = 0 gives less than the
-    target (beyond tolerance), and TargetDeltaBelowFloor when the bracket
-    collapses without reaching the target, which happens for targets below
-    what the truncated grid can resolve.
+    target (beyond tolerance), and TargetDeltaBelowFloor when the forward
+    sum misses the target by more than the tolerance, which happens for
+    targets below what the truncated grid and its rounding resolve.
     """
     target = query.delta if delta is None else delta
     if target is None:
@@ -274,72 +309,29 @@ def epsilon_of_delta(query: CompositionQuery, delta: float | None = None) -> Del
         raise DomainError(f"target delta must lie in (0, 1), got {target}")
     tol = query.newton_tolerance
 
-    convs = [_convolved(query, d) for d in _directions_needed(query.specs)]
-
-    def tight_delta(eps: float) -> float:
-        return max(_delta_value(conv, eps)[0] for conv in convs)
-
-    def tight_slope(eps: float) -> float:
-        slope = min(_delta_slope(conv, eps) for conv in convs)
-        return min(slope, -_DERIVATIVE_FLOOR)
-
-    at_zero = tight_delta(0.0)
+    directions = _directions_needed(query)
+    convs = [_convolved(query, d) for d in directions]
+    at_zero = max(_delta_value(conv, 0.0)[0] for conv in convs)
     if target - at_zero > tol:
         raise TargetDeltaTooLarge(
             f"target delta {target:.6g} exceeds delta(0) = {at_zero:.6g}; "
             "every epsilon >= 0 already satisfies a stronger guarantee"
         )
-
-    lo, hi = 0.0, float(convs[0].grid.points()[-1])
     eps = 0.0
-    value = at_zero
-    iterations = 0
-    # The delta residual alone leaves epsilon poorly determined where the
-    # curve is flat, so after meeting the tolerance the iteration also
-    # polishes until its own step is negligible. At the starting point a
-    # met tolerance returns immediately (zero steps).
-    converged = abs(value - target) <= tol
-    while not converged and iterations < _NEWTON_MAX_ITER:
-        iterations += 1
-        if value >= target:
-            lo = eps
-        else:
-            hi = eps
-        proposal = eps - (value - target) / tight_slope(eps)
-        if not (lo < proposal < hi):
-            proposal = 0.5 * (lo + hi)
-        step = proposal - eps
-        eps = proposal
-        value = tight_delta(eps)
-        residual_met = abs(value - target) <= tol
-        converged = residual_met and abs(step) <= 1e-9 * max(1.0, abs(eps))
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)) and not converged:
-            if residual_met:
-                converged = True
-            else:
-                raise TargetDeltaBelowFloor(
-                    f"target delta {target:.6g} is below what the grid resolves near "
-                    f"epsilon = {eps:.6g}; enlarge the truncation radius or lower the tolerance"
-                )
-    if not converged and abs(value - target) > tol:
-        if tight_delta(hi) == 0.0:
-            # The upper bracket end has fallen off the lattice support, so
-            # attainable deltas jump over the target: a resolution floor, not
-            # a solver failure.
-            raise TargetDeltaBelowFloor(
-                f"target delta {target:.6g} is below what the grid resolves near "
-                f"epsilon = {eps:.6g}; enlarge the truncation radius or lower the tolerance"
-            )
-        raise NonConvergenceError(
-            f"Newton iteration did not reach |delta - target| <= {tol:.3g} "
-            f"within {_NEWTON_MAX_ITER} steps (best residual {abs(value - target):.3g})"
-        )
+    if abs(at_zero - target) > tol:
+        eps = max(_grid_inverse(conv, target) for conv in convs)
 
-    per_direction = []
-    for direction, conv in zip(_directions_needed(query.specs), convs):
-        dvalue, ell_eps, warning = _delta_value(conv, eps)
-        per_direction.append((direction.value, dvalue, ell_eps, warning))
-    return _build_result(query, "epsilon", eps, per_direction, newton_iterations=iterations)
+    per_direction = [
+        (direction.value, *_delta_value(conv, eps)) for direction, conv in zip(directions, convs)
+    ]
+    achieved = max(value for _name, value, _ell, _warning in per_direction)
+    if abs(achieved - target) > tol:
+        raise TargetDeltaBelowFloor(
+            f"target delta {target:.6g} is below what the grid resolves near epsilon = "
+            f"{eps:.6g} (delta there {achieved:.6g}); enlarge the truncation radius or "
+            "raise the tolerance"
+        )
+    return _build_result(query, "epsilon", eps, per_direction)
 
 
 def compose_heterogeneous(

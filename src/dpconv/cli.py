@@ -3,19 +3,21 @@
 Four subcommands:
 
 * delta: tight delta at a given epsilon.
-* epsilon: Newton inversion for a given delta target.
-* sweep: delta along a range of epsilon values or a list of composition counts.
+* epsilon: the exact inverse, the smallest epsilon meeting a delta target.
+* sweep: delta along a range of epsilon values (one convolution for all of
+  them) or a list of composition counts.
 * converge: a doubling schedule over the grid size (or truncation radius)
   with the first-order error estimate per row.
 
 Mechanisms come either from the flat flags (--scheme --sigma --q ... --k) or
 from one --mech group per distinct mechanism for heterogeneous compositions,
-e.g. --mech scheme=poisson,sigma=1.5,q=0.01,count=100.
+e.g. --mech scheme=poisson,sigma=1.5,q=0.01,count=100. --direction restricts
+every subcommand to one likelihood-ratio direction, error estimates included.
 
 Reports are serialized as JSON (one object, stable key order), CSV
 (RFC 4180), or an aligned text table; numbers use shortest round-trip
-formatting. Exit codes: 0 success, 2 flag errors, 3 domain errors,
-4 non-convergence.
+formatting. Exit codes: 0 success, 2 flag errors (malformed numbers
+included), 3 domain errors, 4 non-convergence of a loss inverse root finder.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ import math
 import sys
 
 from . import error_bounds
-from .accountant import CompositionQuery, DeltaResult, delta_of_epsilon, epsilon_of_delta
+from .accountant import (
+    CompositionQuery,
+    DeltaResult,
+    delta_of_epsilon,
+    delta_of_epsilons,
+    epsilon_of_delta,
+)
 from .discretization import Grid
 from .errors import AccountingError, NonConvergenceError
 from .mechanisms import Direction, MechanismSpec, Scheme
@@ -73,7 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     num = common.add_argument_group("numerics")
     num.add_argument("--L", type=float, default=_DEFAULT_HALF_WIDTH, help="truncation radius")
     num.add_argument("--n", type=int, default=_DEFAULT_SIZE, help="grid size (even)")
-    num.add_argument("--newton-tol", type=float, default=1e-10)
+    num.add_argument(
+        "--newton-tol",
+        type=float,
+        default=1e-10,
+        help="absolute delta tolerance of the epsilon inversion: a target this close to"
+        " delta(0) gives epsilon 0, and the delta at the returned epsilon must lie this"
+        " close to the target",
+    )
     out = common.add_argument_group("output")
     out.add_argument("--format", choices=["json", "csv", "table"], default="json")
     out.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
@@ -102,6 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_number(text: str, kind, name: str, parser: argparse.ArgumentParser):
+    """kind(text), or a flag error (exit 2) naming the malformed value."""
+    try:
+        return kind(text)
+    except ValueError:
+        parser.error(f"{name} must be {'an integer' if kind is int else 'a number'}, got {text!r}")
+
+
+_MECH_NUMBERS = (("sigma", float), ("q", float), ("batch_size", int), ("dataset_size", int))
+
+
 def _parse_mech_group(text: str, parser: argparse.ArgumentParser) -> tuple[MechanismSpec, int]:
     fields = {}
     for item in text.split(","):
@@ -109,24 +135,21 @@ def _parse_mech_group(text: str, parser: argparse.ArgumentParser) -> tuple[Mecha
             parser.error(f"--mech entries are KEY=VAL pairs, got {item!r}")
         key, _, val = item.partition("=")
         fields[key.strip()] = val.strip()
-    count = int(fields.pop("count", "1"))
-    try:
-        scheme = Scheme(fields.pop("scheme", Scheme.POISSON.value))
-        spec = MechanismSpec(
-            sigma=float(fields.pop("sigma")),
-            scheme=scheme,
-            q=float(fields["q"]) if "q" in fields else None,
-            batch_size=int(fields["batch_size"]) if "batch_size" in fields else None,
-            dataset_size=int(fields["dataset_size"]) if "dataset_size" in fields else None,
-        )
-    except KeyError as missing:
-        parser.error(f"--mech group lacks required key {missing}")
-    fields.pop("q", None)
-    fields.pop("batch_size", None)
-    fields.pop("dataset_size", None)
+    count = _parse_number(fields.pop("count", "1"), int, "--mech count", parser)
+    if "sigma" not in fields:
+        parser.error("--mech group lacks required key 'sigma'")
+    schemes = [s.value for s in Scheme]
+    scheme_name = fields.pop("scheme", Scheme.POISSON.value)
+    if scheme_name not in schemes:
+        parser.error(f"--mech scheme must be one of {schemes}, got {scheme_name!r}")
+    numbers = {
+        key: _parse_number(fields.pop(key), kind, f"--mech {key}", parser)
+        for key, kind in _MECH_NUMBERS
+        if key in fields
+    }
     if fields:
         parser.error(f"--mech group has unknown keys {sorted(fields)}")
-    return spec, count
+    return MechanismSpec(scheme=Scheme(scheme_name), **numbers), count
 
 
 def _build_query(args, parser, epsilon=None, delta=None) -> CompositionQuery:
@@ -138,14 +161,12 @@ def _build_query(args, parser, epsilon=None, delta=None) -> CompositionQuery:
     else:
         if args.sigma is None:
             parser.error("--sigma is required (or use --mech groups)")
-        direction = Direction(args.direction) if args.direction else Direction.X_OVER_Y
         spec = MechanismSpec(
             sigma=args.sigma,
             scheme=Scheme(args.scheme),
             q=args.q,
             batch_size=args.batch_size,
             dataset_size=args.dataset_size,
-            direction=direction,
         )
         specs, counts = (spec,), (args.k,)
     return CompositionQuery(
@@ -155,26 +176,8 @@ def _build_query(args, parser, epsilon=None, delta=None) -> CompositionQuery:
         epsilon=epsilon,
         delta=delta,
         newton_tolerance=args.newton_tol,
+        directions=(Direction(args.direction),) if args.direction else None,
     )
-
-
-def _restricted_directions(args) -> bool:
-    return args.direction is not None and not args.mech
-
-
-def _evaluate(query: CompositionQuery, args, kind: str) -> DeltaResult:
-    if _restricted_directions(args) and query.specs[0].scheme is Scheme.POISSON:
-        # A single-direction request skips the tight max over both ratios.
-        from .accountant import _build_result, _convolved, _delta_value
-
-        direction = Direction(args.direction)
-        conv = _convolved(query, direction)
-        if kind == "delta":
-            value, ell, warning = _delta_value(conv, query.epsilon)
-            return _build_result(
-                query, "delta", query.epsilon, [(direction.value, value, ell, warning)]
-            )
-    return delta_of_epsilon(query) if kind == "delta" else epsilon_of_delta(query)
 
 
 def _report_dict(result: DeltaResult, include_estimates: bool = True) -> dict:
@@ -199,9 +202,8 @@ def _report_dict(result: DeltaResult, include_estimates: bool = True) -> dict:
         base_query = query
         if query.epsilon is None:
             base_query = dataclasses.replace(query, epsilon=result.epsilon, delta=None)
-        base = result.delta if result.kind == "delta" else None
         report["discretization_estimate"] = error_bounds.discretization_estimate(
-            base_query, value=base
+            base_query, value=result.delta
         )
     report.update(
         {
@@ -277,7 +279,7 @@ def _render(rows: list[dict], fmt: str) -> str:
 
 def _run_delta(args, parser) -> list[dict]:
     query = _build_query(args, parser, epsilon=args.eps)
-    return [_report_dict(_evaluate(query, args, "delta"))]
+    return [_report_dict(delta_of_epsilon(query))]
 
 
 def _run_epsilon(args, parser) -> list[dict]:
@@ -293,10 +295,9 @@ def _run_sweep(args, parser) -> list[dict]:
         if args.count < 2:
             parser.error("sweep --count must be at least 2")
         step = (args.stop - args.start) / (args.count - 1)
-        for i in range(args.count):
-            eps = args.start + i * step
-            query = _build_query(args, parser, epsilon=eps)
-            result = delta_of_epsilon(query)
+        epsilons = [args.start + i * step for i in range(args.count)]
+        results = delta_of_epsilons(_build_query(args, parser), epsilons)
+        for eps, result in zip(epsilons, results):
             rows.append(
                 {
                     "eps": eps,
@@ -312,8 +313,10 @@ def _run_sweep(args, parser) -> list[dict]:
             parser.error("sweep --over k needs a fixed --eps")
         if args.mech:
             parser.error("sweep --over k applies to the flat mechanism flags only")
-        for text in args.values.split(","):
-            k = int(text)
+        counts = [
+            _parse_number(text, int, "--values entry", parser) for text in args.values.split(",")
+        ]
+        for k in counts:
             probe = argparse.Namespace(**vars(args))
             probe.k = k
             query = _build_query(probe, parser, epsilon=args.eps)
@@ -334,16 +337,20 @@ def _run_converge(args, parser) -> list[dict]:
         parser.error("--doublings must be nonnegative")
     rows = []
     if args.over == "n":
+        if not args.start.is_integer():
+            parser.error(f"converge --over n needs an integer --start, got {args.start!r}")
         start = int(args.start)
         sizes = [start * 2 ** i for i in range(args.doublings + 1)]
-        values = {}
+        queries, values = {}, {}
         for size in sizes + [sizes[-1] * 2]:
             probe = argparse.Namespace(**vars(args))
             probe.n = size
-            query = _build_query(probe, parser, epsilon=args.eps)
-            values[size] = delta_of_epsilon(query).value
+            queries[size] = _build_query(probe, parser, epsilon=args.eps)
+            values[size] = delta_of_epsilon(queries[size]).value
         for size in sizes:
-            err = 2.0 * abs(values[size] - values[size * 2])
+            err = error_bounds.discretization_estimate(
+                queries[size], value=values[size], refined=values[size * 2]
+            )
             rows.append(
                 {
                     "n": size,

@@ -229,24 +229,26 @@ def periodisation_bound(
 
 
 def discretization_estimate(
-    query, value: float | None = None, relative: bool = False
+    query, value: float | None = None, refined: float | None = None, relative: bool = False
 ) -> float:
     """First-order discretisation error estimate 2 |I_n - I_2n|.
 
     I_m is the tight delta the accountant computes at m grid points; the
     factor 2 turns the difference of two first-order approximations into an
-    estimate of the error of the coarser one. Costs one extra full pipeline
-    run on the doubled grid. value, when given, is taken as the already
-    computed I_n. relative=True divides by I_n, the form reference tables
-    tend to quote in their pre-asymptotic rows.
+    estimate of the error of the coarser one. value and refined, when given,
+    are taken as the already computed I_n and I_2n; each one missing costs a
+    full pipeline run, I_2n on the doubled grid. relative=True divides by
+    I_n, the form reference tables tend to quote in their pre-asymptotic
+    rows.
     """
     from .accountant import delta_of_epsilon
 
     if query.epsilon is None:
         raise DomainError("discretization_estimate needs a query with an epsilon target")
     base = delta_of_epsilon(query).value if value is None else value
-    refined = delta_of_epsilon(dataclasses.replace(query, grid=query.grid.refine()))
-    estimate = 2.0 * abs(base - refined.value)
+    if refined is None:
+        refined = delta_of_epsilon(dataclasses.replace(query, grid=query.grid.refine())).value
+    estimate = 2.0 * abs(base - refined)
     if relative:
         return estimate / base if base > 0.0 else (math.inf if estimate > 0.0 else 0.0)
     return estimate

@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,8 @@ class MechanismSpec:
     """Parameters of one subsampled Gaussian mechanism invocation.
 
     Attributes:
-        sigma: noise scale, must be positive and finite.
+        sigma: noise scale, must be positive and finite, with a square that
+            does not underflow.
         scheme: subsampling scheme, see Scheme.
         q: sampling fraction in (0, 1] for POISSON / WITHOUT_REPLACEMENT.
             q = 1 is the non-subsampled limit, in which the Poisson density
@@ -89,8 +91,11 @@ class MechanismSpec:
     direction: Direction = Direction.X_OVER_Y
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        # 1/sigma^2 enters every density, so its square must not underflow.
+        if not (0 < self.sigma < math.inf and self.sigma * self.sigma >= sys.float_info.min):
+            raise DomainError(
+                f"sigma must be positive and finite, with sigma^2 a normal float; got {self.sigma}"
+            )
         if self.scheme in (Scheme.POISSON, Scheme.WITHOUT_REPLACEMENT):
             if self.q is None:
                 raise DomainError(f"scheme {self.scheme.value} requires a sampling fraction q")

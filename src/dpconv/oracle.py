@@ -2,10 +2,11 @@
 
 Nothing here may share the transform code under test: the DFT oracle is the
 literal quadratic-time sum, convolutions are direct summations, inversion is
-bisection instead of Newton, and the non-subsampled Gaussian case uses an
-independent high-precision evaluation of its classical closed form. Size
-guards keep the quadratic paths in test-sized territory; callers that
-knowingly want a large direct convolution pass allow_large=True.
+bisection instead of the accountant's closed-form in-cell inverse, and the
+non-subsampled Gaussian case uses an independent high-precision evaluation
+of its classical closed form. Size guards keep the quadratic paths in
+test-sized territory; callers that knowingly want a large direct convolution
+pass allow_large=True.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def direct_convolution_delta(
     if epsilon < 0.0:
         raise DomainError(f"epsilon must be >= 0, got {epsilon}")
     best = -math.inf
-    for direction in _directions_needed((spec,)):
+    for direction in _directions_needed(CompositionQuery.homogeneous(spec, k, grid)):
         pld = discretize(_oriented(spec, direction), grid)
         if k == 1:
             conv = _clamped(pld.samples.copy(), grid, 1)
@@ -177,7 +178,7 @@ def bisection_epsilon(
     delta_target: float,
     tolerance: float = _BISECTION_TOL,
 ) -> float:
-    """Inverts delta(eps) by plain bisection; the slow check on Newton.
+    """Inverts delta(eps) by plain bisection; the slow check on epsilon_of_delta.
 
     Uses the accountant's own forward evaluation (the inversion strategy is
     what is being cross-checked, not the forward sum). The convolved density
@@ -186,7 +187,7 @@ def bisection_epsilon(
     if not (0.0 < delta_target < 1.0):
         raise DomainError(f"delta target must lie in (0, 1), got {delta_target}")
     query = CompositionQuery.homogeneous(spec, k, grid)
-    convs = [_convolved(query, d) for d in _directions_needed(query.specs)]
+    convs = [_convolved(query, d) for d in _directions_needed(query)]
 
     def tight_delta(eps: float) -> float:
         return max(_delta_value(conv, eps)[0] for conv in convs)

@@ -42,15 +42,20 @@ def _spectrum_power(spectrum: np.ndarray, k: int) -> np.ndarray:
 
     Stable for very large k because every spectrum entry of a subprobability
     mass vector has modulus at most one, so intermediate squares never grow.
+    The first squaring allocates the working square, every later product is
+    taken in place, and the caller's spectrum is left untouched.
     """
     result: np.ndarray | None = None
     base = spectrum
     while k:
         if k & 1:
-            result = base.copy() if result is None else result * base
+            if result is None:
+                result = base.copy()
+            else:
+                np.multiply(result, base, out=result)
         k >>= 1
         if k:
-            base = base * base
+            base = base * base if base is spectrum else np.multiply(base, base, out=base)
     assert result is not None
     return result
 

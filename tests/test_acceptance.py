@@ -190,6 +190,8 @@ def test_acceptance_3_err_column(size_sweep):
     Rows n=8e5 upward compare differences at the FFT's roundoff floor, about
     1e-12 on a delta of 0.0496, so their ratios move between machines and
     runs (0.45 to 0.49 observed); the factor-3 tolerance holds them all.
+    I_2n comes from the size sweep wherever it holds the doubled size, which
+    is every row but the last.
     """
     values, _ = size_sweep
     conventions = reference_err_conventions()
@@ -201,7 +203,10 @@ def test_acceptance_3_err_column(size_sweep):
             continue
         relative, derived = conventions[size]
         estimate = discretization_estimate(
-            reference_query(size), value=values[size], relative=relative
+            reference_query(size),
+            value=values[size],
+            refined=values.get(2 * size),
+            relative=relative,
         )
         ratio = estimate / reference
         form = ("relative" if relative else "absolute") + ("" if derived else ", assumed")
@@ -306,10 +311,10 @@ def test_acceptance_6_newton_inversion():
         worst_disagreement = max(worst_disagreement, abs(result.value - reference))
     ok = worst_residual <= 1e-10 and worst_disagreement <= 2e-6
     record_criterion(
-        "acceptance 6 (Newton inversion)",
+        "acceptance 6 (epsilon inversion)",
         ok,
         f"20 targets: worst residual {worst_residual:.2e}, "
-        f"worst Newton-bisection gap {worst_disagreement:.2e}",
+        f"worst inverse-bisection gap {worst_disagreement:.2e}",
     )
     assert ok
 

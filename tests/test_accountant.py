@@ -1,7 +1,8 @@
-"""Tight delta evaluation and Newton inversion on the composed PLD."""
+"""Tight delta evaluation and exact inversion on the composed PLD."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,10 +18,13 @@ from dpconv import (
     TargetDeltaBelowFloor,
     TargetDeltaTooLarge,
     compose_heterogeneous,
+    convolution_power,
     delta_of_epsilon,
+    discretize,
     epsilon_of_delta,
 )
-from dpconv.accountant import _EMPTY_SUM_WARNING
+from dpconv.accountant import _EMPTY_SUM_WARNING, delta_of_epsilons
+from dpconv.oracle import bisection_epsilon
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
 GRID = Grid(half_width=12.0, size=2 ** 16)
@@ -118,7 +122,7 @@ class TestEpsilonOfDelta:
         d0 = delta_of_epsilon(query(epsilon=0.0, k=100)).value
         result = epsilon_of_delta(query(delta=d0, k=100))
         assert result.value == 0.0
-        assert result.newton_iterations == 0
+        assert result.delta == d0
 
     def test_target_above_delta_zero_rejected(self):
         with pytest.raises(TargetDeltaTooLarge):
@@ -146,7 +150,84 @@ class TestEpsilonOfDelta:
             achieved = delta_of_epsilon(query(epsilon=result.value, k=10 ** 3)).value
             assert abs(achieved - float(target)) <= 1e-10
             assert result.kind == "epsilon"
-            assert result.newton_iterations <= 50
+            # The first crossing: a slightly smaller epsilon misses the target.
+            below = max(result.value - 1e-6, 0.0)
+            assert delta_of_epsilon(query(epsilon=below, k=10 ** 3)).value > float(target)
+
+
+class TestDeltaOfEpsilons:
+    EPSILONS = (0.0, 0.3, 1.0, 2.5, 15.0)
+
+    def test_rows_match_single_calls_bitwise(self):
+        q = query(k=500)
+        rows = delta_of_epsilons(q, self.EPSILONS)
+        assert len(rows) == len(self.EPSILONS)
+        for eps, row in zip(self.EPSILONS, rows):
+            single = delta_of_epsilon(q, eps)
+            assert row.epsilon == eps
+            assert row.value == single.value
+            assert row.per_direction == single.per_direction
+            assert row.ell_eps == single.ell_eps
+            assert row.warnings == single.warnings
+        assert _EMPTY_SUM_WARNING in rows[-1].warnings
+
+    def test_rejects_missing_or_negative_epsilon(self):
+        with pytest.raises(DomainError):
+            delta_of_epsilons(query(), (0.5, None))
+        with pytest.raises(DomainError):
+            delta_of_epsilons(query(), (0.5, -0.1))
+
+
+class TestDirectionsField:
+    def test_restriction_reports_that_direction_alone(self):
+        full = delta_of_epsilon(query(epsilon=1.0, k=500))
+        for direction in Direction:
+            restricted = CompositionQuery(
+                specs=(SPEC,), counts=(500,), grid=GRID, epsilon=1.0, directions=(direction,)
+            )
+            result = delta_of_epsilon(restricted)
+            expected = dict(full.per_direction)[direction.value]
+            assert result.per_direction == ((direction.value, expected),)
+
+    def test_invalid_directions_rejected(self):
+        for bad in ((), (Direction.X_OVER_Y, Direction.X_OVER_Y), ("x-over-y",)):
+            with pytest.raises(DomainError):
+                CompositionQuery(specs=(SPEC,), counts=(1,), grid=GRID, directions=bad)
+
+
+class TestExactInverse:
+    """epsilon_of_delta against bisection on the same forward sum."""
+
+    K = 1000
+
+    def bisection_gap(self, target):
+        exact = epsilon_of_delta(query(delta=target, k=self.K)).value
+        return abs(exact - bisection_epsilon(SPEC, self.K, GRID, target))
+
+    def test_targets_at_grid_points(self):
+        points = GRID.points()
+        for x in (0.25, 1.0, 2.0, 3.5):
+            m = int(np.searchsorted(points, x))
+            target = delta_of_epsilon(query(epsilon=float(points[m]), k=self.K)).value
+            assert self.bisection_gap(target) <= 1e-8
+
+    def test_targets_in_last_nonempty_cell(self):
+        convs = [
+            convolution_power(discretize(SPEC.with_direction(d), GRID), self.K) for d in Direction
+        ]
+        last = max(int(np.flatnonzero(conv.samples)[-1]) for conv in convs)
+        left = float(GRID.points()[last - 1])
+        at_left = delta_of_epsilon(query(epsilon=left, k=self.K)).value
+        assert 0.0 < at_left < 1e-10
+        for fraction in (0.9, 0.5, 0.1):
+            assert self.bisection_gap(fraction * at_left) <= 1e-8
+
+    def test_tight_epsilon_is_max_over_restricted_directions(self):
+        q = query(delta=1e-5, k=self.K)
+        per_direction = [
+            epsilon_of_delta(dataclasses.replace(q, directions=(d,))).value for d in Direction
+        ]
+        assert epsilon_of_delta(q).value == max(per_direction)
 
 
 class TestComposeHeterogeneous:

@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dpconv.accountant
 from dpconv import (
     CompositionQuery,
+    Direction,
     Grid,
     MechanismSpec,
     NonConvergenceError,
     delta_of_epsilon,
+    discretization_estimate,
+    epsilon_of_delta,
 )
+from dpconv.accountant import delta_of_epsilons
 from dpconv.cli import build_parser, main
 
 BASE = [
@@ -43,6 +52,17 @@ def library_delta(eps=1.0, k=100, size=16384, sigma=1.5, q=0.01, half_width=12.0
     spec = MechanismSpec(sigma=sigma, q=q)
     grid = Grid(half_width=half_width, size=size)
     return delta_of_epsilon(CompositionQuery.homogeneous(spec, k, grid, epsilon=eps))
+
+
+def restricted_query(direction="y-over-x", k=100, size=16384, **target):
+    """The flat-flag composition of BASE, restricted to one direction."""
+    return CompositionQuery(
+        specs=(MechanismSpec(sigma=1.5, q=0.01),),
+        counts=(k,),
+        grid=Grid(half_width=12.0, size=size),
+        directions=(Direction(direction),),
+        **target,
+    )
 
 
 class TestDeltaSubcommand:
@@ -154,6 +174,16 @@ class TestEpsilonSubcommand:
         assert report["kind"] == "epsilon"
         assert report["value"] == pytest.approx(0.8, abs=1e-6)
 
+    def test_estimate_reuses_achieved_delta_bitwise(self, capsys):
+        _, out, _ = run_cli(["epsilon", *BASE, "--delta", "1e-5"], capsys)
+        report = json.loads(out)
+        query = CompositionQuery.homogeneous(
+            MechanismSpec(sigma=1.5, q=0.01), 100, Grid(half_width=12.0, size=16384),
+            epsilon=report["value"],
+        )
+        # The recomputing path runs the pipeline again for I_n.
+        assert report["discretization_estimate"] == discretization_estimate(query)
+
 
 class TestSweepSubcommand:
     def test_eps_sweep_monotone(self, capsys):
@@ -166,6 +196,25 @@ class TestSweepSubcommand:
         assert [r["eps"] for r in rows] == [0.2, 0.6, 1.0, 1.4]
         values = [r["value"] for r in rows]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_eps_sweep_convolves_once_per_direction(self, capsys, monkeypatch):
+        powers = []
+        original = dpconv.accountant.convolution_power
+
+        def counted(pld, k):
+            powers.append(k)
+            return original(pld, k)
+
+        monkeypatch.setattr(dpconv.accountant, "convolution_power", counted)
+        code, out, _ = run_cli(
+            ["sweep", *BASE, "--over", "eps", "--start", "0.2", "--stop", "1.4", "--count", "4"],
+            capsys,
+        )
+        assert code == 0
+        assert powers == [100, 100]
+        monkeypatch.undo()
+        rows = json.loads(out)
+        assert [r["value"] for r in rows] == [library_delta(eps=r["eps"]).value for r in rows]
 
     def test_k_sweep(self, capsys):
         code, out, _ = run_cli(
@@ -232,6 +281,113 @@ class TestConvergeSubcommand:
         rows = json.loads(out)
         assert [r["L"] for r in rows] == [6.0, 12.0]
         assert rows[1]["tail_estimate"] < rows[0]["tail_estimate"]
+
+
+class TestDirectionFlag:
+    """--direction restricts every subcommand, error estimates included."""
+
+    Y = ["--direction", "y-over-x"]
+
+    def test_delta_estimate_is_that_directions_own_gap(self, capsys):
+        flags = [*BASE[:7], "1000", "--L", "12", "--n", "65536", *self.Y]
+        _, out, _ = run_cli(["delta", *flags, "--eps", "1.0"], capsys)
+        report = json.loads(out)
+        i_n = delta_of_epsilon(restricted_query(k=1000, size=65536, epsilon=1.0)).value
+        i_2n = delta_of_epsilon(restricted_query(k=1000, size=131072, epsilon=1.0)).value
+        assert report["directions"] == ["y-over-x"]
+        assert report["value"] == i_n
+        assert report["discretization_estimate"] == 2.0 * abs(i_n - i_2n)
+        # The two directions' deltas differ by about 5e-6 here, so an estimate
+        # mixing them could not meet this bound.
+        assert report["discretization_estimate"] < 1e-8
+
+    def test_epsilon(self, capsys):
+        _, out, _ = run_cli(["epsilon", *BASE, *self.Y, "--delta", "1e-5"], capsys)
+        report = json.loads(out)
+        assert report["directions"] == ["y-over-x"]
+        assert report["value"] == epsilon_of_delta(restricted_query(delta=1e-5)).value
+        _, full, _ = run_cli(["epsilon", *BASE, "--delta", "1e-5"], capsys)
+        assert report["value"] < json.loads(full)["value"]
+
+    def test_sweep_over_eps_and_k(self, capsys):
+        _, out, _ = run_cli(
+            ["sweep", *BASE, *self.Y, "--over", "eps", "--start", "0.2", "--stop", "1.4",
+             "--count", "4"],
+            capsys,
+        )
+        rows = json.loads(out)
+        expected = delta_of_epsilons(restricted_query(), [r["eps"] for r in rows])
+        assert [r["value"] for r in rows] == [e.value for e in expected]
+        _, out, _ = run_cli(
+            ["sweep", *BASE, *self.Y, "--over", "k", "--values", "1,4", "--eps", "0.5"], capsys
+        )
+        rows = json.loads(out)
+        assert [r["value"] for r in rows] == [
+            delta_of_epsilon(restricted_query(k=k, epsilon=0.5)).value for k in (1, 4)
+        ]
+
+    def test_converge(self, capsys):
+        _, out, _ = run_cli(
+            ["converge", *BASE, *self.Y, "--over", "n", "--start", "8192", "--doublings", "1",
+             "--eps", "1.0"],
+            capsys,
+        )
+        rows = json.loads(out)
+        values = [
+            delta_of_epsilon(restricted_query(size=size, epsilon=1.0)).value
+            for size in (8192, 16384, 32768)
+        ]
+        assert [r["value"] for r in rows] == values[:2]
+        assert [r["err"] for r in rows] == [2.0 * abs(a - b) for a, b in zip(values, values[1:])]
+
+
+SMALL = ["--L", "8", "--n", "1024"]
+WR_FIELDS = {"batch_size": "2", "dataset_size": "10"}
+POISSON_FIELDS = {"sigma": "1.5", "q": "0.01", "count": "2"}
+
+
+def numeric_argv(slot: str, token: str) -> list[str]:
+    """A small delta (or k-sweep) command with token in one numeric slot."""
+    if slot == "values":
+        return ["sweep", "--sigma", "1.5", "--q", "0.01", *SMALL, "--over", "k",
+                "--values", f"1,{token}", "--eps", "1"]
+    if slot in WR_FIELDS:
+        fields = {"scheme": "with-replacement", "sigma": "1", **WR_FIELDS, slot: token}
+    else:
+        fields = {"scheme": "poisson", **POISSON_FIELDS, slot: token}
+    mech = ",".join(f"{key}={value}" for key, value in fields.items())
+    return ["delta", "--mech", mech, *SMALL, "--eps", "1"]
+
+
+SLOTS = ["count", "sigma", "q", "batch_size", "dataset_size", "values"]
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize(
+        "slot, token",
+        [("count", "abc"), ("sigma", "x"), ("q", ""), ("batch_size", ""),
+         ("dataset_size", ""), ("values", "x")],
+    )
+    def test_flag_error_not_traceback(self, slot, token, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(numeric_argv(slot, token))
+        assert excinfo.value.code == 2
+        assert repr(token) in capsys.readouterr().err
+
+    @settings(max_examples=50, deadline=None)
+    @given(slot=st.sampled_from(SLOTS), token=st.text(alphabet="0123456789.eE+-_x ", max_size=6))
+    def test_any_token_ends_in_a_documented_exit_code(self, slot, token):
+        sink = io.StringIO()
+        # Well-formed extremes such as sigma=1e-150 overflow squares inside the
+        # density, which numpy reports as warnings; only the exit code is checked.
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), np.errstate(
+            all="ignore"
+        ):
+            try:
+                code = main(numeric_argv(slot, token))
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3, 4)
 
 
 class TestExitCodes:

@@ -190,3 +190,22 @@ class TestDiscretizationEstimate:
             spec, 100, Grid(half_width=12.0, size=2 ** 14), epsilon=1.0
         )
         assert discretization_estimate(finer) < discretization_estimate(query)
+
+    def test_given_values_run_no_pipeline(self, monkeypatch):
+        spec = MechanismSpec(sigma=1.5, q=0.01)
+        grid = Grid(half_width=12.0, size=4096)
+        query = CompositionQuery.homogeneous(spec, 8, grid, epsilon=1.0)
+        coarse = delta_of_epsilon(query).value
+        fine = delta_of_epsilon(
+            CompositionQuery.homogeneous(spec, 8, grid.refine(), epsilon=1.0)
+        ).value
+        computed = discretization_estimate(query)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the pipeline ran although I_n and I_2n were given")
+
+        monkeypatch.setattr("dpconv.accountant.delta_of_epsilon", refuse)
+        assert discretization_estimate(query, value=coarse, refined=fine) == computed
+        assert discretization_estimate(
+            query, value=coarse, refined=fine, relative=True
+        ) == computed / coarse

@@ -15,6 +15,7 @@ from dpconv import (
     convolution_product,
     dft,
     discretize,
+    half_swap,
     inverse_dft,
 )
 from dpconv.oracle import direct_dft, direct_inverse_dft
@@ -100,6 +101,26 @@ class TestConvolutionPower:
         z = radius * np.exp(1j * rng.uniform(0, 2 * np.pi, size=33))
         for k in (1, 2, 13, 1024):
             np.testing.assert_allclose(_spectrum_power(z, k), z ** k, rtol=1e-10, atol=1e-300)
+
+    def test_in_place_power_matches_out_of_place_loop_bitwise(self):
+        def out_of_place(spectrum, k):
+            result, base = None, spectrum
+            while k:
+                if k & 1:
+                    result = base.copy() if result is None else result * base
+                k >>= 1
+                if k:
+                    base = base * base
+            return result
+
+        samples = poisson_pld(size=4096).samples
+        spectrum = np.fft.fft(half_swap(samples) / samples.sum())
+        before = spectrum.copy()
+        for k in (1, 2, 3, 10_000):
+            powered = _spectrum_power(spectrum, k)
+            assert np.array_equal(spectrum, before)
+            assert powered is not spectrum
+            assert np.array_equal(powered, out_of_place(before, k))
 
 
 class TestConvolutionProduct:
