@@ -74,7 +74,7 @@ class CompositionQuery:
             )
         if any(c < 1 for c in self.counts):
             raise DomainError(f"all repetition counts must be >= 1, got {self.counts}")
-        if self.epsilon is not None and self.epsilon < 0.0:
+        if self.epsilon is not None and not self.epsilon >= 0.0:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise DomainError(f"target delta must lie in (0, 1), got {self.delta}")
@@ -276,7 +276,7 @@ def delta_of_epsilons(query: CompositionQuery, epsilons) -> tuple[DeltaResult, .
     for eps in epsilons:
         if eps is None:
             raise DomainError("delta_of_epsilon needs an epsilon target")
-        if eps < 0.0:
+        if not eps >= 0.0:
             raise DomainError(f"epsilon must be >= 0, got {eps}")
     columns = []
     for direction in _directions_needed(query):

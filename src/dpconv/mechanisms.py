@@ -38,12 +38,19 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, softmax
+from scipy.special import gammaln
 
 from .errors import DomainError, RootFindingError
 
 _LOSS_INVERSE_TOL = 1e-13
 _LOSS_INVERSE_MAX_ITER = 100
+# With-replacement root finder: cells of the loss table on [0, T], the cap
+# on doublings of T (2^1024 overflows), rows per kernel chunk, and the floor
+# of the max-shifted exponents (exp(-700) is still a normal double).
+_LOSS_TABLE_CELLS = 512
+_TABLE_MAX_DOUBLINGS = 1024
+_KERNEL_CHUNK_ROWS = 16384
+_EXP_FLOOR = -700.0
 
 
 class Scheme(enum.Enum):
@@ -333,10 +340,9 @@ def pld_density_without_replacement(spec: MechanismSpec, s):
 def _wr_log_weights(spec: MechanismSpec):
     """Binomial mixture weights, in log space.
 
-    Returns (centres, log_binom, log_coeff) where log_binom are the log
-    probabilities of hitting the substituted record ell times in
-    batch_size draws and log_coeff additionally absorbs the Gaussian factor
-    exp(-ell^2 / (2 sigma^2)) that appears in the loss polynomial.
+    Returns (centres, log_coeff) where log_coeff are the log probabilities
+    of hitting the substituted record ell times in batch_size draws plus the
+    Gaussian factor -ell^2 / (2 sigma^2) that appears in the loss polynomial.
     """
     m = spec.batch_size
     p = spec.draw_probability
@@ -349,101 +355,152 @@ def _wr_log_weights(spec: MechanismSpec):
         + (m - ell) * math.log1p(-p)
     )
     log_coeff = log_binom - np.square(ell) / (2.0 * spec.sigma * spec.sigma)
-    return ell, log_binom, log_coeff
+    return ell, log_coeff
+
+
+def _shifted_lse(exponents: np.ndarray, ell: np.ndarray):
+    """Row-wise log-sum-exp of exponents and the mean of ell under its softmax.
+
+    The row maximum is shifted out in place and the shifted exponents are
+    floored at _EXP_FLOOR, far below a double's precision relative to the
+    maximum's unit term, so np.exp never produces a (slow) subnormal. A row
+    whose maximum overflowed is left unshifted, so its log-sum-exp is inf.
+    """
+    peak = exponents.max(axis=1)
+    peak[~np.isfinite(peak)] = 0.0
+    exponents -= peak[:, None]
+    np.maximum(exponents, _EXP_FLOOR, out=exponents)
+    np.exp(exponents, out=exponents)
+    total = exponents.sum(axis=1)
+    return peak + np.log(total), (exponents @ ell) / total
+
+
+def _wr_kernel(spec: MechanismSpec, t: np.ndarray):
+    """Loss, its slope, and logsumexp(log_coeff + t ell / sigma^2) at each t.
+
+    With up and down the log-sum-exps of log_coeff +- t ell / sigma^2, the
+    loss is up - down and its slope is the sum of the two softmax means of
+    ell over sigma^2. t is one-dimensional and processed in chunks of
+    _KERNEL_CHUNK_ROWS rows, so the (rows, batch_size + 1) temporaries stay
+    bounded at any size.
+    """
+    ell, log_coeff = _wr_log_weights(spec)
+    inv_var = 1.0 / (spec.sigma * spec.sigma)
+    loss, slope, lse_up = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    for start in range(0, t.size, _KERNEL_CHUNK_ROWS):
+        rows = slice(start, start + _KERNEL_CHUNK_ROWS)
+        scaled = np.multiply.outer(t[rows] * inv_var, ell)
+        up, up_mean = _shifted_lse(log_coeff + scaled, ell)
+        down, down_mean = _shifted_lse(np.subtract(log_coeff, scaled, out=scaled), ell)
+        loss[rows] = up - down
+        slope[rows] = (up_mean + down_mean) * inv_var
+        lse_up[rows] = up
+    return loss, slope, lse_up
 
 
 def loss_with_replacement(spec: MechanismSpec, t):
-    """Privacy loss for sampling with replacement, via stable log-sum-exp."""
+    """Privacy loss for sampling with replacement, via a max-shifted log-sum-exp."""
     arr, scalar = _split_scalar(t)
-    ell, _, log_coeff = _wr_log_weights(spec)
-    scaled = arr[..., None] * ell / (spec.sigma * spec.sigma)
-    out = logsumexp(log_coeff + scaled, axis=-1) - logsumexp(log_coeff - scaled, axis=-1)
-    return _pack_scalar(np.asarray(out), scalar)
+    out = _wr_kernel(spec, arr.ravel())[0].reshape(arr.shape)
+    return _pack_scalar(out, scalar)
 
 
-def _wr_loss_derivative(spec: MechanismSpec, arr: np.ndarray) -> np.ndarray:
-    ell, _, log_coeff = _wr_log_weights(spec)
-    scaled = arr[..., None] * ell / (spec.sigma * spec.sigma)
-    up = softmax(log_coeff + scaled, axis=-1) @ ell
-    down = softmax(log_coeff - scaled, axis=-1) @ ell
-    return (up + down) / (spec.sigma * spec.sigma)
+def _wr_loss_table(spec: MechanismSpec, reach: float):
+    """The loss on a lattice of t covering losses in [-reach, reach].
 
-
-def loss_inverse_with_replacement(spec: MechanismSpec, s):
-    """Numerical inverse of the with-replacement loss.
-
-    The loss is strictly increasing and odd with image all of R. Starting
-    from the single-draw closed form (exact for batch_size = 1), brackets
-    are expanded geometrically and then tightened by Newton steps that fall
-    back to bisection whenever they leave the bracket. Raises
-    RootFindingError if the tolerance is not met within the iteration cap.
+    _LOSS_TABLE_CELLS equal cells span [0, T], with T doubled from 1 until
+    loss(T) exceeds reach; oddness of the loss mirrors them to [-T, 0].
     """
-    arr, scalar = _split_scalar(s)
-    flat = np.atleast_1d(arr).astype(float).ravel()
-    t = np.atleast_1d(
-        loss_inverse_without_replacement(
-            MechanismSpec(
-                sigma=spec.sigma, scheme=Scheme.WITHOUT_REPLACEMENT, q=spec.draw_probability
-            ),
-            flat,
-        )
-    ).astype(float)
-
-    lo, hi = t - 1.0, t + 1.0
-    width = 1.0
-    for _ in range(120):
-        too_high = np.atleast_1d(loss_with_replacement(spec, lo)) > flat
-        too_low = np.atleast_1d(loss_with_replacement(spec, hi)) < flat
-        if not (too_high.any() or too_low.any()):
+    extent = 1.0
+    for _ in range(_TABLE_MAX_DOUBLINGS):
+        edge = _wr_kernel(spec, np.array([extent]))[0][0]
+        if edge > reach or not math.isfinite(edge):
             break
-        width *= 2.0
-        lo[too_high] -= width
-        hi[too_low] += width
-    else:
-        raise RootFindingError("could not bracket the loss inverse")
+        extent *= 2.0
+    if not (math.isfinite(edge) and edge > reach):
+        raise RootFindingError(f"could not tabulate the loss out to |s| = {reach:.6g}")
+    half_t = np.linspace(0.0, extent, _LOSS_TABLE_CELLS + 1)
+    half_loss = loss_with_replacement(spec, half_t)
+    return (
+        np.concatenate((-half_t[:0:-1], half_t)),
+        np.concatenate((-half_loss[:0:-1], half_loss)),
+    )
 
-    t = np.clip(t, lo, hi)
-    done = np.zeros_like(flat, dtype=bool)
+
+def _wr_inverse(spec: MechanismSpec, s: np.ndarray):
+    """(t, slope, lse_up) at the loss inverse t of each entry of a 1-d s.
+
+    One loss table serves all of s, which is then solved in chunks of
+    _KERNEL_CHUNK_ROWS rows, so the root finder's state is bounded too.
+    """
+    if not np.all(np.isfinite(s)):
+        raise RootFindingError("the loss inverse needs finite privacy losses")
+    table = _wr_loss_table(spec, float(np.max(np.abs(s), initial=0.0)))
+    t, slope, lse_up = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    for start in range(0, s.size, _KERNEL_CHUNK_ROWS):
+        rows = slice(start, start + _KERNEL_CHUNK_ROWS)
+        t[rows], slope[rows], lse_up[rows] = _wr_newton(spec, s[rows], *table)
+    return t, slope, lse_up
+
+
+def _wr_newton(spec: MechanismSpec, s: np.ndarray, t_table: np.ndarray, loss_table: np.ndarray):
+    """Bracketed Newton on one chunk of s, from the loss table's interpolation.
+
+    Returns t with the slope and lse_up of the kernel evaluation that
+    accepted it. A NaN residual never counts as converged.
+    """
+    cell = np.searchsorted(loss_table, s, side="right").clip(1, loss_table.size - 1)
+    lo, hi = t_table[cell - 1], t_table[cell]
+    t = np.interp(s, loss_table, t_table)
+    slope, lse_up = np.empty_like(s), np.empty_like(s)
+    active = np.arange(s.size)
     for _ in range(_LOSS_INVERSE_MAX_ITER):
-        resid = np.atleast_1d(loss_with_replacement(spec, t)) - flat
-        done |= np.abs(resid) <= _LOSS_INVERSE_TOL
-        if done.all():
+        loss, slope[active], lse_up[active] = _wr_kernel(spec, t[active])
+        resid = loss - s[active]
+        pending = ~(np.abs(resid) <= _LOSS_INVERSE_TOL)
+        active, resid = active[pending], resid[pending]
+        if not active.size:
             break
-        above = (resid > 0.0) & ~done
-        below = (resid < 0.0) & ~done
-        hi[above] = t[above]
-        lo[below] = t[below]
-        slope = _wr_loss_derivative(spec, t)
+        now = t[active]
+        lo[active] = np.where(resid < 0.0, now, lo[active])
+        hi[active] = np.where(resid > 0.0, now, hi[active])
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(slope > 0.0, resid / slope, 0.0)
-        proposal = t - step
-        outside = (proposal <= lo) | (proposal >= hi) | (step == 0.0)
-        proposal = np.where(outside, 0.5 * (lo + hi), proposal)
-        t = np.where(done, t, proposal)
+            proposal = now - resid / slope[active]
+        inside = (proposal > lo[active]) & (proposal < hi[active])
+        t[active] = np.where(inside, proposal, 0.5 * (lo[active] + hi[active]))
     else:
         raise RootFindingError(
             f"loss inverse did not reach |loss(t) - s| <= {_LOSS_INVERSE_TOL} "
             f"within {_LOSS_INVERSE_MAX_ITER} iterations"
         )
+    return t, slope, lse_up
 
-    out = t.reshape(np.shape(arr)) if np.ndim(arr) else t[0]
-    return _pack_scalar(np.asarray(out), scalar)
+
+def loss_inverse_with_replacement(spec: MechanismSpec, s):
+    """Numerical inverse of the with-replacement loss.
+
+    The loss is strictly increasing and odd with image all of R. It is
+    tabulated once on a lattice of t; each point starts from the table's
+    linear interpolation and is refined by Newton steps that fall back to
+    bisection whenever they leave the bracketing lattice cell, on the points
+    not yet converged only. Raises RootFindingError for a non-finite s or if
+    the tolerance is not met within the iteration cap.
+    """
+    arr, scalar = _split_scalar(s)
+    t = _wr_inverse(spec, arr.ravel())[0]
+    return _pack_scalar(t.reshape(arr.shape), scalar)
 
 
 def pld_density_with_replacement(spec: MechanismSpec, s):
     """Privacy loss density for sampling with replacement.
 
-    omega(s) = f_X(t) / loss'(t) at t = loss_inverse(s), with f_X the
-    binomial Gaussian mixture evaluated by log-sum-exp.
+    omega(s) = f_X(t) / loss'(t) at t = loss_inverse(s), where
+    log f_X(t) = lse_up - t^2 / (2 sigma^2) - log(2 pi sigma^2) / 2 reuses
+    the log-sum-exp of the root finder's last kernel evaluation.
     """
     arr, scalar = _split_scalar(s)
-    t = np.atleast_1d(loss_inverse_with_replacement(spec, arr))
-    ell, log_binom, _ = _wr_log_weights(spec)
-    sigma = spec.sigma
-    log_norm = 0.5 * math.log(2.0 * math.pi * sigma * sigma)
-    log_fx = logsumexp(
-        log_binom - np.square(t[..., None] - ell) / (2.0 * sigma * sigma), axis=-1
-    ) - log_norm
-    out = np.exp(log_fx) / _wr_loss_derivative(spec, t)
-    out = out.reshape(np.shape(arr)) if np.ndim(arr) else out[0]
-    return _pack_scalar(np.asarray(out), scalar)
+    t, slope, lse_up = _wr_inverse(spec, arr.ravel())
+    two_var = 2.0 * spec.sigma * spec.sigma
+    log_fx = lse_up - t * t / two_var - 0.5 * math.log(math.pi * two_var)
+    out = np.exp(log_fx) / slope
+    return _pack_scalar(out.reshape(arr.shape), scalar)

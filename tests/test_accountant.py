@@ -47,6 +47,13 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             delta_of_epsilon(query(epsilon=-0.5))
 
+    def test_nan_epsilon_rejected(self):
+        # NaN fails every comparison, so it must not slip past a "< 0" test.
+        with pytest.raises(DomainError):
+            query(epsilon=math.nan)
+        with pytest.raises(DomainError):
+            delta_of_epsilons(query(), (1.0, math.nan))
+
     def test_delta_target_domain(self):
         with pytest.raises(DomainError):
             epsilon_of_delta(query(delta=0.0))

@@ -406,6 +406,20 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and "epsilon" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["delta", "--eps", "nan"],
+            ["sweep", "--over", "eps", "--start", "nan", "--stop", "1.0"],
+            ["sweep", "--over", "k", "--values", "1,2", "--eps", "nan"],
+        ],
+        ids=["delta", "sweep-eps", "sweep-k"],
+    )
+    def test_nan_epsilon_is_three(self, capsys, argv):
+        code, out, err = run_cli([*argv, *BASE], capsys)
+        assert code == 3
+        assert out == "" and "epsilon" in err
+
     def test_unreachable_delta_is_three(self, capsys):
         code, _, err = run_cli(["epsilon", *BASE, "--delta", "0.9999"], capsys)
         assert code == 3

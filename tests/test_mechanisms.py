@@ -17,6 +17,7 @@ from dpconv import (
     Direction,
     DomainError,
     MechanismSpec,
+    RootFindingError,
     Scheme,
     loss_inverse_poisson,
     loss_inverse_with_replacement,
@@ -29,11 +30,16 @@ from dpconv import (
     pld_density_with_replacement,
     pld_density_without_replacement,
 )
+import dpconv.mechanisms
 from dpconv.discretization import Grid, discretize
 
 POISSON = MechanismSpec(sigma=1.5, q=0.01)
 WOR = MechanismSpec(sigma=2.0, scheme=Scheme.WITHOUT_REPLACEMENT, q=0.1)
 WR = MechanismSpec(sigma=2.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=5, dataset_size=100)
+# The benchmark's with-replacement mechanism: 64 draws from 6400 records.
+WR_WIDE = MechanismSpec(
+    sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=64, dataset_size=6400
+)
 
 
 def quadrature_mass(spec, half_width, size):
@@ -193,6 +199,63 @@ class TestWithReplacement:
 
     def test_normalisation(self):
         assert quadrature_mass(WR, 20.0, 10 ** 6) == pytest.approx(1.0, abs=1e-7)
+
+    def test_inverse_meets_tolerance_on_a_benchmark_grid(self):
+        # Every point of the L=12, n=2^14 grid, plus the right edge +L.
+        s = np.append(Grid(half_width=12.0, size=2 ** 14).points(), 12.0)
+        t = loss_inverse_with_replacement(WR_WIDE, s)
+        assert np.max(np.abs(loss_with_replacement(WR_WIDE, t) - s)) <= 1e-13
+
+    def test_chunking_leaves_results_unchanged(self, monkeypatch):
+        # 100 rows in chunks of 7 leave a short last chunk. The row sums may
+        # round differently in another memory layout, by an ulp or so.
+        s = np.linspace(-9.0, 9.0, 100)
+        want = pld_density_with_replacement(WR_WIDE, s)
+        monkeypatch.setattr(dpconv.mechanisms, "_KERNEL_CHUNK_ROWS", 7)
+        np.testing.assert_allclose(pld_density_with_replacement(WR_WIDE, s), want, rtol=1e-14)
+
+    def test_scalar_input(self):
+        s = np.array([-2.5, 0.5, 3.0])
+        t = loss_inverse_with_replacement(WR_WIDE, s)
+        density = pld_density_with_replacement(WR_WIDE, s)
+        for i, point in enumerate(s):
+            got_t = loss_inverse_with_replacement(WR_WIDE, float(point))
+            got_density = pld_density_with_replacement(WR_WIDE, float(point))
+            assert isinstance(got_t, float) and isinstance(got_density, float)
+            assert got_t == pytest.approx(t[i], rel=1e-12)
+            assert got_density == pytest.approx(density[i], rel=1e-12)
+            assert isinstance(loss_with_replacement(WR_WIDE, got_t), float)
+
+    def test_pinned_density_values(self):
+        # Computed by the earlier bracket-expansion root finder.
+        s = np.array([-6.0, -0.75, 0.0, 0.3, 4.5])
+        want = np.array([
+            5.33400599842887e-17,
+            1.8621248297506293e-06,
+            32.87923463937303,
+            0.0006613973789596785,
+            8.317649566218769e-13,
+        ])
+        np.testing.assert_allclose(pld_density_with_replacement(WR_WIDE, s), want, rtol=1e-10)
+
+    def test_loss_saturates_where_its_exponents_overflow(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert loss_with_replacement(WR_WIDE, 1e308) == math.inf
+            assert loss_with_replacement(WR_WIDE, -1e308) == -math.inf
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [loss_inverse_with_replacement, pld_density_with_replacement])
+    def test_non_finite_input_raises_at_once(self, monkeypatch, fn, bad):
+        calls = []
+        kernel = dpconv.mechanisms._wr_kernel
+        monkeypatch.setattr(
+            dpconv.mechanisms, "_wr_kernel", lambda spec, t: calls.append(t) or kernel(spec, t)
+        )
+        with pytest.raises(RootFindingError):
+            fn(WR_WIDE, bad)
+        with pytest.raises(RootFindingError):
+            fn(WR_WIDE, np.array([0.5, bad, -1.0]))
+        assert calls == []
 
 
 def test_pld_density_dispatch():
