@@ -56,8 +56,6 @@ from .spectral import (
     ConvolvedPld,
     convolution_power,
     convolution_product,
-    dft,
-    inverse_dft,
 )
 
 __version__ = "0.1.0"
@@ -90,12 +88,10 @@ __all__ = [
     "convolution_power",
     "convolution_product",
     "delta_of_epsilon",
-    "dft",
     "discretization_estimate",
     "discretize",
     "epsilon_of_delta",
     "half_swap",
-    "inverse_dft",
     "loss_inverse_poisson",
     "loss_inverse_with_replacement",
     "loss_inverse_without_replacement",

@@ -19,8 +19,10 @@ the target closes the cell holding the crossing, and inside that cell
 epsilon = log((U[l] - target) / W[l]) in closed form.
 
 The remove/add relation is asymmetric: the tight delta is the larger of the
-two likelihood-ratio directions, so Poisson queries run the pipeline once per
-direction and report both. The substitute schemes are self-dual and run once.
+two likelihood-ratio directions, so Poisson queries convolve once per
+direction and report both. The two convolutions run concurrently and share
+the spectra of self-dual factors (see spectral.convolve_factors). The
+substitute schemes alone are self-dual and convolve once.
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import error_bounds
-from .discretization import Grid, discretize
+from .discretization import Grid
 from .errors import (
     DomainError,
     TargetDeltaBelowFloor,
     TargetDeltaTooLarge,
 )
 from .mechanisms import Direction, MechanismSpec, Scheme
-from .spectral import ConvolvedPld, convolution_power, convolution_product
+from .spectral import ConvolvedPld, convolve_factors
 
 _EMPTY_SUM_WARNING = "epsilon exceeds truncation radius"
 _OVER_UNITY_WARNING = "computed delta exceeded 1; the grid under-resolves this composition"
@@ -157,27 +159,29 @@ def _oriented(spec: MechanismSpec, direction: Direction) -> MechanismSpec:
     return dataclasses.replace(spec, direction=direction)
 
 
-def _convolved(query: CompositionQuery, direction: Direction) -> ConvolvedPld:
-    """Builds C for one direction, grouping repeated specs into powers."""
-    groups: dict[MechanismSpec, int] = {}
-    for spec, count in zip(query.specs, query.counts):
-        oriented = _oriented(spec, direction)
-        groups[oriented] = groups.get(oriented, 0) + int(count)
-    if len(groups) == 1:
-        (spec, total), = groups.items()
-        return convolution_power(discretize(spec, query.grid), total)
-    plds = [discretize(spec, query.grid) for spec in groups]
-    return convolution_product(plds, list(groups.values()))
+def _convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld]]:
+    """C for every needed direction, grouping repeated specs into powers.
+
+    A self-dual factor, the same in both directions, is built once.
+    """
+    directions = _directions_needed(query)
+    factor_lists = []
+    for direction in directions:
+        groups: dict[MechanismSpec, int] = {}
+        for spec, count in zip(query.specs, query.counts):
+            oriented = _oriented(spec, direction)
+            groups[oriented] = groups.get(oriented, 0) + int(count)
+        factor_lists.append(list(groups.items()))
+    return list(zip(directions, convolve_factors(factor_lists, query.grid)))
 
 
 def _delta_value(conv: ConvolvedPld, epsilon: float) -> tuple[float, int, str | None]:
-    points = conv.grid.points()
-    ell_eps = int(np.searchsorted(points, epsilon, side="right"))
-    n = conv.grid.size
-    if ell_eps >= n:
+    grid = conv.grid
+    ell_eps = grid.index(epsilon, side="right")
+    if ell_eps >= grid.size:
         return 0.0, ell_eps, _EMPTY_SUM_WARNING
-    weights = -np.expm1(epsilon - points[ell_eps:])
-    value = conv.grid.dx * float(weights @ conv.samples[ell_eps:])
+    weights = -np.expm1(epsilon - grid.points(ell_eps))
+    value = grid.dx * float(weights @ conv.samples[ell_eps:])
     if value > 1.0:
         # A tight delta never exceeds 1; quadrature error compounding as
         # mass**k can. Report 1 and say so rather than returning garbage.
@@ -194,9 +198,8 @@ def _grid_inverse(conv: ConvolvedPld, target: float) -> float:
     delta(eps) = U[m] - exp(eps) W[m] is solved for eps.
     """
     grid = conv.grid
-    points = grid.points()
-    start = int(np.searchsorted(points, 0.0))
-    points = points[start:]
+    start = grid.index(0.0)
+    points = grid.points(start)
     tail = conv.samples[start:]
     upper = grid.dx * np.cumsum(tail[::-1])[::-1]
     weighted = grid.dx * np.cumsum((np.exp(-points) * tail)[::-1])[::-1]
@@ -278,10 +281,10 @@ def delta_of_epsilons(query: CompositionQuery, epsilons) -> tuple[DeltaResult, .
             raise DomainError("delta_of_epsilon needs an epsilon target")
         if not eps >= 0.0:
             raise DomainError(f"epsilon must be >= 0, got {eps}")
-    columns = []
-    for direction in _directions_needed(query):
-        conv = _convolved(query, direction)
-        columns.append([(direction.value, *_delta_value(conv, eps)) for eps in epsilons])
+    columns = [
+        [(direction.value, *_delta_value(conv, eps)) for eps in epsilons]
+        for direction, conv in _convolutions(query)
+    ]
     return tuple(
         _build_result(query, "delta", eps, list(row)) for eps, row in zip(epsilons, zip(*columns))
     )
@@ -309,9 +312,8 @@ def epsilon_of_delta(query: CompositionQuery, delta: float | None = None) -> Del
         raise DomainError(f"target delta must lie in (0, 1), got {target}")
     tol = query.newton_tolerance
 
-    directions = _directions_needed(query)
-    convs = [_convolved(query, d) for d in directions]
-    at_zero = max(_delta_value(conv, 0.0)[0] for conv in convs)
+    convolutions = _convolutions(query)
+    at_zero = max(_delta_value(conv, 0.0)[0] for _direction, conv in convolutions)
     if target - at_zero > tol:
         raise TargetDeltaTooLarge(
             f"target delta {target:.6g} exceeds delta(0) = {at_zero:.6g}; "
@@ -319,10 +321,10 @@ def epsilon_of_delta(query: CompositionQuery, delta: float | None = None) -> Del
         )
     eps = 0.0
     if abs(at_zero - target) > tol:
-        eps = max(_grid_inverse(conv, target) for conv in convs)
+        eps = max(_grid_inverse(conv, target) for _direction, conv in convolutions)
 
     per_direction = [
-        (direction.value, *_delta_value(conv, eps)) for direction, conv in zip(directions, convs)
+        (direction.value, *_delta_value(conv, eps)) for direction, conv in convolutions
     ]
     achieved = max(value for _name, value, _ell, _warning in per_direction)
     if abs(achieved - target) > tol:

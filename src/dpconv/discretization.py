@@ -9,6 +9,10 @@ pointwise on this grid; the samples, scaled by dx, approximate the measure
 each cell carries. The half_swap reordering moves the origin to index 0,
 turning the natural left-to-right layout into the wrap-around layout the
 discrete Fourier transform expects for a function on a circle.
+
+Sampling runs in blocks of at most 2^14 points (see blocks), so the
+temporaries a density evaluation makes stay cache-sized at any grid size,
+and a caller can stream the samples straight into its own buffer.
 """
 
 from __future__ import annotations
@@ -19,7 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridTooSmallError
-from .mechanisms import MechanismSpec, PldDensity, pld_density
+from .mechanisms import MechanismSpec, PldDensity, Scheme, pld_density
+
+# Points per sampling and spectral block: a block of complex128 values is
+# 256 KiB, small enough to stay in a core's private cache.
+_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -39,9 +47,29 @@ class Grid:
     def dx(self) -> float:
         return 2.0 * self.half_width / self.size
 
-    def points(self) -> np.ndarray:
-        """Grid points -L, -L + dx, ..., L - dx."""
-        return -self.half_width + self.dx * np.arange(self.size)
+    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Grid points -L, -L + dx, ..., L - dx, or those of indices start..stop-1.
+
+        Each point is -L + i * dx whatever the range, so a slice of the grid
+        equals the same slice of the full array bit for bit.
+        """
+        return -self.half_width + self.dx * np.arange(start, self.size if stop is None else stop)
+
+    def index(self, x: float, side: str = "left") -> int:
+        """np.searchsorted(self.points(), x, side) for a number x that is not
+        NaN, without building the points.
+
+        The guess from (x + L) / dx is corrected against the points
+        themselves, so rounding in the guess cannot move the answer.
+        """
+        below = (lambda p: p <= x) if side == "right" else (lambda p: p < x)
+        guess = (x + self.half_width) / self.dx
+        i = 0 if not guess > 0 else self.size if guess >= self.size else int(guess)
+        while i > 0 and not below(-self.half_width + self.dx * (i - 1)):
+            i -= 1
+        while i < self.size and below(-self.half_width + self.dx * i):
+            i += 1
+        return i
 
     def refine(self, factor: int = 2) -> "Grid":
         """Same interval, factor times as many points."""
@@ -67,17 +95,71 @@ class DiscretePld:
         return float(self.grid.dx * self.samples.sum())
 
 
-def discretize(spec_or_density: MechanismSpec | PldDensity, grid: Grid) -> DiscretePld:
-    """Samples a privacy loss density on a grid.
+def blocks(size: int):
+    """Slices covering range(size) in order, each at most _BLOCK long.
+
+    No slice straddles size // 2, so a slice moved by half_swap stays one
+    contiguous slice (see swapped).
+    """
+    half = size // 2
+    for lo, hi in ((0, half), (half, size)):
+        for start in range(lo, hi, _BLOCK):
+            yield slice(start, min(start + _BLOCK, hi))
+
+
+def swapped(block: slice, size: int) -> slice:
+    """Where half_swap moves a slice from blocks(size)."""
+    shift = size // 2 if block.start < size // 2 else -(size // 2)
+    return slice(block.start + shift, block.stop + shift)
+
+
+class Sampler:
+    """Samples of a privacy loss density on a grid, one block at a time.
+
+    block(b) returns the samples at the grid indices of b, a slice from
+    blocks(grid.size), without evaluating the rest of the grid. The
+    with-replacement density is the exception: its loss inverse tabulates
+    the loss out to the largest |s| of the call, so it is evaluated once
+    over the whole grid, kept, and sliced; every block is then the same
+    slice of discretize's samples bit for bit.
 
     Raises GridTooSmallError if the density has a finite support edge at or
     outside the grid boundary, since then the grid cannot see where the
     density actually lives. Densities supported on all of R merely lose
     tail mass, which the periodisation bound accounts for.
     """
-    density = spec_or_density if isinstance(spec_or_density, PldDensity) else pld_density(
-        spec_or_density
-    )
+
+    def __init__(self, spec_or_density: MechanismSpec | PldDensity, grid: Grid) -> None:
+        density = spec_or_density if isinstance(spec_or_density, PldDensity) else pld_density(
+            spec_or_density
+        )
+        _check_support(density, grid)
+        self.density = density
+        self.grid = grid
+        self._whole: np.ndarray | None = None
+
+    def block(self, block: slice) -> np.ndarray:
+        if self.density.spec.scheme is Scheme.WITH_REPLACEMENT:
+            if self._whole is None:
+                self._whole = np.asarray(self.density(self.grid.points()), dtype=float)
+            return self._whole[block]
+        return np.asarray(self.density(self.grid.points(block.start, block.stop)), dtype=float)
+
+    def compare(self, other: "Sampler") -> int:
+        """-1, 0 or 1 as this density's samples.tobytes() sorts before, equal
+        to or after other's on the same grid.
+
+        Blocks are evaluated from the left edge and the first differing one
+        decides, so neither full sample array is built.
+        """
+        for block in blocks(self.grid.size):
+            mine, theirs = self.block(block).tobytes(), other.block(block).tobytes()
+            if mine != theirs:
+                return -1 if mine < theirs else 1
+        return 0
+
+
+def _check_support(density: PldDensity, grid: Grid) -> None:
     lo, hi = density.support_lo, density.support_hi
     if math.isfinite(lo) and lo <= -grid.half_width:
         raise GridTooSmallError(
@@ -89,8 +171,18 @@ def discretize(spec_or_density: MechanismSpec | PldDensity, grid: Grid) -> Discr
             f"support edge {hi:.6g} lies at or above the grid boundary {grid.half_width:.6g}; "
             "increase the truncation radius"
         )
-    samples = np.asarray(density(grid.points()), dtype=float)
-    return DiscretePld(grid=grid, samples=samples, spec=density.spec)
+
+
+def discretize(spec_or_density: MechanismSpec | PldDensity, grid: Grid) -> DiscretePld:
+    """Samples a privacy loss density on a grid, block by block (see Sampler).
+
+    Raises GridTooSmallError when the grid cuts into a finite support edge.
+    """
+    sampler = Sampler(spec_or_density, grid)
+    samples = np.empty(grid.size)
+    for block in blocks(grid.size):
+        samples[block] = sampler.block(block)
+    return DiscretePld(grid=grid, samples=samples, spec=sampler.density.spec)
 
 
 def half_swap(values: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .accountant import (
     CompositionQuery,
-    _convolved,
+    _convolutions,
     _delta_value,
     _directions_needed,
     _oriented,
@@ -187,7 +187,7 @@ def bisection_epsilon(
     if not (0.0 < delta_target < 1.0):
         raise DomainError(f"delta target must lie in (0, 1), got {delta_target}")
     query = CompositionQuery.homogeneous(spec, k, grid)
-    convs = [_convolved(query, d) for d in _directions_needed(query)]
+    convs = [conv for _direction, conv in _convolutions(query)]
 
     def tight_delta(eps: float) -> float:
         return max(_delta_value(conv, eps)[0] for conv in convs)

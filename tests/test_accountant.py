@@ -23,7 +23,12 @@ from dpconv import (
     discretize,
     epsilon_of_delta,
 )
-from dpconv.accountant import _EMPTY_SUM_WARNING, delta_of_epsilons
+from dpconv.accountant import (
+    _EMPTY_SUM_WARNING,
+    _convolutions,
+    _delta_value,
+    delta_of_epsilons,
+)
 from dpconv.oracle import bisection_epsilon
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
@@ -177,6 +182,20 @@ class TestDeltaOfEpsilons:
             assert row.ell_eps == single.ell_eps
             assert row.warnings == single.warnings
         assert _EMPTY_SUM_WARNING in rows[-1].warnings
+
+    def test_tail_sum_at_and_next_to_grid_points_matches_full_grid(self):
+        # The sum builds only the points from ell_eps on; the full grid and
+        # searchsorted must give the same index and the same value.
+        conv = _convolutions(query(k=500))[0][1]
+        points = GRID.points()
+        for i in (GRID.size // 2, GRID.size // 2 + 1, 40_000, GRID.size - 1):
+            p = float(points[i])
+            for eps in (p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)):
+                ell = int(np.searchsorted(points, eps, side="right"))
+                want = GRID.dx * float(-np.expm1(eps - points[ell:]) @ conv.samples[ell:])
+                value, ell_eps, _warning = _delta_value(conv, eps)
+                assert ell_eps == ell
+                assert value == max(want, 0.0)
 
     def test_rejects_missing_or_negative_epsilon(self):
         with pytest.raises(DomainError):

@@ -6,22 +6,26 @@ import contextlib
 import csv
 import io
 import json
+import threading
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dpconv.accountant
 from dpconv import (
     CompositionQuery,
     Direction,
     Grid,
+    GridTooSmallError,
     MechanismSpec,
     NonConvergenceError,
     delta_of_epsilon,
     discretization_estimate,
+    discretize,
     epsilon_of_delta,
+    spectral,
 )
 from dpconv.accountant import delta_of_epsilons
 from dpconv.cli import build_parser, main
@@ -198,20 +202,25 @@ class TestSweepSubcommand:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_eps_sweep_convolves_once_per_direction(self, capsys, monkeypatch):
-        powers = []
-        original = dpconv.accountant.convolution_power
+        # One forward transform per distinct factor (the Poisson density in
+        # each direction) and one inverse per direction, for all four rows.
+        calls = []
 
-        def counted(pld, k):
-            powers.append(k)
-            return original(pld, k)
+        def counting(name, original):
+            def transform(buffer, **kwargs):
+                calls.append((name, buffer.size))
+                return original(buffer, **kwargs)
 
-        monkeypatch.setattr(dpconv.accountant, "convolution_power", counted)
+            return transform
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(scipy.fft, name, counting(name, getattr(scipy.fft, name)))
         code, out, _ = run_cli(
             ["sweep", *BASE, "--over", "eps", "--start", "0.2", "--stop", "1.4", "--count", "4"],
             capsys,
         )
         assert code == 0
-        assert powers == [100, 100]
+        assert sorted(calls) == [("fft", 16384)] * 2 + [("ifft", 16384)] * 2
         monkeypatch.undo()
         rows = json.loads(out)
         assert [r["value"] for r in rows] == [library_delta(eps=r["eps"]).value for r in rows]
@@ -419,6 +428,36 @@ class TestExitCodes:
         code, out, err = run_cli([*argv, *BASE], capsys)
         assert code == 3
         assert out == "" and "epsilon" in err
+
+    def test_grid_too_small_in_both_workers_is_three(self, capsys, monkeypatch):
+        # log(1 - q) = -11.5 lies outside [-10, 10) in both directions, so
+        # both factor builds fail; the report names the x-over-y edge first.
+        failed = []
+
+        class Recorded(spectral.Sampler):
+            def __init__(self, spec, grid):
+                try:
+                    super().__init__(spec, grid)
+                except GridTooSmallError:
+                    failed.append((spec.direction, threading.current_thread().name))
+                    raise
+
+        monkeypatch.setattr(spectral, "Sampler", Recorded)
+        flags = ["--sigma", "1.5", "--q", "0.99999", "--L", "10", "--n", "4096", "--k", "10"]
+        code, out, err = run_cli(["delta", *flags, "--eps", "1.0"], capsys)
+        assert code == 3 and out == ""
+        with pytest.raises(GridTooSmallError) as expected:
+            discretize(MechanismSpec(sigma=1.5, q=0.99999), Grid(half_width=10.0, size=4096))
+        assert err == f"error: {expected.value}\n"
+        if spectral._usable_cpus() > 1:
+            assert {direction for direction, _thread in failed} == set(Direction)
+            assert threading.main_thread().name not in {thread for _d, thread in failed}
+
+    def test_residue_error_from_workers_is_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "_IMAG_RESIDUE_TOL", -1.0)
+        code, out, err = run_cli(["delta", *BASE, "--eps", "1.0"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: imaginary residue ")
 
     def test_unreachable_delta_is_three(self, capsys):
         code, _, err = run_cli(["epsilon", *BASE, "--delta", "0.9999"], capsys)

@@ -11,11 +11,13 @@ from dpconv import (
     Grid,
     GridTooSmallError,
     MechanismSpec,
+    Scheme,
     discretize,
     half_swap,
     pld_density,
     pld_density_poisson,
 )
+from dpconv.discretization import Sampler
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
 
@@ -44,6 +46,23 @@ class TestGrid:
         fine = grid.refine()
         assert fine.size == 128
         np.testing.assert_array_equal(fine.points()[::2], grid.points())
+
+    @pytest.mark.parametrize("half_width, size", [(4.0, 8), (12.0, 2 ** 16), (0.3, 50_000)])
+    def test_index_and_tail_points_match_the_full_grid(self, half_width, size):
+        grid = Grid(half_width=half_width, size=size)
+        points = grid.points()
+        rng = np.random.default_rng(size)
+        chosen = [0, 1, size // 2 - 1, size // 2, size - 1, *rng.integers(0, size, 20)]
+        for i in chosen:
+            np.testing.assert_array_equal(grid.points(i), points[i:])
+            np.testing.assert_array_equal(grid.points(0, i), points[:i])
+            p = float(points[i])
+            for x in (p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)):
+                for side in ("left", "right"):
+                    assert grid.index(x, side) == int(np.searchsorted(points, x, side=side))
+        for x in (-math.inf, -2 * half_width, 2 * half_width, math.inf):
+            for side in ("left", "right"):
+                assert grid.index(x, side) == int(np.searchsorted(points, x, side=side))
 
 
 class TestHalfSwap:
@@ -112,3 +131,27 @@ class TestDiscretize:
         via_spec = discretize(SPEC, grid).samples
         via_density = discretize(pld_density(SPEC), grid).samples
         np.testing.assert_array_equal(via_spec, via_density)
+
+
+WOR = MechanismSpec(sigma=1.5, q=0.01, scheme=Scheme.WITHOUT_REPLACEMENT)
+WR = MechanismSpec(sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=64, dataset_size=6400)
+BLOCKED_SPECS = [SPEC, SPEC.with_direction(Direction.Y_OVER_X), WOR, WR]
+
+
+class TestBlockedSampling:
+    @pytest.mark.parametrize("spec", BLOCKED_SPECS, ids=lambda s: s.scheme.value)
+    @pytest.mark.parametrize("size", [8, 2 ** 14 + 2, 2 ** 15 + 6])
+    def test_blocks_equal_one_call_over_the_grid(self, spec, size):
+        grid = Grid(half_width=12.0, size=size)
+        whole = pld_density(spec)(grid.points())
+        assert np.array_equal(discretize(spec, grid).samples, whole)
+
+    def test_compare_is_the_byte_order_of_the_samples(self):
+        grid = Grid(half_width=12.0, size=2 ** 14 + 2)
+        specs = [*BLOCKED_SPECS, MechanismSpec(sigma=2.0, q=0.02), SPEC]
+        samplers = [Sampler(spec, grid) for spec in specs]
+        for a in samplers:
+            for b in samplers:
+                x, y = discretize(a.density, grid).samples, discretize(b.density, grid).samples
+                want = (x.tobytes() > y.tobytes()) - (x.tobytes() < y.tobytes())
+                assert a.compare(b) == want

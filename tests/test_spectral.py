@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from scipy import fft
 
 from dpconv import (
+    CompositionQuery,
+    Direction,
     Grid,
     GridMismatchError,
     MechanismSpec,
@@ -13,11 +18,12 @@ from dpconv import (
     SpectralResidueError,
     convolution_power,
     convolution_product,
-    dft,
     discretize,
     half_swap,
-    inverse_dft,
+    pld_density,
 )
+from dpconv import spectral
+from dpconv.accountant import _convolutions, _directions_needed
 from dpconv.oracle import direct_dft, direct_inverse_dft
 from dpconv.spectral import _spectrum_power
 
@@ -28,33 +34,68 @@ def poisson_pld(size=2048, half_width=12.0, sigma=1.5, q=0.01):
     return discretize(MechanismSpec(sigma=sigma, q=q), Grid(half_width=half_width, size=size))
 
 
+def forward(values):
+    """The pipeline's forward transform: in place on a complex buffer."""
+    return fft.fft(np.array(values, dtype=complex), overwrite_x=True)
+
+
+def inverse(values):
+    """The pipeline's inverse transform, in place on a complex buffer."""
+    return fft.ifft(np.array(values, dtype=complex), overwrite_x=True)
+
+
+def power_by_squaring(spectrum, k):
+    """Out-of-place repeated squaring, the reference for _spectrum_power."""
+    result, base = None, spectrum
+    while k:
+        if k & 1:
+            result = base.copy() if result is None else result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 class TestTransforms:
+    """The sum-convention forward and 1/n inverse transforms the pipeline uses."""
+
     def test_impulse_to_constant(self):
-        np.testing.assert_allclose(dft(np.array([1.0, 0, 0, 0])), np.ones(4), atol=1e-15)
+        impulse = np.array([1.0, 0, 0, 0])
+        np.testing.assert_allclose(forward(impulse), np.ones(4), atol=1e-15)
+        np.testing.assert_allclose(forward(impulse), direct_dft(impulse), atol=1e-15)
 
     def test_constant_to_dc(self):
-        np.testing.assert_allclose(dft(np.ones(4)), [4.0, 0, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(forward(np.ones(4)), [4.0, 0, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(forward(np.ones(4)), direct_dft(np.ones(4)), atol=1e-14)
 
     def test_inverse_of_dc(self):
-        np.testing.assert_allclose(inverse_dft(np.array([4.0, 0, 0, 0])), np.ones(4), atol=1e-14)
+        dc = np.array([4.0, 0, 0, 0])
+        np.testing.assert_allclose(inverse(dc), np.ones(4), atol=1e-14)
+        np.testing.assert_allclose(inverse(dc), direct_inverse_dft(dc), atol=1e-14)
 
     def test_round_trip(self):
         v = np.random.default_rng(1).normal(size=1024)
-        np.testing.assert_allclose(inverse_dft(dft(v)), v, atol=1e-12)
+        np.testing.assert_allclose(inverse(forward(v)), v, atol=1e-12)
 
     def test_non_power_of_two_matches_direct_sum(self):
         v = np.random.default_rng(2).normal(size=1000)
-        got = dft(v)
+        got = forward(v)
         want = direct_dft(v)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(inverse_dft(got), direct_inverse_dft(want), atol=1e-12)
+        np.testing.assert_allclose(inverse(got), direct_inverse_dft(want), atol=1e-12)
 
     def test_parseval(self):
         v = np.random.default_rng(4).normal(size=512)
-        spectrum = dft(v)
+        spectrum = forward(v)
         assert np.sum(np.abs(v) ** 2) == pytest.approx(
             np.sum(np.abs(spectrum) ** 2) / len(v), rel=1e-10
         )
+        np.testing.assert_allclose(spectrum, direct_dft(v), rtol=1e-10, atol=1e-10)
+
+    def test_complex_buffer_matches_numpy_transform_of_real_samples_bitwise(self):
+        v = np.random.default_rng(5).random(2 ** 12 + 6)
+        assert np.array_equal(forward(v), np.fft.fft(v))
+        assert np.array_equal(inverse(np.fft.fft(v)), np.fft.ifft(np.fft.fft(v)))
 
 
 class TestConvolutionPower:
@@ -88,12 +129,12 @@ class TestConvolutionPower:
     def test_residue_guard_trips_on_asymmetric_spectrum(self):
         # Real inputs keep their spectra conjugate-symmetric under elementwise
         # powers, so the guard is exercised on a hand-broken spectrum instead.
-        from dpconv.spectral import _finish
+        from dpconv.spectral import _inverse
 
         spectrum = np.zeros(8, dtype=complex)
         spectrum[1] = 1.0
         with pytest.raises(SpectralResidueError):
-            _finish(spectrum, Grid(half_width=4.0, size=8), 1)
+            _inverse(spectrum, np.empty(8), Grid(half_width=4.0, size=8), 1)
 
     def test_spectrum_power_matches_builtin(self):
         rng = np.random.default_rng(9)
@@ -103,16 +144,6 @@ class TestConvolutionPower:
             np.testing.assert_allclose(_spectrum_power(z, k), z ** k, rtol=1e-10, atol=1e-300)
 
     def test_in_place_power_matches_out_of_place_loop_bitwise(self):
-        def out_of_place(spectrum, k):
-            result, base = None, spectrum
-            while k:
-                if k & 1:
-                    result = base.copy() if result is None else result * base
-                k >>= 1
-                if k:
-                    base = base * base
-            return result
-
         samples = poisson_pld(size=4096).samples
         spectrum = np.fft.fft(half_swap(samples) / samples.sum())
         before = spectrum.copy()
@@ -120,7 +151,7 @@ class TestConvolutionPower:
             powered = _spectrum_power(spectrum, k)
             assert np.array_equal(spectrum, before)
             assert powered is not spectrum
-            assert np.array_equal(powered, out_of_place(before, k))
+            assert np.array_equal(powered, power_by_squaring(before, k))
 
 
 class TestConvolutionProduct:
@@ -180,3 +211,130 @@ def test_heterogeneous_pair_matches_quadratic_oracle():
     slow = direct_convolution_combine(a, b)
     scale = np.max(np.abs(slow.samples))
     np.testing.assert_allclose(fast.samples / scale, slow.samples / scale, atol=1e-10)
+
+
+def reference_convolutions(query):
+    """Each needed direction's convolved density by the direct formula.
+
+    Every factor is sampled over the full grid in one call, transformed by
+    numpy as a real array and powered by squaring; the spectra multiply in
+    the order of their samples' bytes, starting from ones.
+    """
+    grid = query.grid
+    convolutions = []
+    for direction in _directions_needed(query):
+        groups = {}
+        for spec, count in zip(query.specs, query.counts):
+            if spec.scheme is Scheme.POISSON:
+                spec = spec.with_direction(direction)
+            groups[spec] = groups.get(spec, 0) + count
+        factors = [(pld_density(spec)(grid.points()), count) for spec, count in groups.items()]
+        spectrum = np.ones(grid.size, dtype=complex)
+        for samples, count in sorted(factors, key=lambda item: item[0].tobytes()):
+            spectrum *= power_by_squaring(np.fft.fft(half_swap(samples) * grid.dx), count)
+        raw = half_swap(np.fft.ifft(spectrum)).real / grid.dx
+        convolutions.append(np.maximum(raw, 0.0))
+    return convolutions
+
+
+WOR = MechanismSpec(sigma=1.5, q=0.01, scheme=Scheme.WITHOUT_REPLACEMENT)
+WR = MechanismSpec(sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=64, dataset_size=6400)
+PIPELINE_CASES = {
+    # Sizes below one block, and ones that are no multiple of it.
+    "poisson-8": ((SPEC,), (3,), Grid(half_width=4.0, size=8)),
+    "poisson-2^14+2": ((SPEC,), (100,), Grid(half_width=12.0, size=2 ** 14 + 2)),
+    "poisson-2^15+6": ((SPEC,), (10_000,), Grid(half_width=12.0, size=2 ** 15 + 6)),
+    # The without-replacement factor is shared by both directions.
+    "poisson+wor": ((SPEC, WOR), (50, 50), Grid(half_width=12.0, size=2 ** 15 + 6)),
+    # Four Poisson factors, two per direction, put in byte order.
+    "poisson+poisson": (
+        (SPEC, MechanismSpec(sigma=2.0, q=0.02)), (60, 40), Grid(half_width=12.0, size=2 ** 14 + 2)
+    ),
+    "wor": ((WOR,), (100,), Grid(half_width=12.0, size=2 ** 14 + 2)),
+    # Evaluated in one call over the grid, then split into four blocks.
+    "with-replacement": ((WR,), (1000,), Grid(half_width=12.0, size=2 ** 16)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+def test_pipeline_matches_direct_formula_bitwise(case):
+    specs, counts, grid = PIPELINE_CASES[case]
+    query = CompositionQuery(specs=specs, counts=counts, grid=grid)
+    got = _convolutions(query)
+    want = reference_convolutions(query)
+    assert [d for d, _conv in got] == _directions_needed(query)
+    for (_direction, conv), samples in zip(got, want):
+        assert conv.k == sum(counts)
+        assert np.array_equal(conv.samples, samples)
+
+
+def test_factor_order_does_not_change_the_product():
+    grid = Grid(half_width=12.0, size=2 ** 14 + 2)
+    other = MechanismSpec(sigma=2.0, q=0.02)
+    forward_order = _convolutions(CompositionQuery(specs=(SPEC, other), counts=(6, 4), grid=grid))
+    backward = _convolutions(CompositionQuery(specs=(other, SPEC), counts=(4, 6), grid=grid))
+    for (_d, a), (_e, b) in zip(forward_order, backward):
+        assert np.array_equal(a.samples, b.samples)
+
+
+class TestWorkerThreads:
+    def executors(self, monkeypatch):
+        made = []
+
+        class Counted(spectral.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "ThreadPoolExecutor", Counted)
+        return made
+
+    def test_single_direction_single_factor_starts_no_thread(self, monkeypatch):
+        made = self.executors(monkeypatch)
+        grid = Grid(half_width=12.0, size=2 ** 12)
+        restricted = CompositionQuery(
+            specs=(SPEC,), counts=(10,), grid=grid, directions=(Direction.X_OVER_Y,)
+        )
+        substitute = CompositionQuery.homogeneous(WR, 10, grid)
+        for query in (restricted, substitute):
+            assert len(_convolutions(query)) == 1
+        assert made == []
+
+    def test_both_directions_run_on_the_pool(self, monkeypatch):
+        made = self.executors(monkeypatch)
+        _convolutions(CompositionQuery.homogeneous(SPEC, 10, Grid(half_width=12.0, size=2 ** 12)))
+        # Two factors, then two directions; a single CPU runs both inline.
+        assert made == ([] if spectral._usable_cpus() == 1 else [2, 2])
+
+    def test_shared_factor_survives_contended_workers(self, monkeypatch):
+        # More workers than cores and a short switch interval: a product
+        # written into a buffer that another direction still reads would
+        # change that direction's result.
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 4)
+        grid = Grid(half_width=12.0, size=2 ** 12)
+        other_wor = MechanismSpec(sigma=2.0, q=0.02, scheme=Scheme.WITHOUT_REPLACEMENT)
+        queries = [
+            CompositionQuery(
+                specs=(SPEC, WOR, MechanismSpec(sigma=2.0, q=0.02)), counts=(50, 50, 20), grid=grid
+            ),
+            # Both directions named: every factor is shared by both products.
+            CompositionQuery(
+                specs=(WOR, other_wor), counts=(50, 20), grid=grid, directions=tuple(Direction)
+            ),
+        ]
+        wanted = [reference_convolutions(query) for query in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                for query, want in zip(queries, wanted):
+                    got = _convolutions(query)
+                    assert all(np.array_equal(c.samples, w) for (_d, c), w in zip(got, want))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_residue_error_propagates_unchanged_from_workers(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_IMAG_RESIDUE_TOL", -1.0)
+        query = CompositionQuery.homogeneous(SPEC, 10, Grid(half_width=12.0, size=2 ** 12))
+        with pytest.raises(SpectralResidueError, match="^imaginary residue .* exceeds -1e"):
+            _convolutions(query)
