@@ -27,7 +27,6 @@ substitute schemes alone are self-dual and convolve once.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -80,8 +79,10 @@ class CompositionQuery:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise DomainError(f"target delta must lie in (0, 1), got {self.delta}")
-        if not self.newton_tolerance > 0.0:
-            raise DomainError(f"newton_tolerance must be positive, got {self.newton_tolerance}")
+        if not 0.0 < self.newton_tolerance < math.inf:
+            raise DomainError(
+                f"newton_tolerance must be positive and finite, got {self.newton_tolerance}"
+            )
         if self.directions is not None and (
             not self.directions
             or len(set(self.directions)) != len(self.directions)
@@ -153,12 +154,6 @@ def _directions_needed(query: CompositionQuery) -> list[Direction]:
     return [Direction.X_OVER_Y]
 
 
-def _oriented(spec: MechanismSpec, direction: Direction) -> MechanismSpec:
-    if spec.scheme is not Scheme.POISSON or spec.direction is direction:
-        return spec
-    return dataclasses.replace(spec, direction=direction)
-
-
 def _convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld]]:
     """C for every needed direction, grouping repeated specs into powers.
 
@@ -169,7 +164,7 @@ def _convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld
     for direction in directions:
         groups: dict[MechanismSpec, int] = {}
         for spec, count in zip(query.specs, query.counts):
-            oriented = _oriented(spec, direction)
+            oriented = spec.with_direction(direction)
             groups[oriented] = groups.get(oriented, 0) + int(count)
         factor_lists.append(list(groups.items()))
     return list(zip(directions, convolve_factors(factor_lists, query.grid)))

@@ -16,8 +16,9 @@ every subcommand to one likelihood-ratio direction, error estimates included.
 
 Reports are serialized as JSON (one object, stable key order), CSV
 (RFC 4180), or an aligned text table; numbers use shortest round-trip
-formatting. Exit codes: 0 success, 2 flag errors (malformed numbers
-included), 3 domain errors, 4 non-convergence of a loss inverse root finder.
+formatting. Exit codes: 0 success, 2 flag errors (malformed numbers and an
+unwritable --out included), 3 domain errors, 4 non-convergence of a loss
+inverse root finder.
 """
 
 from __future__ import annotations
@@ -396,8 +397,12 @@ def main(argv=None) -> int:
         return _EXIT_DOMAIN
     text = _render(rows, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return _EXIT_FLAGS
     else:
         sys.stdout.write(text)
     return 0

@@ -42,6 +42,11 @@ class Grid:
             raise DomainError(f"half_width must be positive and finite, got {self.half_width}")
         if self.size < 2 or self.size % 2:
             raise DomainError(f"size must be an even integer >= 2, got {self.size}")
+        if not (0.0 < self.dx < math.inf):
+            raise DomainError(
+                f"grid spacing 2 L / n must be positive and finite, got {self.dx} "
+                f"for L = {self.half_width}, n = {self.size}"
+            )
 
     @property
     def dx(self) -> float:

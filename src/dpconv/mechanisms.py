@@ -24,6 +24,9 @@ are covered:
   substituted element with probability 1/dataset_size), where f_X and f_Y
   are binomial mixtures of Gaussians centred on 0..batch_size and its
   negation. The loss inverse has no closed form and is solved numerically.
+  The loss is odd, bit for bit as computed, so each distinct |s| of a call
+  is solved once for t >= 0 and mirrored: t(-s) = -t(s), and f_X(-t) comes
+  from the same kernel row as f_X(t) with its two log-sum-exps swapped.
 
 All densities accept scalars or numpy arrays and evaluate in a vectorised,
 overflow-safe way.
@@ -45,11 +48,12 @@ from .errors import DomainError, RootFindingError
 _LOSS_INVERSE_TOL = 1e-13
 _LOSS_INVERSE_MAX_ITER = 100
 # With-replacement root finder: cells of the loss table on [0, T], the cap
-# on doublings of T (2^1024 overflows), rows per kernel chunk, and the floor
-# of the max-shifted exponents (exp(-700) is still a normal double).
+# on doublings of T (2^1024 overflows), rows per kernel chunk (its two
+# temporaries are 2 MiB each at batch_size 64), and the floor of the
+# max-shifted exponents (exp(-700) is still a normal double).
 _LOSS_TABLE_CELLS = 512
 _TABLE_MAX_DOUBLINGS = 1024
-_KERNEL_CHUNK_ROWS = 16384
+_KERNEL_CHUNK_ROWS = 4096
 _EXP_FLOOR = -700.0
 
 
@@ -132,6 +136,13 @@ class MechanismSpec:
         return 1.0 / self.dataset_size
 
     def with_direction(self, direction: Direction) -> "MechanismSpec":
+        """This mechanism in the given likelihood-ratio direction.
+
+        Returns self when the direction is unchanged or the scheme is a
+        substitute one, whose two directions coincide.
+        """
+        if self.scheme is not Scheme.POISSON or self.direction is direction:
+            return self
         return dataclasses.replace(self, direction=direction)
 
 
@@ -375,27 +386,34 @@ def _shifted_lse(exponents: np.ndarray, ell: np.ndarray):
     return peak + np.log(total), (exponents @ ell) / total
 
 
-def _wr_kernel(spec: MechanismSpec, t: np.ndarray):
-    """Loss, its slope, and logsumexp(log_coeff + t ell / sigma^2) at each t.
+def _chunks(size: int):
+    """Slices of at most _KERNEL_CHUNK_ROWS rows covering range(size)."""
+    for start in range(0, size, _KERNEL_CHUNK_ROWS):
+        yield slice(start, start + _KERNEL_CHUNK_ROWS)
 
-    With up and down the log-sum-exps of log_coeff +- t ell / sigma^2, the
+
+def _wr_kernel(spec: MechanismSpec, t: np.ndarray):
+    """Loss, its slope, and the log-sum-exps up and down at each t.
+
+    up and down are the log-sum-exps of log_coeff +- t ell / sigma^2; the
     loss is up - down and its slope is the sum of the two softmax means of
-    ell over sigma^2. t is one-dimensional and processed in chunks of
-    _KERNEL_CHUNK_ROWS rows, so the (rows, batch_size + 1) temporaries stay
-    bounded at any size.
+    ell over sigma^2. Negating t swaps up and down, negates the loss and
+    keeps the slope, bit for bit. t is one-dimensional and processed in
+    chunks of _KERNEL_CHUNK_ROWS rows, so the (rows, batch_size + 1)
+    temporaries stay bounded at any size.
     """
     ell, log_coeff = _wr_log_weights(spec)
     inv_var = 1.0 / (spec.sigma * spec.sigma)
-    loss, slope, lse_up = np.empty_like(t), np.empty_like(t), np.empty_like(t)
-    for start in range(0, t.size, _KERNEL_CHUNK_ROWS):
-        rows = slice(start, start + _KERNEL_CHUNK_ROWS)
+    loss, slope, lse_up, lse_down = (np.empty_like(t) for _ in range(4))
+    for rows in _chunks(t.size):
         scaled = np.multiply.outer(t[rows] * inv_var, ell)
         up, up_mean = _shifted_lse(log_coeff + scaled, ell)
         down, down_mean = _shifted_lse(np.subtract(log_coeff, scaled, out=scaled), ell)
         loss[rows] = up - down
         slope[rows] = (up_mean + down_mean) * inv_var
         lse_up[rows] = up
-    return loss, slope, lse_up
+        lse_down[rows] = down
+    return loss, slope, lse_up, lse_down
 
 
 def loss_with_replacement(spec: MechanismSpec, t):
@@ -406,10 +424,10 @@ def loss_with_replacement(spec: MechanismSpec, t):
 
 
 def _wr_loss_table(spec: MechanismSpec, reach: float):
-    """The loss on a lattice of t covering losses in [-reach, reach].
+    """t, loss and slope on a lattice of t >= 0 covering losses in [0, reach].
 
     _LOSS_TABLE_CELLS equal cells span [0, T], with T doubled from 1 until
-    loss(T) exceeds reach; oddness of the loss mirrors them to [-T, 0].
+    loss(T) exceeds reach.
     """
     extent = 1.0
     for _ in range(_TABLE_MAX_DOUBLINGS):
@@ -419,43 +437,82 @@ def _wr_loss_table(spec: MechanismSpec, reach: float):
         extent *= 2.0
     if not (math.isfinite(edge) and edge > reach):
         raise RootFindingError(f"could not tabulate the loss out to |s| = {reach:.6g}")
-    half_t = np.linspace(0.0, extent, _LOSS_TABLE_CELLS + 1)
-    half_loss = loss_with_replacement(spec, half_t)
-    return (
-        np.concatenate((-half_t[:0:-1], half_t)),
-        np.concatenate((-half_loss[:0:-1], half_loss)),
-    )
+    t = np.linspace(0.0, extent, _LOSS_TABLE_CELLS + 1)
+    loss, slope = _wr_kernel(spec, t)[:2]
+    return t, loss, slope
 
 
-def _wr_inverse(spec: MechanismSpec, s: np.ndarray):
-    """(t, slope, lse_up) at the loss inverse t of each entry of a 1-d s.
+def _wr_solve(spec: MechanismSpec, s: np.ndarray):
+    """The distinct |s| of a 1-d s, ascending, and (t, slope, lse_up, lse_down)
+    at the loss inverse t >= 0 of each.
 
-    One loss table serves all of s, which is then solved in chunks of
-    _KERNEL_CHUNK_ROWS rows, so the root finder's state is bounded too.
+    The loss is odd, so the inverse at -|s| is -t with up and down swapped
+    (see _wr_kernel) and each |s| is solved once. One loss table serves all
+    of them, and they are solved in chunks of _KERNEL_CHUNK_ROWS rows, so
+    the root finder's state is bounded too.
     """
     if not np.all(np.isfinite(s)):
         raise RootFindingError("the loss inverse needs finite privacy losses")
-    table = _wr_loss_table(spec, float(np.max(np.abs(s), initial=0.0)))
-    t, slope, lse_up = np.empty_like(s), np.empty_like(s), np.empty_like(s)
-    for start in range(0, s.size, _KERNEL_CHUNK_ROWS):
-        rows = slice(start, start + _KERNEL_CHUNK_ROWS)
-        t[rows], slope[rows], lse_up[rows] = _wr_newton(spec, s[rows], *table)
-    return t, slope, lse_up
+    magnitude = np.abs(s)
+    magnitude.sort()
+    new = np.empty(magnitude.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(magnitude[1:], magnitude[:-1], out=new[1:])
+    # The distinct |s| and the four results share one block, filled chunk
+    # by chunk with no temporary of their size: glibc raises its mmap
+    # threshold to the size of a freed mmapped array, and later arrays up to
+    # that size then come from the heap, where they can stay resident.
+    block = np.empty((5, np.count_nonzero(new)))
+    reach, *solved = block
+    filled = 0
+    for rows in _chunks(s.size):
+        part = magnitude[rows][new[rows]]
+        reach[filled : filled + part.size] = part
+        filled += part.size
+    del magnitude, new
+    table = _wr_loss_table(spec, float(reach[-1]) if reach.size else 0.0)
+    for rows in _chunks(reach.size):
+        for out, part in zip(solved, _wr_newton(spec, reach[rows], table)):
+            out[rows] = part
+    return reach, *solved
 
 
-def _wr_newton(spec: MechanismSpec, s: np.ndarray, t_table: np.ndarray, loss_table: np.ndarray):
-    """Bracketed Newton on one chunk of s, from the loss table's interpolation.
+def _wr_mirror(s: np.ndarray, reach: np.ndarray, at_plus: np.ndarray, at_minus: np.ndarray):
+    """Per entry of s, at_plus or (where s has its sign bit set) at_minus at
+    the position of |s| in reach, in chunks, with no full-size index array."""
+    out = np.empty_like(s)
+    for rows in _chunks(s.size):
+        at = np.searchsorted(reach, np.abs(s[rows]))
+        out[rows] = np.where(np.signbit(s[rows]), at_minus[at], at_plus[at])
+    return out
 
-    Returns t with the slope and lse_up of the kernel evaluation that
-    accepted it. A NaN residual never counts as converged.
+
+def _wr_newton(spec: MechanismSpec, s: np.ndarray, table: tuple[np.ndarray, ...]):
+    """Bracketed Newton on one chunk of s >= 0, from the table's cubic start.
+
+    The start is the cubic Hermite interpolant of the inverse over the
+    table cell holding s, which matches t and dt/ds = 1/slope at both cell
+    edges; where it leaves the cell, the linear interpolant is used.
+    Returns t with the slope, lse_up and lse_down of the kernel evaluation
+    that accepted it. A NaN residual never counts as converged.
     """
+    t_table, loss_table, slope_table = table
     cell = np.searchsorted(loss_table, s, side="right").clip(1, loss_table.size - 1)
     lo, hi = t_table[cell - 1], t_table[cell]
-    t = np.interp(s, loss_table, t_table)
-    slope, lse_up = np.empty_like(s), np.empty_like(s)
+    width = loss_table[cell] - loss_table[cell - 1]
+    step = hi - lo
+    u = (s - loss_table[cell - 1]) / width
+    t = lo + u * step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cubic = t + u * (1.0 - u) * (
+            (1.0 - u) * (width / slope_table[cell - 1] - step)
+            + u * (step - width / slope_table[cell])
+        )
+    np.copyto(t, cubic, where=(cubic >= lo) & (cubic <= hi))
+    slope, lse_up, lse_down = np.empty_like(s), np.empty_like(s), np.empty_like(s)
     active = np.arange(s.size)
     for _ in range(_LOSS_INVERSE_MAX_ITER):
-        loss, slope[active], lse_up[active] = _wr_kernel(spec, t[active])
+        loss, slope[active], lse_up[active], lse_down[active] = _wr_kernel(spec, t[active])
         resid = loss - s[active]
         pending = ~(np.abs(resid) <= _LOSS_INVERSE_TOL)
         active, resid = active[pending], resid[pending]
@@ -473,22 +530,24 @@ def _wr_newton(spec: MechanismSpec, s: np.ndarray, t_table: np.ndarray, loss_tab
             f"loss inverse did not reach |loss(t) - s| <= {_LOSS_INVERSE_TOL} "
             f"within {_LOSS_INVERSE_MAX_ITER} iterations"
         )
-    return t, slope, lse_up
+    return t, slope, lse_up, lse_down
 
 
 def loss_inverse_with_replacement(spec: MechanismSpec, s):
     """Numerical inverse of the with-replacement loss.
 
-    The loss is strictly increasing and odd with image all of R. It is
-    tabulated once on a lattice of t; each point starts from the table's
-    linear interpolation and is refined by Newton steps that fall back to
-    bisection whenever they leave the bracketing lattice cell, on the points
-    not yet converged only. Raises RootFindingError for a non-finite s or if
-    the tolerance is not met within the iteration cap.
+    The loss is strictly increasing and odd with image all of R, so each
+    distinct |s| is solved once for t >= 0 and t(-s) = -t(s). The loss is
+    tabulated once on a lattice of t >= 0; each point starts from the
+    table's cubic interpolation and is refined by Newton steps that fall
+    back to bisection whenever they leave the bracketing lattice cell, on
+    the points not yet converged only. Raises RootFindingError for a
+    non-finite s or if the tolerance is not met within the iteration cap.
     """
     arr, scalar = _split_scalar(s)
-    t = _wr_inverse(spec, arr.ravel())[0]
-    return _pack_scalar(t.reshape(arr.shape), scalar)
+    s = arr.ravel()
+    reach, t = _wr_solve(spec, s)[:2]
+    return _pack_scalar(_wr_mirror(s, reach, t, -t).reshape(arr.shape), scalar)
 
 
 def pld_density_with_replacement(spec: MechanismSpec, s):
@@ -496,11 +555,20 @@ def pld_density_with_replacement(spec: MechanismSpec, s):
 
     omega(s) = f_X(t) / loss'(t) at t = loss_inverse(s), where
     log f_X(t) = lse_up - t^2 / (2 sigma^2) - log(2 pi sigma^2) / 2 reuses
-    the log-sum-exp of the root finder's last kernel evaluation.
+    the log-sum-exp of the root finder's last kernel evaluation, and
+    lse_down in place of lse_up gives f_X(-t).
     """
     arr, scalar = _split_scalar(s)
-    t, slope, lse_up = _wr_inverse(spec, arr.ravel())
+    s = arr.ravel()
+    reach, t, slope, lse_up, lse_down = _wr_solve(spec, s)
     two_var = 2.0 * spec.sigma * spec.sigma
-    log_fx = lse_up - t * t / two_var - 0.5 * math.log(math.pi * two_var)
-    out = np.exp(log_fx) / slope
+    square = np.multiply(t, t, out=t)
+    square /= two_var
+    # lse_up and lse_down turn into omega at +|s| and at -|s|, in place.
+    for omega in (lse_up, lse_down):
+        omega -= square
+        omega -= 0.5 * math.log(math.pi * two_var)
+        np.exp(omega, out=omega)
+        omega /= slope
+    out = _wr_mirror(s, reach, lse_up, lse_down)
     return _pack_scalar(out.reshape(arr.shape), scalar)

@@ -16,13 +16,7 @@ import math
 import mpmath
 import numpy as np
 
-from .accountant import (
-    CompositionQuery,
-    _convolutions,
-    _delta_value,
-    _directions_needed,
-    _oriented,
-)
+from .accountant import CompositionQuery, _convolutions, _delta_value, _directions_needed
 from .discretization import Grid, discretize, half_swap
 from .errors import DomainError, NonConvergenceError
 from .mechanisms import MechanismSpec
@@ -131,7 +125,7 @@ def direct_convolution_delta(
         raise DomainError(f"epsilon must be >= 0, got {epsilon}")
     best = -math.inf
     for direction in _directions_needed(CompositionQuery.homogeneous(spec, k, grid)):
-        pld = discretize(_oriented(spec, direction), grid)
+        pld = discretize(spec.with_direction(direction), grid)
         if k == 1:
             conv = _clamped(pld.samples.copy(), grid, 1)
         else:

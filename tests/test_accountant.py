@@ -59,6 +59,11 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             delta_of_epsilons(query(), (1.0, math.nan))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_newton_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(DomainError):
+            query(delta=1e-5, tol=tol)
+
     def test_delta_target_domain(self):
         with pytest.raises(DomainError):
             epsilon_of_delta(query(delta=0.0))

@@ -135,6 +135,14 @@ class TestDeltaSubcommand:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["kind"] == "delta"
 
+    @pytest.mark.parametrize("target", ["", "missing/report.json"], ids=["directory", "missing"])
+    def test_unwritable_out_is_two(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run_cli(["delta", *BASE, "--eps", "1.0", "--out", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
     def test_direction_flag_restricts(self, capsys):
         _, out, _ = run_cli(
             ["delta", *BASE, "--eps", "1.0", "--direction", "y-over-x"], capsys
@@ -428,6 +436,18 @@ class TestExitCodes:
         code, out, err = run_cli([*argv, *BASE], capsys)
         assert code == 3
         assert out == "" and "epsilon" in err
+
+    def test_infinite_newton_tolerance_is_three(self, capsys):
+        argv = ["epsilon", *BASE, "--delta", "1e-5", "--newton-tol", "inf"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == "" and "newton_tolerance" in err
+
+    def test_overflowing_grid_spacing_is_three(self, capsys):
+        flags = ["--sigma", "1.5", "--q", "0.01", "--k", "10", "--n", "1024", "--L", "1e308"]
+        code, out, err = run_cli(["delta", "--eps", "1", *flags], capsys)
+        assert code == 3
+        assert out == "" and "grid spacing" in err
 
     def test_grid_too_small_in_both_workers_is_three(self, capsys, monkeypatch):
         # log(1 - q) = -11.5 lies outside [-10, 10) in both directions, so

@@ -41,6 +41,12 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid(half_width=math.inf, size=8)
 
+    @pytest.mark.parametrize("half_width, size", [(1e308, 1024), (5e-324, 8)])
+    def test_rejects_spacing_that_is_not_a_positive_finite_float(self, half_width, size):
+        # 2 L overflows to inf in the first case; 2 L / n underflows to 0 in the second.
+        with pytest.raises(DomainError, match="grid spacing"):
+            Grid(half_width=half_width, size=size)
+
     def test_refine_reproduces_even_indices(self):
         grid = Grid(half_width=12.0, size=64)
         fine = grid.refine()

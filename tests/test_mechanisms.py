@@ -72,6 +72,15 @@ class TestSpecValidation:
                 sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=11, dataset_size=10
             )
 
+    def test_with_direction(self):
+        flipped = POISSON.with_direction(Direction.Y_OVER_X)
+        assert flipped.direction is Direction.Y_OVER_X and flipped.q == POISSON.q
+        assert POISSON.with_direction(Direction.X_OVER_Y) is POISSON
+        assert flipped.with_direction(Direction.X_OVER_Y) == POISSON
+        # The substitute schemes have a single direction.
+        assert WOR.with_direction(Direction.Y_OVER_X) is WOR
+        assert WR.with_direction(Direction.Y_OVER_X) is WR
+
     def test_draw_probability(self):
         assert WR.draw_probability == 0.01
 
@@ -256,6 +265,53 @@ class TestWithReplacement:
         with pytest.raises(RootFindingError):
             fn(WR_WIDE, np.array([0.5, bad, -1.0]))
         assert calls == []
+
+    @pytest.mark.parametrize("spec", [WR, WR_WIDE], ids=["WR", "WR_WIDE"])
+    def test_kernel_is_odd_bit_for_bit(self, spec):
+        t = np.linspace(0.0, 60.0, 20_001)
+        loss, slope, lse_up, lse_down = dpconv.mechanisms._wr_kernel(spec, t)
+        loss_m, slope_m, lse_up_m, lse_down_m = dpconv.mechanisms._wr_kernel(spec, -t)
+        np.testing.assert_array_equal(loss_m, -loss)
+        np.testing.assert_array_equal(slope_m, slope)
+        np.testing.assert_array_equal(lse_up_m, lse_down)
+        np.testing.assert_array_equal(lse_down_m, lse_up)
+
+    def test_inverse_is_odd_bit_for_bit(self):
+        s = np.append(Grid(half_width=7.3, size=1000).points(), [0.0, 1e-300, 7.3])
+        t = loss_inverse_with_replacement(WR_WIDE, np.concatenate((s, -s)))
+        assert t[s.size:].tobytes() == (-t[: s.size]).tobytes()
+
+    @pytest.mark.parametrize(
+        "half_width, size, stride",
+        [(12.0, 2 ** 14, 32), (7.3, 1000, 1)],
+        ids=["symmetric", "asymmetric"],
+    )
+    def test_grid_agrees_with_scalar_calls(self, half_width, size, stride):
+        s = Grid(half_width=half_width, size=size).points()
+        t = loss_inverse_with_replacement(WR_WIDE, s)
+        density = pld_density_with_replacement(WR_WIDE, s)
+        for i in range(0, size, stride):
+            point = float(s[i])
+            assert loss_inverse_with_replacement(WR_WIDE, point) == pytest.approx(t[i], rel=1e-12)
+            assert pld_density_with_replacement(WR_WIDE, point) == pytest.approx(
+                density[i], rel=1e-12
+            )
+
+    def test_each_magnitude_costs_at_most_two_kernel_rows(self, monkeypatch):
+        # On the benchmark grid every |s| but 0 and 12 occurs twice, and the
+        # cubic start lets each converge on its second kernel row. The rows
+        # that build the loss table are counted apart and not charged.
+        s = Grid(half_width=12.0, size=2 ** 14).points()
+        rows = []
+        kernel = dpconv.mechanisms._wr_kernel
+        monkeypatch.setattr(
+            dpconv.mechanisms, "_wr_kernel", lambda spec, t: rows.append(t.size) or kernel(spec, t)
+        )
+        dpconv.mechanisms._wr_loss_table(WR_WIDE, float(np.max(np.abs(s))))
+        table_rows = sum(rows)
+        rows.clear()
+        pld_density_with_replacement(WR_WIDE, s)
+        assert sum(rows) - table_rows <= 2 * np.unique(np.abs(s)).size
 
 
 def test_pld_density_dispatch():
