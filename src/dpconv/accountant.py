@@ -322,7 +322,7 @@ def epsilon_of_delta(query: CompositionQuery, delta: float | None = None) -> Del
         (direction.value, *_delta_value(conv, eps)) for direction, conv in convolutions
     ]
     achieved = max(value for _name, value, _ell, _warning in per_direction)
-    if abs(achieved - target) > tol:
+    if not abs(achieved - target) <= tol:
         raise TargetDeltaBelowFloor(
             f"target delta {target:.6g} is below what the grid resolves near epsilon = "
             f"{eps:.6g} (delta there {achieved:.6g}); enlarge the truncation radius or "

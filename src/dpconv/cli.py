@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     mech = common.add_argument_group("mechanism")
     mech.add_argument("--scheme", choices=[s.value for s in Scheme], default=Scheme.POISSON.value)
-    mech.add_argument("--sigma", type=float, help="noise scale")
+    mech.add_argument("--sigma", type=float, help="noise scale, at most 1e50")
     mech.add_argument("--q", type=float, help="sampling fraction (poisson, without-replacement)")
     mech.add_argument("--batch-size", type=int, help="draw count (with-replacement)")
     mech.add_argument("--dataset-size", type=int, help="record count (with-replacement)")
@@ -80,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
         " repeat per distinct mechanism (overrides the flat mechanism flags)",
     )
     num = common.add_argument_group("numerics")
-    num.add_argument("--L", type=float, default=_DEFAULT_HALF_WIDTH, help="truncation radius")
+    num.add_argument(
+        "--L", type=float, default=_DEFAULT_HALF_WIDTH, help="truncation radius, at most 700"
+    )
     num.add_argument("--n", type=int, default=_DEFAULT_SIZE, help="grid size (even)")
     num.add_argument(
         "--newton-tol",

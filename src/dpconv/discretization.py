@@ -28,11 +28,18 @@ from .mechanisms import MechanismSpec, PldDensity, Scheme, pld_density
 # Points per sampling and spectral block: a block of complex128 values is
 # 256 KiB, small enough to stay in a core's private cache.
 _BLOCK = 2 ** 14
+# Largest half-width: the densities and the inversion of delta evaluate
+# exp(s) at grid points, and it overflows beyond s = 709.
+_MAX_HALF_WIDTH = 700.0
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Symmetric uniform grid on [-half_width, half_width) with an even size."""
+    """Symmetric uniform grid on [-half_width, half_width) with an even size.
+
+    half_width is at most 700 (_MAX_HALF_WIDTH), so that exp(+-s) stays a
+    finite double at every grid point.
+    """
 
     half_width: float
     size: int
@@ -46,6 +53,11 @@ class Grid:
             raise DomainError(
                 f"grid spacing 2 L / n must be positive and finite, got {self.dx} "
                 f"for L = {self.half_width}, n = {self.size}"
+            )
+        if self.half_width > _MAX_HALF_WIDTH:
+            raise DomainError(
+                f"half_width must be at most {_MAX_HALF_WIDTH:g}, beyond which exp(s) "
+                f"overflows; got {self.half_width}"
             )
 
     @property

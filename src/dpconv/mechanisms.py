@@ -45,11 +45,18 @@ from scipy.special import gammaln
 
 from .errors import DomainError, RootFindingError
 
+# Largest accepted noise scale. The densities square loss inverses of order
+# sigma^2 times a few thousand (|s| <= 700 on any grid, |log q| <= 745), so
+# sigma^4 must stay far below the largest double; at q = 0.01 and L = 8 the
+# Poisson density overflows from about sigma = 1e77.
+_SIGMA_MAX = 1e50
 _LOSS_INVERSE_TOL = 1e-13
 _LOSS_INVERSE_MAX_ITER = 100
 # With-replacement root finder: cells of the loss table on [0, T], the cap
-# on doublings of T (2^1024 overflows), rows per kernel chunk (its two
-# temporaries are 2 MiB each at batch_size 64), and the floor of the
+# on doublings of T (2^1024 overflows), points per kernel chunk (its two
+# temporaries are window terms x points: at batch_size 64 and sigma 1 a
+# Newton chunk's windows hold at most 14 terms up and 6 down, 0.4 and
+# 0.2 MiB, where all 65 terms took 2 MiB each), and the floor of the
 # max-shifted exponents (exp(-700) is still a normal double).
 _LOSS_TABLE_CELLS = 512
 _TABLE_MAX_DOUBLINGS = 1024
@@ -81,8 +88,9 @@ class MechanismSpec:
     """Parameters of one subsampled Gaussian mechanism invocation.
 
     Attributes:
-        sigma: noise scale, must be positive and finite, with a square that
-            does not underflow.
+        sigma: noise scale, positive and at most 1e50 (_SIGMA_MAX, beyond
+            which the density arithmetic overflows), with a square that does
+            not underflow.
         scheme: subsampling scheme, see Scheme.
         q: sampling fraction in (0, 1] for POISSON / WITHOUT_REPLACEMENT.
             q = 1 is the non-subsampled limit, in which the Poisson density
@@ -103,9 +111,10 @@ class MechanismSpec:
 
     def __post_init__(self) -> None:
         # 1/sigma^2 enters every density, so its square must not underflow.
-        if not (0 < self.sigma < math.inf and self.sigma * self.sigma >= sys.float_info.min):
+        if not (0 < self.sigma <= _SIGMA_MAX and self.sigma * self.sigma >= sys.float_info.min):
             raise DomainError(
-                f"sigma must be positive and finite, with sigma^2 a normal float; got {self.sigma}"
+                f"sigma must be positive and at most {_SIGMA_MAX:g}, with sigma^2 a normal "
+                f"float; got {self.sigma}"
             )
         if self.scheme in (Scheme.POISSON, Scheme.WITHOUT_REPLACEMENT):
             if self.q is None:
@@ -370,20 +379,23 @@ def _wr_log_weights(spec: MechanismSpec):
 
 
 def _shifted_lse(exponents: np.ndarray, ell: np.ndarray):
-    """Row-wise log-sum-exp of exponents and the mean of ell under its softmax.
+    """Log-sum-exp of each column of exponents, one row per ell, and the
+    mean of ell under the column's softmax.
 
-    The row maximum is shifted out in place and the shifted exponents are
-    floored at _EXP_FLOOR, far below a double's precision relative to the
-    maximum's unit term, so np.exp never produces a (slow) subnormal. A row
-    whose maximum overflowed is left unshifted, so its log-sum-exp is inf.
+    The column maximum is shifted out in place and the shifted exponents
+    are floored at _EXP_FLOOR, far below a double's precision relative to
+    the maximum's unit term, so np.exp never produces a (slow) subnormal. A
+    column whose maximum overflowed is left unshifted, so its log-sum-exp is
+    inf. The reductions run across the few rows of a window, elementwise
+    over the columns, which numpy vectorises; along a short row it would not.
     """
-    peak = exponents.max(axis=1)
+    peak = exponents.max(axis=0)
     peak[~np.isfinite(peak)] = 0.0
-    exponents -= peak[:, None]
+    exponents -= peak
     np.maximum(exponents, _EXP_FLOOR, out=exponents)
     np.exp(exponents, out=exponents)
-    total = exponents.sum(axis=1)
-    return peak + np.log(total), (exponents @ ell) / total
+    total = exponents.sum(axis=0)
+    return peak + np.log(total), (ell @ exponents) / total
 
 
 def _chunks(size: int):
@@ -392,23 +404,67 @@ def _chunks(size: int):
         yield slice(start, start + _KERNEL_CHUNK_ROWS)
 
 
+def _wr_window(log_coeff: np.ndarray, ell: np.ndarray, x: np.ndarray) -> slice:
+    """The slice of ell that the log-sum-exps of log_coeff + x ell need at
+    every x of a chunk.
+
+    log_coeff, a log binomial pmf (concave, as log-gamma is convex) minus
+    ell^2 / (2 sigma^2), is concave in ell. So at one x the terms whose
+    exponent comes within the reach R of the largest form an interval of
+    ell, and both ends of that interval are nondecreasing in x: tilting a
+    concave sequence further up to the right moves neither end to the left.
+    The interval at the smallest x therefore starts, and the one at the
+    largest x ends, a window that holds every x's interval. A term outside a point's interval
+    sits more than R below that point's largest exponent; with
+    R = log(m (m + 1)) + 60 log 2 for m = batch_size, the at most m + 1 of
+    them weigh less than 2^-60 of the largest term in the sum and, as
+    ell <= m, in the ell-weighted sum. Where the smallest or the largest x
+    gives a non-finite exponent (a non-finite or overflowing x), the window
+    is all of ell.
+    """
+    m = ell.size - 1
+    reach = math.log(m * (m + 1.0)) + 60.0 * math.log(2.0)
+    first = log_coeff + x.min() * ell
+    last = log_coeff + x.max() * ell
+    if not (np.all(np.isfinite(first)) and np.all(np.isfinite(last))):
+        return slice(None)
+    start = int(np.argmax(first >= first.max() - reach))
+    stop = ell.size - int(np.argmax(last[::-1] >= last.max() - reach))
+    return slice(start, stop)
+
+
+def _windowed_lse(log_coeff: np.ndarray, ell: np.ndarray, x: np.ndarray):
+    """_shifted_lse of the exponents log_coeff + x ell over _wr_window's ell,
+    one row per ell and one column per x."""
+    cols = _wr_window(log_coeff, ell, x)
+    exponents = np.multiply.outer(ell[cols], x)
+    exponents += log_coeff[cols, None]
+    return _shifted_lse(exponents, ell[cols])
+
+
 def _wr_kernel(spec: MechanismSpec, t: np.ndarray):
     """Loss, its slope, and the log-sum-exps up and down at each t.
 
     up and down are the log-sum-exps of log_coeff +- t ell / sigma^2; the
     loss is up - down and its slope is the sum of the two softmax means of
-    ell over sigma^2. Negating t swaps up and down, negates the loss and
-    keeps the slope, bit for bit. t is one-dimensional and processed in
-    chunks of _KERNEL_CHUNK_ROWS rows, so the (rows, batch_size + 1)
-    temporaries stay bounded at any size.
+    ell over sigma^2. t is one-dimensional and processed in chunks of
+    _KERNEL_CHUNK_ROWS points. Each chunk sums only the terms ell that its
+    extreme points can see, one window up and one down: the exponents are
+    concave in ell, so the terms within reach of the largest at the
+    chunk's smallest and largest t bound those of every t in between, and
+    the terms left out weigh less than 2^-60 of the largest (see
+    _wr_window). At batch_size 64 and sigma 1 that is at most 20 of the
+    2 (batch_size + 1) terms on a chunk of nearby t. Negating t swaps the
+    two windows along with the two sides, so it swaps up and down, negates
+    the loss and keeps the slope, bit for bit.
     """
     ell, log_coeff = _wr_log_weights(spec)
     inv_var = 1.0 / (spec.sigma * spec.sigma)
     loss, slope, lse_up, lse_down = (np.empty_like(t) for _ in range(4))
     for rows in _chunks(t.size):
-        scaled = np.multiply.outer(t[rows] * inv_var, ell)
-        up, up_mean = _shifted_lse(log_coeff + scaled, ell)
-        down, down_mean = _shifted_lse(np.subtract(log_coeff, scaled, out=scaled), ell)
+        x = t[rows] * inv_var
+        up, up_mean = _windowed_lse(log_coeff, ell, x)
+        down, down_mean = _windowed_lse(log_coeff, ell, np.negative(x, out=x))
         loss[rows] = up - down
         slope[rows] = (up_mean + down_mean) * inv_var
         lse_up[rows] = up

@@ -29,7 +29,9 @@ values bit for bit and keep their plans between calls.
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import math
 import os
 from collections import Counter
 from collections.abc import Callable
@@ -102,6 +104,8 @@ def _map(fn, items: list) -> list:
     still hold their scratch. An exception from a call is raised here
     unchanged once its wave has ended: the first item of the wave that
     raised, as the inline loop would raise it; later waves do not start.
+    Each item runs in its own copy of the caller's context, so a thread
+    sees the caller's numpy error state (np.errstate is a context variable).
     """
     workers = min(len(items), _usable_cpus())
     if workers <= 1:
@@ -109,7 +113,10 @@ def _map(fn, items: list) -> list:
     results = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for start in range(0, len(items), workers):
-            wave = [pool.submit(fn, item) for item in items[start : start + workers]]
+            wave = [
+                pool.submit(contextvars.copy_context().run, fn, item)
+                for item in items[start : start + workers]
+            ]
             results += [future.result() for future in wave]
     return results
 
@@ -171,7 +178,12 @@ def _inverse(product: np.ndarray, samples: np.ndarray, grid: Grid, k: int) -> Co
         np.maximum(out, 0.0, out=out)
     scale = max(float(np.max(peaks)), 1e-300)
     residue = float(np.max(residues)) / scale
-    if residue > _IMAG_RESIDUE_TOL:
+    if not math.isfinite(scale):
+        raise SpectralResidueError(
+            "the convolved density is not finite: a density sample was not finite, or the "
+            "grid under-resolves a density whose mass then exceeds 1 and its power overflows"
+        )
+    if not residue <= _IMAG_RESIDUE_TOL:
         raise SpectralResidueError(
             f"imaginary residue {residue:.3g} after the inverse transform exceeds "
             f"{_IMAG_RESIDUE_TOL:.0e}; the input was likely not a real density"

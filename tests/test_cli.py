@@ -449,6 +449,21 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and "grid spacing" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["delta", "--sigma", "1e200", "--L", "8", "--n", "1024", "--eps", "1"],
+            ["delta", "--sigma", "1.5", "--L", "800", "--n", "4096", "--eps", "1"],
+            ["epsilon", "--sigma", "1.5", "--L", "800", "--n", "4096", "--delta", "1e-5"],
+        ],
+        ids=["sigma", "delta-L", "epsilon-L"],
+    )
+    def test_overflowing_sigma_or_half_width_is_three(self, capsys, argv):
+        # Each would overflow the density arithmetic into a NaN result.
+        code, out, err = run_cli([*argv, "--q", "0.01", "--k", "2"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_grid_too_small_in_both_workers_is_three(self, capsys, monkeypatch):
         # log(1 - q) = -11.5 lies outside [-10, 10) in both directions, so
         # both factor builds fail; the report names the x-over-y edge first.

@@ -47,6 +47,11 @@ class TestGrid:
         with pytest.raises(DomainError, match="grid spacing"):
             Grid(half_width=half_width, size=size)
 
+    def test_rejects_half_width_where_exp_overflows(self):
+        assert Grid(half_width=700.0, size=8).half_width == 700.0
+        with pytest.raises(DomainError, match="at most 700"):
+            Grid(half_width=700.5, size=8)
+
     def test_refine_reproduces_even_indices(self):
         grid = Grid(half_width=12.0, size=64)
         fine = grid.refine()

@@ -52,6 +52,14 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             MechanismSpec(sigma=0.0, q=0.01)
 
+    @pytest.mark.parametrize("sigma", [1e51, 1e77, 1e200, math.inf, math.nan])
+    def test_rejects_sigma_whose_density_arithmetic_overflows(self, sigma):
+        with pytest.raises(DomainError, match="at most 1e\\+50"):
+            MechanismSpec(sigma=sigma, q=0.01)
+
+    def test_accepts_sigma_at_the_ceiling(self):
+        assert MechanismSpec(sigma=1e50, q=0.01).sigma == 1e50
+
     def test_rejects_q_out_of_range(self):
         with pytest.raises(DomainError):
             MechanismSpec(sigma=1.0, q=0.0)
@@ -312,6 +320,64 @@ class TestWithReplacement:
         rows.clear()
         pld_density_with_replacement(WR_WIDE, s)
         assert sum(rows) - table_rows <= 2 * np.unique(np.abs(s)).size
+
+
+def full_sum_kernel(spec, t):
+    """_wr_kernel's four outputs from plain max-shifted sums over every ell."""
+    ell, log_coeff = dpconv.mechanisms._wr_log_weights(spec)
+    inv_var = 1.0 / (spec.sigma * spec.sigma)
+    sides = []
+    with np.errstate(all="ignore"):
+        for x in (t * inv_var, -(t * inv_var)):
+            exponents = log_coeff + np.multiply.outer(x, ell)
+            peak = exponents.max(axis=1)
+            peak[~np.isfinite(peak)] = 0.0
+            weights = np.exp(exponents - peak[:, None])
+            total = weights.sum(axis=1)
+            sides.append((peak + np.log(total), (weights @ ell) / total))
+    (up, up_mean), (down, down_mean) = sides
+    return up - down, (up_mean + down_mean) * inv_var, up, down
+
+
+class TestKernelWindow:
+    T = np.concatenate((
+        np.linspace(0.0, 60.0, 301),
+        -np.linspace(0.0, 60.0, 301),
+        [1e-300, -1e-300, 1e4, -1e4, 1e308, -1e308],
+    ))
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("batch_size", [1, 64, 256, 1000])
+    def test_matches_the_full_sum_within_eight_ulp(self, monkeypatch, batch_size, sigma):
+        # Chunks of three neighbouring t give each chunk its own narrow
+        # window; the last six t are chunks of their own.
+        spec = MechanismSpec(
+            sigma=sigma,
+            scheme=Scheme.WITH_REPLACEMENT,
+            batch_size=batch_size,
+            dataset_size=100 * batch_size,
+        )
+        monkeypatch.setattr(dpconv.mechanisms, "_KERNEL_CHUNK_ROWS", 3)
+        with np.errstate(all="ignore"):
+            got = dpconv.mechanisms._wr_kernel(spec, self.T)
+        names = ("loss", "slope", "lse_up", "lse_down")
+        for name, have, want in zip(names, got, full_sum_kernel(spec, self.T)):
+            finite = np.isfinite(want)
+            np.testing.assert_array_equal(have[~finite], want[~finite], err_msg=name)
+            ulp = np.finfo(float).eps * np.maximum(1.0, np.abs(want[finite]))
+            assert np.all(np.abs(have[finite] - want[finite]) <= 8 * ulp), name
+
+    def test_sums_at_most_a_third_of_the_columns_on_a_benchmark_grid(self, monkeypatch):
+        rows, cells = [], []
+        kernel, lse = dpconv.mechanisms._wr_kernel, dpconv.mechanisms._shifted_lse
+        monkeypatch.setattr(
+            dpconv.mechanisms, "_wr_kernel", lambda spec, t: rows.append(t.size) or kernel(spec, t)
+        )
+        monkeypatch.setattr(
+            dpconv.mechanisms, "_shifted_lse", lambda e, ell: cells.append(e.size) or lse(e, ell)
+        )
+        pld_density_with_replacement(WR_WIDE, Grid(half_width=12.0, size=2 ** 14).points())
+        assert sum(cells) <= sum(rows) * 2 * (WR_WIDE.batch_size + 1) / 3
 
 
 def test_pld_density_dispatch():

@@ -136,6 +136,12 @@ class TestConvolutionPower:
         with pytest.raises(SpectralResidueError):
             _inverse(spectrum, np.empty(8), Grid(half_width=4.0, size=8), 1)
 
+    def test_non_finite_density_is_an_error_not_a_nan(self):
+        pld = poisson_pld(size=64)
+        pld.samples[5] = np.nan
+        with pytest.raises(SpectralResidueError, match="not finite"):
+            convolution_power(pld, 3)
+
     def test_spectrum_power_matches_builtin(self):
         rng = np.random.default_rng(9)
         radius = rng.uniform(0.2, 1.0, size=33)
@@ -337,4 +343,13 @@ class TestWorkerThreads:
         monkeypatch.setattr(spectral, "_IMAG_RESIDUE_TOL", -1.0)
         query = CompositionQuery.homogeneous(SPEC, 10, Grid(half_width=12.0, size=2 ** 12))
         with pytest.raises(SpectralResidueError, match="^imaginary residue .* exceeds -1e"):
+            _convolutions(query)
+
+    def test_workers_see_the_callers_numpy_error_state(self):
+        # The 1000th power of a spectrum underflows in its smallest entries;
+        # raising on underflow is the caller's choice, and the threads that
+        # build the two directions' factors must honour it.
+        query = CompositionQuery.homogeneous(SPEC, 1000, Grid(half_width=12.0, size=2 ** 12))
+        assert len(_convolutions(query)) == 2
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
             _convolutions(query)
