@@ -14,10 +14,9 @@ from dpconv import (
     Grid,
     MechanismSpec,
     Scheme,
-    convolution_power,
     delta_of_epsilon,
-    discretize,
 )
+from dpconv.accountant import convolutions
 from dpconv.error_bounds import discretization_estimate
 
 # One step of noisy SGD with Poisson sampling: each record enters the batch
@@ -46,12 +45,11 @@ disc = discretization_estimate(query, value=result.value)
 print(f"discretisation estimate: {disc:.3e}")
 
 # The same quantity from the pieces, for anyone who wants to hold the
-# intermediate objects: sample the density, convolve, sum the weighted tail.
-pld = discretize(mechanism, grid)
-conv = convolution_power(pld, steps)
+# intermediate objects: one convolved density per likelihood-ratio direction,
+# and its weighted tail sum dx * sum_{x > eps} (1 - exp(eps - x)) C(x).
 x = grid.points()
-weights = -np.expm1(1.0 - x)
-tail = x >= 1.0
-by_hand = grid.dx * float(np.sum(weights[tail] * conv.samples[tail]))
-print(f"manual recomputation (x-over-y direction): {by_hand:.12e}")
-print(f"probability mass after composition: {conv.mass:.6f}")
+tail = x > 1.0
+for direction, conv in convolutions(query):
+    by_hand = grid.dx * float(np.sum(-np.expm1(1.0 - x[tail]) * conv.samples[tail]))
+    print(f"{direction.value}: by hand {by_hand:.12e}, conv.delta {conv.delta(1.0)[0]:.12e}")
+    print(f"  probability mass after composition: {conv.mass:.6f}")

@@ -22,6 +22,7 @@ from dpconv import (
 from dpconv.error_bounds import discretization_estimate
 
 SIGMA, Q, K = 2.0, 0.01, 1_000
+spec = MechanismSpec(sigma=SIGMA, q=Q)
 
 print("moment bound alpha(lambda) and its envelope")
 limit = alpha_lambda_limit(SIGMA, Q)
@@ -34,15 +35,16 @@ for lam in (2.0, 8.0, 15.0, 16.0):
 print("\ntruncation tail estimate across the grid half-width")
 print(f"{'L':>4}  {'estimate':>12}  {'valid':>5}")
 for half_width in (6.0, 10.0, 14.0, 20.0, 40.0):
-    t = tail_estimate(SIGMA, Q, K, half_width)
+    t = tail_estimate(CompositionQuery.homogeneous(spec, K, Grid(half_width, 2**16)))
     print(f"{half_width:>4.0f}  {t.value:>12.3e}  {str(t.valid):>5}")
 
 # The rigorous variant needs sigma >= 4 and q <= 1/5; inside its envelope it
 # is a genuine upper bound rather than an estimate.
 print("\nrigorous tail bound at sigma=4")
 print(f"  envelope admits lambda < {analytic_lambda_limit(4.0, Q):.4f}")
+loud = MechanismSpec(sigma=4.0, q=Q)
 for half_width in (10.0, 20.0, 28.0, 40.0):
-    b = analytic_tail_bound(4.0, Q, K, half_width)
+    b = analytic_tail_bound(CompositionQuery.homogeneous(loud, K, Grid(half_width, 2**16)))
     if b.valid:
         print(f"  L={half_width:>4.0f}: bound {b.value:.3e}")
     else:
@@ -59,7 +61,6 @@ for half_width in (4.0, 8.0, 12.0):
     )
 
 print("\ndiscretisation estimate 2|I_n - I_2n| for the full query")
-spec = MechanismSpec(sigma=SIGMA, q=Q)
 for exponent in (14, 16, 18):
     query = CompositionQuery.homogeneous(spec, K, Grid(12.0, 2**exponent), epsilon=1.0)
     value = delta_of_epsilon(query).value

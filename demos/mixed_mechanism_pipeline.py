@@ -1,9 +1,10 @@
 """Accounting across a pipeline that mixes mechanisms.
 
 A realistic training schedule rarely uses one noise scale end to end.
-compose_heterogeneous convolves each distinct (mechanism, count) pair once
-and multiplies the spectra, so a 60/40 split of two noise scales costs two
-forward FFTs instead of a hundred.
+A CompositionQuery lists each distinct mechanism with its count; the
+accountant convolves each (mechanism, count) pair once and multiplies the
+spectra, so a 60/40 split of two noise scales costs two forward FFTs per
+likelihood-ratio direction instead of a hundred.
 
 The second half compares the three subsampling schemes head to head at
 matched parameters: Poisson remove/add accounting is direction-asymmetric,
@@ -15,7 +16,6 @@ from dpconv import (
     Grid,
     MechanismSpec,
     Scheme,
-    compose_heterogeneous,
     delta_of_epsilon,
 )
 
@@ -25,7 +25,9 @@ grid = Grid(12.0, 2**16)
 loud = MechanismSpec(sigma=2.0, q=0.05)
 quiet = MechanismSpec(sigma=1.2, q=0.05)
 
-mixed = compose_heterogeneous([(loud, 60), (quiet, 40)], grid=grid, epsilon=1.0)
+mixed = delta_of_epsilon(
+    CompositionQuery(specs=(loud, quiet), counts=(60, 40), grid=grid, epsilon=1.0)
+)
 print("60 steps at sigma=2.0 plus 40 steps at sigma=1.2, q=0.05, epsilon=1")
 print(f"  delta: {mixed.value:.12e}")
 for direction, value in mixed.per_direction:

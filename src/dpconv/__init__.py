@@ -10,11 +10,11 @@ control (error_bounds) and slow independent cross-checks (oracle).
 from .accountant import (
     CompositionQuery,
     DeltaResult,
-    compose_heterogeneous,
     delta_of_epsilon,
+    delta_of_epsilons,
     epsilon_of_delta,
 )
-from .discretization import DiscretePld, Grid, discretize, half_swap
+from .discretization import ConvolvedPld, Grid, discretize
 from .error_bounds import (
     BoundResult,
     alpha_bound,
@@ -28,7 +28,6 @@ from .error_bounds import (
 from .errors import (
     AccountingError,
     DomainError,
-    GridMismatchError,
     GridTooSmallError,
     NonConvergenceError,
     RootFindingError,
@@ -52,11 +51,6 @@ from .mechanisms import (
     pld_density_with_replacement,
     pld_density_without_replacement,
 )
-from .spectral import (
-    ConvolvedPld,
-    convolution_power,
-    convolution_product,
-)
 
 __version__ = "0.1.0"
 
@@ -67,10 +61,8 @@ __all__ = [
     "ConvolvedPld",
     "DeltaResult",
     "Direction",
-    "DiscretePld",
     "DomainError",
     "Grid",
-    "GridMismatchError",
     "GridTooSmallError",
     "MechanismSpec",
     "NonConvergenceError",
@@ -84,14 +76,11 @@ __all__ = [
     "alpha_lambda_limit",
     "analytic_lambda_limit",
     "analytic_tail_bound",
-    "compose_heterogeneous",
-    "convolution_power",
-    "convolution_product",
     "delta_of_epsilon",
+    "delta_of_epsilons",
     "discretization_estimate",
     "discretize",
     "epsilon_of_delta",
-    "half_swap",
     "loss_inverse_poisson",
     "loss_inverse_with_replacement",
     "loss_inverse_without_replacement",

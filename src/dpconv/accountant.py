@@ -6,9 +6,9 @@ CompositionQuery, the truncated and discretised integral
     delta(eps) = dx * sum_{l >= l_eps} (1 - exp(eps - x_l)) * C_l,
 
 where C is the convolved privacy loss density from module spectral and l_eps
-is the first grid index strictly to the right of eps. C does not depend on
-eps, so delta_of_epsilons answers any number of epsilons from one convolution
-per direction.
+is the first grid index strictly to the right of eps; ConvolvedPld.delta
+evaluates it. C does not depend on eps, so delta_of_epsilons answers any
+number of epsilons from one convolution per direction.
 
 The reverse direction inverts delta(eps) exactly on the grid, from the same
 convolution. With the suffix sums U[l] = dx * sum_{j >= l} C_j and
@@ -33,17 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import error_bounds
-from .discretization import Grid
+from .discretization import ConvolvedPld, Grid
 from .errors import (
     DomainError,
     TargetDeltaBelowFloor,
     TargetDeltaTooLarge,
 )
 from .mechanisms import Direction, MechanismSpec, Scheme
-from .spectral import ConvolvedPld, convolve_factors
-
-_EMPTY_SUM_WARNING = "epsilon exceeds truncation radius"
-_OVER_UNITY_WARNING = "computed delta exceeded 1; the grid under-resolves this composition"
+from .spectral import convolve_factors
 
 
 @dataclass(frozen=True)
@@ -117,6 +114,20 @@ class CompositionQuery:
         """Total number of composed mechanism invocations."""
         return int(sum(self.counts))
 
+    @property
+    def evaluated_directions(self) -> tuple[Direction, ...]:
+        """The likelihood-ratio directions a computation evaluates.
+
+        directions when the query names them; otherwise both when any
+        mechanism uses the asymmetric remove/add relation, a single pass
+        otherwise (substitute losses are odd).
+        """
+        if self.directions is not None:
+            return self.directions
+        if any(s.scheme is Scheme.POISSON for s in self.specs):
+            return (Direction.X_OVER_Y, Direction.Y_OVER_X)
+        return (Direction.X_OVER_Y,)
+
 
 @dataclass(frozen=True)
 class DeltaResult:
@@ -143,23 +154,12 @@ class DeltaResult:
     discretization_estimate: float | None = None
 
 
-def _directions_needed(query: CompositionQuery) -> list[Direction]:
-    """The query's own directions when it names them; otherwise both when any
-    mechanism uses the asymmetric remove/add relation, a single pass
-    otherwise (substitute losses are odd)."""
-    if query.directions is not None:
-        return list(query.directions)
-    if any(s.scheme is Scheme.POISSON for s in query.specs):
-        return [Direction.X_OVER_Y, Direction.Y_OVER_X]
-    return [Direction.X_OVER_Y]
-
-
-def _convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld]]:
-    """C for every needed direction, grouping repeated specs into powers.
+def convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld]]:
+    """C for every evaluated direction, grouping repeated specs into powers.
 
     A self-dual factor, the same in both directions, is built once.
     """
-    directions = _directions_needed(query)
+    directions = query.evaluated_directions
     factor_lists = []
     for direction in directions:
         groups: dict[MechanismSpec, int] = {}
@@ -168,20 +168,6 @@ def _convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld
             groups[oriented] = groups.get(oriented, 0) + int(count)
         factor_lists.append(list(groups.items()))
     return list(zip(directions, convolve_factors(factor_lists, query.grid)))
-
-
-def _delta_value(conv: ConvolvedPld, epsilon: float) -> tuple[float, int, str | None]:
-    grid = conv.grid
-    ell_eps = grid.index(epsilon, side="right")
-    if ell_eps >= grid.size:
-        return 0.0, ell_eps, _EMPTY_SUM_WARNING
-    weights = -np.expm1(epsilon - grid.points(ell_eps))
-    value = grid.dx * float(weights @ conv.samples[ell_eps:])
-    if value > 1.0:
-        # A tight delta never exceeds 1; quadrature error compounding as
-        # mass**k can. Report 1 and say so rather than returning garbage.
-        return 1.0, ell_eps, _OVER_UNITY_WARNING
-    return max(value, 0.0), ell_eps, None
 
 
 def _grid_inverse(conv: ConvolvedPld, target: float) -> float:
@@ -208,32 +194,6 @@ def _grid_inverse(conv: ConvolvedPld, target: float) -> float:
     return min(max(eps, lo), float(points[m]))
 
 
-def _query_tail_estimate(query: CompositionQuery) -> tuple[float, bool]:
-    """Chernoff-style tail estimate for the query's composition.
-
-    Log-moment exponents add across independent mechanisms, so the composite
-    estimate uses the sum of per-mechanism exponents at lambda = L/2. The
-    with-replacement scheme reuses the estimate with its aggregate sampling
-    fraction batch_size/dataset_size, which the underlying moment lemma does
-    not cover; validity is flagged false in that case.
-    """
-    half_width = query.grid.half_width
-    lam = half_width / 2.0
-    exponent = 0.0
-    valid = True
-    for spec, count in zip(query.specs, query.counts):
-        if spec.scheme is Scheme.WITH_REPLACEMENT:
-            q_eff = spec.batch_size / spec.dataset_size
-            valid = False
-        else:
-            q_eff = spec.q
-        alpha = error_bounds.alpha_bound(spec.sigma, q_eff, lam)
-        exponent += count * alpha.value
-        valid = valid and alpha.valid
-    log_value = exponent - half_width * half_width / 2.0
-    return (math.exp(log_value) if log_value < 709.0 else math.inf), valid
-
-
 def _build_result(
     query: CompositionQuery,
     kind: str,
@@ -242,7 +202,7 @@ def _build_result(
 ) -> DeltaResult:
     best = max(per_direction, key=lambda item: item[1])
     warnings = tuple(sorted({w for *_rest, w in per_direction if w is not None}))
-    tail, tail_valid = _query_tail_estimate(query)
+    tail = error_bounds.tail_estimate(query)
     return DeltaResult(
         value=best[1] if kind == "delta" else epsilon,
         kind=kind,
@@ -252,8 +212,8 @@ def _build_result(
         per_direction=tuple((name, value) for name, value, _ell, _w in per_direction),
         warnings=warnings,
         query=query,
-        tail_estimate=tail,
-        tail_estimate_valid=tail_valid,
+        tail_estimate=tail.value,
+        tail_estimate_valid=tail.valid,
     )
 
 
@@ -277,8 +237,8 @@ def delta_of_epsilons(query: CompositionQuery, epsilons) -> tuple[DeltaResult, .
         if not eps >= 0.0:
             raise DomainError(f"epsilon must be >= 0, got {eps}")
     columns = [
-        [(direction.value, *_delta_value(conv, eps)) for eps in epsilons]
-        for direction, conv in _convolutions(query)
+        [(direction.value, *conv.delta(eps)) for eps in epsilons]
+        for direction, conv in convolutions(query)
     ]
     return tuple(
         _build_result(query, "delta", eps, list(row)) for eps, row in zip(epsilons, zip(*columns))
@@ -307,8 +267,8 @@ def epsilon_of_delta(query: CompositionQuery, delta: float | None = None) -> Del
         raise DomainError(f"target delta must lie in (0, 1), got {target}")
     tol = query.newton_tolerance
 
-    convolutions = _convolutions(query)
-    at_zero = max(_delta_value(conv, 0.0)[0] for _direction, conv in convolutions)
+    convolved = convolutions(query)
+    at_zero = max(conv.delta(0.0)[0] for _direction, conv in convolved)
     if target - at_zero > tol:
         raise TargetDeltaTooLarge(
             f"target delta {target:.6g} exceeds delta(0) = {at_zero:.6g}; "
@@ -316,11 +276,9 @@ def epsilon_of_delta(query: CompositionQuery, delta: float | None = None) -> Del
         )
     eps = 0.0
     if abs(at_zero - target) > tol:
-        eps = max(_grid_inverse(conv, target) for _direction, conv in convolutions)
+        eps = max(_grid_inverse(conv, target) for _direction, conv in convolved)
 
-    per_direction = [
-        (direction.value, *_delta_value(conv, eps)) for direction, conv in convolutions
-    ]
+    per_direction = [(direction.value, *conv.delta(eps)) for direction, conv in convolved]
     achieved = max(value for _name, value, _ell, _warning in per_direction)
     if not abs(achieved - target) <= tol:
         raise TargetDeltaBelowFloor(
@@ -329,27 +287,3 @@ def epsilon_of_delta(query: CompositionQuery, delta: float | None = None) -> Del
             "raise the tolerance"
         )
     return _build_result(query, "epsilon", eps, per_direction)
-
-
-def compose_heterogeneous(
-    pairs: list[tuple[MechanismSpec, int]],
-    grid: Grid,
-    epsilon: float,
-    newton_tolerance: float = 1e-10,
-) -> DeltaResult:
-    """Tight delta at epsilon for a composition of distinct mechanisms.
-
-    pairs lists (spec, count) groups; a single-entry list reduces to
-    delta_of_epsilon on the homogeneous query, bit for bit.
-    """
-    if not pairs:
-        raise DomainError("need at least one (spec, count) pair")
-    specs, counts = zip(*pairs)
-    query = CompositionQuery(
-        specs=tuple(specs),
-        counts=tuple(int(c) for c in counts),
-        grid=grid,
-        epsilon=epsilon,
-        newton_tolerance=newton_tolerance,
-    )
-    return delta_of_epsilon(query)

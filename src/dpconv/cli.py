@@ -199,9 +199,9 @@ def _report_dict(result: DeltaResult, include_estimates: bool = True) -> dict:
         "tail_estimate_valid": result.tail_estimate_valid,
     }
     if include_estimates:
-        analytic = _query_analytic_bound(query)
-        if analytic is not None:
-            report["analytic_tail_bound"] = analytic
+        analytic = error_bounds.analytic_tail_bound(query)
+        if analytic.valid:
+            report["analytic_tail_bound"] = analytic.value
         base_query = query
         if query.epsilon is None:
             base_query = dataclasses.replace(query, epsilon=result.epsilon, delta=None)
@@ -223,23 +223,6 @@ def _report_dict(result: DeltaResult, include_estimates: bool = True) -> dict:
     if not single:
         report["counts"] = list(counts)
     return report
-
-
-def _query_analytic_bound(query: CompositionQuery) -> float | None:
-    """Rigorous tail bound for the query, or None when out of envelope."""
-    log_total = 0.0
-    for spec, count in zip(query.specs, query.counts):
-        if spec.scheme is Scheme.WITH_REPLACEMENT or spec.q is None or spec.q >= 1.0:
-            return None
-        half = query.grid.half_width
-        single = error_bounds.analytic_tail_bound(spec.sigma, spec.q, 1, half)
-        if not single.valid:
-            return None
-        lam = half / 2.0
-        growth = 2.0 * spec.q * spec.q * (lam + 1.0) * lam / (spec.sigma * spec.sigma)
-        log_total += count * math.log1p(growth)
-    half = query.grid.half_width
-    return math.exp(min(log_total - half * half / 2.0, 709.0))
 
 
 def _json_safe(value):

@@ -8,7 +8,9 @@ which covers [-L, L) half-open. A continuous privacy loss density is sampled
 pointwise on this grid; the samples, scaled by dx, approximate the measure
 each cell carries. The half_swap reordering moves the origin to index 0,
 turning the natural left-to-right layout into the wrap-around layout the
-discrete Fourier transform expects for a function on a circle.
+discrete Fourier transform expects for a function on a circle. A
+ConvolvedPld holds such samples: one mechanism's (k = 1, from discretize)
+or a k-fold convolution's, and evaluates the tight delta on them.
 
 Sampling runs in blocks of at most 2^14 points (see blocks), so the
 temporaries a density evaluation makes stay cache-sized at any grid size,
@@ -31,6 +33,9 @@ _BLOCK = 2 ** 14
 # Largest half-width: the densities and the inversion of delta evaluate
 # exp(s) at grid points, and it overflows beyond s = 709.
 _MAX_HALF_WIDTH = 700.0
+
+_EMPTY_SUM_WARNING = "epsilon exceeds truncation radius"
+_OVER_UNITY_WARNING = "computed delta exceeded 1; the grid under-resolves this composition"
 
 
 @dataclass(frozen=True)
@@ -88,28 +93,48 @@ class Grid:
             i += 1
         return i
 
-    def refine(self, factor: int = 2) -> "Grid":
-        """Same interval, factor times as many points."""
-        if factor < 1:
-            raise DomainError(f"refinement factor must be >= 1, got {factor}")
-        return Grid(half_width=self.half_width, size=self.size * factor)
+    def refine(self) -> "Grid":
+        """Same interval, twice as many points."""
+        return Grid(half_width=self.half_width, size=self.size * 2)
 
 
 @dataclass(frozen=True)
-class DiscretePld:
-    """Pointwise samples of a privacy loss density on a grid.
+class ConvolvedPld:
+    """Density samples of a k-fold convolved privacy loss density.
 
-    mass is the discrete integral dx * sum(samples); it falls short of one
-    by the probability the continuous density puts outside [-L, L).
+    samples live on grid in the natural layout (index 0 at -half_width) and
+    are nonnegative; k = 1 is a density sampled by discretize. mass is the
+    discrete integral dx * sum(samples): it falls short of one by the
+    probability outside [-L, L), and approximates the product of the
+    constituent masses.
     """
 
     grid: Grid
     samples: np.ndarray
-    spec: MechanismSpec
+    k: int
 
     @property
     def mass(self) -> float:
         return float(self.grid.dx * self.samples.sum())
+
+    def delta(self, epsilon: float) -> tuple[float, int, str | None]:
+        """(delta, ell_eps, warning) at epsilon, for this one density.
+
+        delta = dx * sum_{l >= ell_eps} (1 - exp(eps - x_l)) * samples[l],
+        where ell_eps is the first grid index strictly right of epsilon.
+        warning says why the value was set rather than summed, or is None.
+        """
+        grid = self.grid
+        ell_eps = grid.index(epsilon, side="right")
+        if ell_eps >= grid.size:
+            return 0.0, ell_eps, _EMPTY_SUM_WARNING
+        weights = -np.expm1(epsilon - grid.points(ell_eps))
+        value = grid.dx * float(weights @ self.samples[ell_eps:])
+        if value > 1.0:
+            # A tight delta never exceeds 1; quadrature error compounding as
+            # mass**k can. Report 1 and say so rather than returning garbage.
+            return 1.0, ell_eps, _OVER_UNITY_WARNING
+        return max(value, 0.0), ell_eps, None
 
 
 def blocks(size: int):
@@ -146,10 +171,8 @@ class Sampler:
     tail mass, which the periodisation bound accounts for.
     """
 
-    def __init__(self, spec_or_density: MechanismSpec | PldDensity, grid: Grid) -> None:
-        density = spec_or_density if isinstance(spec_or_density, PldDensity) else pld_density(
-            spec_or_density
-        )
+    def __init__(self, spec: MechanismSpec, grid: Grid) -> None:
+        density = pld_density(spec)
         _check_support(density, grid)
         self.density = density
         self.grid = grid
@@ -190,16 +213,17 @@ def _check_support(density: PldDensity, grid: Grid) -> None:
         )
 
 
-def discretize(spec_or_density: MechanismSpec | PldDensity, grid: Grid) -> DiscretePld:
-    """Samples a privacy loss density on a grid, block by block (see Sampler).
+def discretize(spec: MechanismSpec, grid: Grid) -> ConvolvedPld:
+    """Samples a mechanism's privacy loss density on a grid, block by block
+    (see Sampler), as a density with k = 1.
 
     Raises GridTooSmallError when the grid cuts into a finite support edge.
     """
-    sampler = Sampler(spec_or_density, grid)
+    sampler = Sampler(spec, grid)
     samples = np.empty(grid.size)
     for block in blocks(grid.size):
         samples[block] = sampler.block(block)
-    return DiscretePld(grid=grid, samples=samples, spec=sampler.density.spec)
+    return ConvolvedPld(grid=grid, samples=samples, k=1)
 
 
 def half_swap(values: np.ndarray) -> np.ndarray:

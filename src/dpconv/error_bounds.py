@@ -23,12 +23,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 from .errors import DomainError
+from .mechanisms import Scheme
 
 _SERIES_TERM_FLOOR = 1e-300
 _SERIES_MAX_TERMS = 64
+# The moment lemmas both tail formulas rest on cover Poisson and
+# without-replacement sampling only.
+_WR_OUTSIDE = "the moment lemma does not cover with-replacement sampling"
 
 
 @dataclass(frozen=True)
@@ -85,17 +87,29 @@ def alpha_bound(sigma: float, q: float, lam: float) -> BoundResult:
     return BoundResult(value=value, valid=not violated, violated=tuple(violated))
 
 
-def tail_estimate(sigma: float, q: float, k: int, half_width: float) -> BoundResult:
-    """Chernoff-style estimate of the convolved density's mass beyond the grid.
+def tail_estimate(query) -> BoundResult:
+    """Chernoff-style estimate of the query's convolved mass beyond the grid.
 
-    exp(k * alpha(L/2)) * exp(-L^2 / 2) with the closed-form alpha; shares
-    that formula's envelope at lam = L/2 and inherits its approximative
-    character.
+    exp(sum_i k_i alpha_i(L/2)) exp(-L^2 / 2), summing the closed-form alpha
+    of each mechanism over its k_i invocations: log-moments add across
+    independent mechanisms. It shares alpha_bound's envelope at lam = L/2
+    and inherits its approximative character. A with-replacement mechanism
+    enters with its aggregate sampling fraction batch_size / dataset_size,
+    which the moment lemma does not cover, so it is listed as violated.
     """
-    lam = half_width / 2.0
-    alpha = alpha_bound(sigma, q, lam)
-    value = _exp(k * alpha.value - half_width * half_width / 2.0)
-    return BoundResult(value=value, valid=alpha.valid, violated=alpha.violated)
+    half_width = query.grid.half_width
+    exponent = 0.0
+    violated: dict[str, None] = {}
+    for spec, count in zip(query.specs, query.counts):
+        q = spec.q
+        if spec.scheme is Scheme.WITH_REPLACEMENT:
+            q = spec.batch_size / spec.dataset_size
+            violated[_WR_OUTSIDE] = None
+        alpha = alpha_bound(spec.sigma, q, half_width / 2.0)
+        exponent += count * alpha.value
+        violated.update(dict.fromkeys(alpha.violated))
+    value = _exp(exponent - half_width * half_width / 2.0)
+    return BoundResult(value=value, valid=not violated, violated=tuple(violated))
 
 
 def _analytic_conditions(sigma: float, q: float, lam: float) -> list[str]:
@@ -123,22 +137,32 @@ def _analytic_conditions(sigma: float, q: float, lam: float) -> list[str]:
     return violated
 
 
-def analytic_tail_bound(sigma: float, q: float, k: int, half_width: float) -> BoundResult:
-    """Rigorous tail bound (1 + 2 q^2 (lam+1) lam / sigma^2)^k exp(-L^2/2), lam = L/2.
+def analytic_tail_bound(query) -> BoundResult:
+    """Rigorous tail bound prod_i (1 + 2 q_i^2 (lam+1) lam / sigma_i^2)^k_i exp(-L^2/2),
+    lam = L/2, for the query's composition.
 
-    Valid only under its envelope (q <= 1/5, sigma >= 4, and two caps on
-    lam); outside it there is no rigorous claim to make, so the value is nan
-    and the violated conditions are listed.
+    Valid only when every mechanism lies in its envelope (q <= 1/5,
+    sigma >= 4, and two caps on lam; with-replacement and q = 1 are
+    outside it); otherwise there is no rigorous claim to make, so the value
+    is nan and the violated conditions are listed.
     """
-    if sigma <= 0 or not (0.0 < q < 1.0):
-        raise DomainError(f"analytic_tail_bound needs sigma > 0 and q in (0, 1), got {sigma}, {q}")
+    half_width = query.grid.half_width
     lam = half_width / 2.0
-    violated = _analytic_conditions(sigma, q, lam)
+    log_total = 0.0
+    violated: dict[str, None] = {}
+    for spec, count in zip(query.specs, query.counts):
+        if spec.scheme is Scheme.WITH_REPLACEMENT:
+            violated[_WR_OUTSIDE] = None
+            continue
+        sigma, q = spec.sigma, spec.q
+        if q >= 1.0:
+            violated["q < 1 fails (q = 1 collapses the mixture)"] = None
+            continue
+        violated.update(dict.fromkeys(_analytic_conditions(sigma, q, lam)))
+        log_total += count * math.log1p(2.0 * q * q * (lam + 1.0) * lam / (sigma * sigma))
     if violated:
         return BoundResult(value=math.nan, valid=False, violated=tuple(violated))
-    growth = 2.0 * q * q * (lam + 1.0) * lam / (sigma * sigma)
-    value = _exp(k * math.log1p(growth) - half_width * half_width / 2.0)
-    return BoundResult(value=value, valid=True)
+    return BoundResult(value=_exp(log_total - half_width * half_width / 2.0), valid=True)
 
 
 def analytic_lambda_limit(sigma: float, q: float) -> float:
@@ -167,25 +191,17 @@ def analytic_lambda_limit(sigma: float, q: float) -> float:
     return lo
 
 
-def periodisation_bound(
-    sigma: float,
-    q: float,
-    k: int,
-    half_width: float,
-    alpha_fn: Callable[[float], BoundResult] | None = None,
-) -> BoundResult:
+def periodisation_bound(sigma: float, q: float, k: int, half_width: float) -> BoundResult:
     """Bound on the mass the circular convolution wraps back into the window.
 
     Three contributions: a boundary term L k sigma exp(-(sigma^2 L + C)^2 /
     (2 sigma^2)) with C = sigma^2 log(1/(2q)) - 1/2, a single-mechanism
     moment term exp(alpha(L/2)) exp(-L^2/2), and the doubly exponentially
     decaying image series 2 sum_j exp(k alpha(jL)) exp(-2 (jL)^2), truncated
-    once terms drop below 1e-300 or after 64 terms. alpha_fn defaults to the
+    once terms drop below 1e-300 or after 64 terms. alpha is the
     closed-form alpha_bound for this sigma and q; its validity flags
     propagate into the result.
     """
-    if alpha_fn is None:
-        alpha_fn = lambda lam: alpha_bound(sigma, q, lam)
     violated = []
     if not (0.0 < q < 0.5):
         violated.append(f"0 < q < 1/2 fails (q = {q:g})")
@@ -198,7 +214,7 @@ def periodisation_bound(
         * _exp(-((sigma * sigma * half_width + shift) ** 2) / (2.0 * sigma * sigma))
     )
 
-    moment = alpha_fn(half_width / 2.0)
+    moment = alpha_bound(sigma, q, half_width / 2.0)
     alpha_violations = set(moment.violated)
     moment_term = _exp(moment.value - half_width * half_width / 2.0)
 
@@ -206,7 +222,7 @@ def periodisation_bound(
     terms_used = 0
     for j in range(1, _SERIES_MAX_TERMS + 1):
         image = j * half_width
-        alpha_j = alpha_fn(image)
+        alpha_j = alpha_bound(sigma, q, image)
         alpha_violations.update(alpha_j.violated)
         term = 2.0 * _exp(k * alpha_j.value - 2.0 * image * image)
         series += term

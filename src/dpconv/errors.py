@@ -18,10 +18,6 @@ class GridTooSmallError(DomainError):
     """The grid truncation radius cuts into the support of the density."""
 
 
-class GridMismatchError(DomainError):
-    """Operands live on different grids and cannot be combined."""
-
-
 class SpectralResidueError(AccountingError):
     """The imaginary residue after an inverse transform is implausibly large.
 

@@ -16,11 +16,10 @@ import math
 import mpmath
 import numpy as np
 
-from .accountant import CompositionQuery, _convolutions, _delta_value, _directions_needed
-from .discretization import Grid, discretize, half_swap
+from .accountant import CompositionQuery, convolutions
+from .discretization import ConvolvedPld, Grid, discretize, half_swap
 from .errors import DomainError, NonConvergenceError
 from .mechanisms import MechanismSpec
-from .spectral import ConvolvedPld
 
 _MAX_DIRECT_SIZE = 8192
 _MAX_DIRECT_CONVOLUTIONS = 3
@@ -94,8 +93,7 @@ def direct_convolution_combine(
     a = half_swap(left.samples) * grid.dx
     b = half_swap(right.samples) * grid.dx
     samples = half_swap(_direct_circular(a, b)) / grid.dx
-    k = getattr(left, "k", 1) + getattr(right, "k", 1)
-    return _clamped(samples, grid, k)
+    return _clamped(samples, grid, left.k + right.k)
 
 
 def direct_convolution_delta(
@@ -121,21 +119,20 @@ def direct_convolution_delta(
             raise DomainError(
                 f"direct convolution is limited to n <= {_MAX_DIRECT_SIZE}, got {grid.size}"
             )
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise DomainError(f"epsilon must be >= 0, got {epsilon}")
     best = -math.inf
-    for direction in _directions_needed(CompositionQuery.homogeneous(spec, k, grid)):
+    for direction in CompositionQuery.homogeneous(spec, k, grid).evaluated_directions:
         pld = discretize(spec.with_direction(direction), grid)
         if k == 1:
-            conv = _clamped(pld.samples.copy(), grid, 1)
+            conv = _clamped(pld.samples, grid, 1)
         else:
             masses = half_swap(pld.samples) * grid.dx
             acc = masses
             for _ in range(k - 1):
                 acc = _direct_circular(acc, masses)
             conv = _clamped(half_swap(acc) / grid.dx, grid, k)
-        value, _ell, _warning = _delta_value(conv, epsilon)
-        best = max(best, value)
+        best = max(best, conv.delta(epsilon)[0])
     return best
 
 
@@ -146,11 +143,11 @@ def gaussian_mechanism_delta(sigma: float, k: int, epsilon: float) -> float:
     - e^eps Phi(-eps sigma/sqrt(k) - sqrt(k)/(2 sigma)) at 50 decimal digits
     through the complementary error function, independent of scipy.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise DomainError(f"epsilon must be >= 0, got {epsilon}")
     with mpmath.workdps(50):
         eps = mpmath.mpf(epsilon)
@@ -181,10 +178,10 @@ def bisection_epsilon(
     if not (0.0 < delta_target < 1.0):
         raise DomainError(f"delta target must lie in (0, 1), got {delta_target}")
     query = CompositionQuery.homogeneous(spec, k, grid)
-    convs = [conv for _direction, conv in _convolutions(query)]
+    convs = [conv for _direction, conv in convolutions(query)]
 
     def tight_delta(eps: float) -> float:
-        return max(_delta_value(conv, eps)[0] for conv in convs)
+        return max(conv.delta(eps)[0] for conv in convs)
 
     at_zero = tight_delta(0.0)
     if abs(at_zero - delta_target) <= tolerance:

@@ -36,12 +36,11 @@ import os
 from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import DiscretePld, Grid, Sampler, blocks, swapped
-from .errors import DomainError, GridMismatchError, SpectralResidueError
+from .discretization import ConvolvedPld, Grid, Sampler, blocks, swapped
+from .errors import SpectralResidueError
 from .mechanisms import MechanismSpec
 
 _IMAG_RESIDUE_TOL = 1e-6
@@ -68,24 +67,6 @@ def _spectrum_power(spectrum: np.ndarray, k: int) -> np.ndarray:
             base = base * base if base is spectrum else np.multiply(base, base, out=base)
     assert result is not None
     return result
-
-
-@dataclass(frozen=True)
-class ConvolvedPld:
-    """Density samples of a k-fold convolved privacy loss density.
-
-    samples live on grid in the natural layout (index 0 at -half_width) and
-    are clamped to be nonnegative; mass approximates the product of the
-    constituent masses.
-    """
-
-    grid: Grid
-    samples: np.ndarray
-    k: int
-
-    @property
-    def mass(self) -> float:
-        return float(self.grid.dx * self.samples.sum())
 
 
 def _usable_cpus() -> int:
@@ -201,8 +182,9 @@ def convolve_factors(
     both likelihood-ratio directions) is shared, read-only. Factors build
     concurrently; then each list's product is formed, and the inverse
     transforms run concurrently. Within a list the spectra multiply in the
-    order of their samples' bytes, as in convolution_product, so the order
-    of the list does not change the result.
+    order of their samples' bytes, so the order of the list does not change
+    the result (elementwise rounding is not symmetric under operand swaps on
+    fused-multiply-add hardware; the mathematical product of course is).
 
     Raises GridTooSmallError when the grid cuts into a support edge.
     """
@@ -244,50 +226,3 @@ def convolve_factors(
     ]
     spectra.clear()
     return _map(lambda job: _inverse(*job), jobs)
-
-
-def convolution_power(pld: DiscretePld, k: int) -> ConvolvedPld:
-    """k-fold circular self-convolution of a discretised density."""
-    if k < 1:
-        raise DomainError(f"composition count k must be >= 1, got {k}")
-    n = pld.grid.size
-    spectrum = _factor_spectrum(
-        np.zeros(n, dtype=complex), lambda block: pld.samples[block], pld.grid.dx, k
-    )
-    return _inverse(spectrum, np.empty(n), pld.grid, k)
-
-
-def convolution_product(
-    plds: list[DiscretePld], counts: list[int] | None = None
-) -> ConvolvedPld:
-    """Convolution of several discretised densities, each repeated count times.
-
-    All operands must share one grid object value; mixing grids silently
-    reinterprets abscissae, so that is an error.
-    """
-    if not plds:
-        raise DomainError("need at least one density to convolve")
-    counts = [1] * len(plds) if counts is None else list(counts)
-    if len(counts) != len(plds):
-        raise DomainError(f"got {len(plds)} densities but {len(counts)} counts")
-    if any(c < 1 for c in counts):
-        raise DomainError(f"all counts must be >= 1, got {counts}")
-    grid = plds[0].grid
-    for pld in plds[1:]:
-        if pld.grid != grid:
-            raise GridMismatchError(
-                f"cannot convolve densities on different grids: {pld.grid} vs {grid}"
-            )
-    # Multiply in an order canonicalised by the operand bytes, so that
-    # permuting the input list reproduces the result bit for bit (elementwise
-    # rounding is not symmetric under operand swaps on fused-multiply-add
-    # hardware, the mathematical product of course is).
-    ordered = sorted(zip(plds, counts), key=lambda item: item[0].samples.tobytes())
-    spectra = [
-        _factor_spectrum(
-            np.zeros(grid.size, dtype=complex), lambda block: pld.samples[block], grid.dx, count
-        )
-        for pld, count in ordered
-    ]
-    product = _product(spectra, [True] * len(spectra))
-    return _inverse(product, np.empty(grid.size), grid, sum(counts))

@@ -27,13 +27,13 @@ from conftest import record_criterion
 
 from dpconv import (
     CompositionQuery,
+    Direction,
     Grid,
     MechanismSpec,
     Scheme,
     alpha_bound,
     alpha_lambda_limit,
     analytic_lambda_limit,
-    compose_heterogeneous,
     delta_of_epsilon,
     discretization_estimate,
     discretize,
@@ -46,14 +46,13 @@ from dpconv import (
     pld_density_without_replacement,
     tail_estimate,
 )
-from dpconv.mechanisms import Direction
+from dpconv.accountant import convolutions
 from dpconv.oracle import (
     bisection_epsilon,
     direct_convolution_combine,
     direct_convolution_delta,
     gaussian_mechanism_delta,
 )
-from dpconv.spectral import convolution_power
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
 
@@ -136,7 +135,9 @@ def test_acceptance_2_reference_radii():
         worst_delta = max(worst_delta, abs(value - expected_delta))
         if abs(value - expected_delta) > 5e-10:
             failures.append(f"L={half_width}: delta {value!r} vs {expected_delta}")
-        tail = tail_estimate(1.5, 0.01, 10 ** 4, half_width).value
+        tail = tail_estimate(
+            CompositionQuery.homogeneous(SPEC, 10 ** 4, Grid(half_width=half_width, size=2))
+        ).value
         ratio = tail / expected_tail
         worst_ratio = max(worst_ratio, ratio, 1.0 / ratio)
         if not (1 / 1.5 <= ratio <= 1.5):
@@ -440,22 +441,25 @@ def test_acceptance_9_heterogeneous_composition():
     homogeneous = delta_of_epsilon(
         CompositionQuery.homogeneous(SPEC, 100, grid, epsilon=1.0)
     ).value
-    split = compose_heterogeneous([(SPEC, 60), (SPEC, 40)], grid, epsilon=1.0).value
+    split = delta_of_epsilon(
+        CompositionQuery(specs=(SPEC, SPEC), counts=(60, 40), grid=grid, epsilon=1.0)
+    ).value
     duplicate_gap = abs(split - homogeneous)
 
     # Mixed noise scales against the quadratic-time oracle on the large grid.
     big = Grid(half_width=12.0, size=2 ** 18)
     other = MechanismSpec(sigma=2.0, q=0.01)
-    fast = compose_heterogeneous([(SPEC, 100), (other, 100)], big, epsilon=1.0).value
+    fast = delta_of_epsilon(
+        CompositionQuery(specs=(SPEC, other), counts=(100, 100), grid=big, epsilon=1.0)
+    ).value
 
     slow_values = []
-    for direction in (Direction.X_OVER_Y, Direction.Y_OVER_X):
-        a = convolution_power(discretize(SPEC.with_direction(direction), big), 100)
-        b = convolution_power(discretize(other.with_direction(direction), big), 100)
+    for (_d, a), (_e, b) in zip(
+        convolutions(CompositionQuery.homogeneous(SPEC, 100, big)),
+        convolutions(CompositionQuery.homogeneous(other, 100, big)),
+    ):
         combined = direct_convolution_combine(a, b, allow_large=True)
-        from dpconv.accountant import _delta_value
-
-        slow_values.append(_delta_value(combined, 1.0)[0])
+        slow_values.append(combined.delta(1.0)[0])
     slow = max(slow_values)
     mixed_gap = abs(fast - slow)
 

@@ -17,18 +17,12 @@ from dpconv import (
     Scheme,
     TargetDeltaBelowFloor,
     TargetDeltaTooLarge,
-    compose_heterogeneous,
-    convolution_power,
     delta_of_epsilon,
-    discretize,
+    delta_of_epsilons,
     epsilon_of_delta,
 )
-from dpconv.accountant import (
-    _EMPTY_SUM_WARNING,
-    _convolutions,
-    _delta_value,
-    delta_of_epsilons,
-)
+from dpconv.accountant import convolutions
+from dpconv.discretization import _EMPTY_SUM_WARNING, _OVER_UNITY_WARNING
 from dpconv.oracle import bisection_epsilon
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
@@ -74,6 +68,11 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             CompositionQuery(specs=(SPEC,), counts=(1, 2), grid=GRID, epsilon=1.0)
 
+    @pytest.mark.parametrize("specs, counts", [((), ()), ((SPEC,), (0,))])
+    def test_empty_composition_rejected(self, specs, counts):
+        with pytest.raises(DomainError):
+            CompositionQuery(specs=specs, counts=counts, grid=GRID)
+
 
 class TestDeltaOfEpsilon:
     def test_empty_sum_warns_and_returns_zero(self):
@@ -84,8 +83,6 @@ class TestDeltaOfEpsilon:
     def test_under_resolved_grid_clamps_and_warns(self):
         # Quadrature error compounds as mass**k; a 4096-point lattice cannot
         # carry a thousand compositions of this sharply peaked density.
-        from dpconv.accountant import _OVER_UNITY_WARNING
-
         coarse = Grid(half_width=12.0, size=4096)
         result = delta_of_epsilon(query(epsilon=1.0, k=1000, grid=coarse))
         assert result.value == 1.0
@@ -191,14 +188,14 @@ class TestDeltaOfEpsilons:
     def test_tail_sum_at_and_next_to_grid_points_matches_full_grid(self):
         # The sum builds only the points from ell_eps on; the full grid and
         # searchsorted must give the same index and the same value.
-        conv = _convolutions(query(k=500))[0][1]
+        conv = convolutions(query(k=500))[0][1]
         points = GRID.points()
         for i in (GRID.size // 2, GRID.size // 2 + 1, 40_000, GRID.size - 1):
             p = float(points[i])
             for eps in (p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)):
                 ell = int(np.searchsorted(points, eps, side="right"))
                 want = GRID.dx * float(-np.expm1(eps - points[ell:]) @ conv.samples[ell:])
-                value, ell_eps, _warning = _delta_value(conv, eps)
+                value, ell_eps, _warning = conv.delta(eps)
                 assert ell_eps == ell
                 assert value == max(want, 0.0)
 
@@ -219,6 +216,18 @@ class TestDirectionsField:
             result = delta_of_epsilon(restricted)
             expected = dict(full.per_direction)[direction.value]
             assert result.per_direction == ((direction.value, expected),)
+
+    def test_evaluated_directions(self):
+        wor = MechanismSpec(sigma=1.5, q=0.01, scheme=Scheme.WITHOUT_REPLACEMENT)
+        both = (Direction.X_OVER_Y, Direction.Y_OVER_X)
+        assert query().evaluated_directions == both
+        assert query(spec=wor).evaluated_directions == (Direction.X_OVER_Y,)
+        mixed = CompositionQuery(specs=(wor, SPEC), counts=(1, 1), grid=GRID)
+        assert mixed.evaluated_directions == both
+        named = CompositionQuery(
+            specs=(wor,), counts=(1,), grid=GRID, directions=(Direction.Y_OVER_X,)
+        )
+        assert named.evaluated_directions == (Direction.Y_OVER_X,)
 
     def test_invalid_directions_rejected(self):
         for bad in ((), (Direction.X_OVER_Y, Direction.X_OVER_Y), ("x-over-y",)):
@@ -243,9 +252,7 @@ class TestExactInverse:
             assert self.bisection_gap(target) <= 1e-8
 
     def test_targets_in_last_nonempty_cell(self):
-        convs = [
-            convolution_power(discretize(SPEC.with_direction(d), GRID), self.K) for d in Direction
-        ]
+        convs = [conv for _direction, conv in convolutions(query(k=self.K))]
         last = max(int(np.flatnonzero(conv.samples)[-1]) for conv in convs)
         left = float(GRID.points()[last - 1])
         at_left = delta_of_epsilon(query(epsilon=left, k=self.K)).value
@@ -261,25 +268,28 @@ class TestExactInverse:
         assert epsilon_of_delta(q).value == max(per_direction)
 
 
-class TestComposeHeterogeneous:
-    def test_single_entry_matches_power_bitwise(self):
-        direct = delta_of_epsilon(query(epsilon=1.0, k=64))
-        listed = compose_heterogeneous([(SPEC, 64)], GRID, epsilon=1.0)
-        assert listed.value == direct.value
+def mixed(pairs, epsilon):
+    """Tight delta at epsilon for the composition of (spec, count) pairs."""
+    specs, counts = zip(*pairs)
+    return delta_of_epsilon(
+        CompositionQuery(specs=specs, counts=counts, grid=GRID, epsilon=epsilon)
+    )
 
+
+class TestHeterogeneousQuery:
     def test_split_counts_match_power(self):
         direct = delta_of_epsilon(query(epsilon=1.0, k=100))
-        split = compose_heterogeneous([(SPEC, 60), (SPEC, 40)], GRID, epsilon=1.0)
+        split = mixed([(SPEC, 60), (SPEC, 40)], epsilon=1.0)
         assert split.value == pytest.approx(direct.value, abs=1e-12)
 
     def test_mixed_specs_accepted(self):
         other = MechanismSpec(sigma=2.0, q=0.01)
-        result = compose_heterogeneous([(SPEC, 50), (other, 50)], GRID, epsilon=1.0)
+        result = mixed([(SPEC, 50), (other, 50)], epsilon=1.0)
         assert 0.0 <= result.value <= 1.0
         assert result.query.k == 100
 
     def test_operand_order_is_irrelevant(self):
         other = MechanismSpec(sigma=2.0, q=0.01)
-        ab = compose_heterogeneous([(SPEC, 30), (other, 20)], GRID, epsilon=0.5)
-        ba = compose_heterogeneous([(other, 20), (SPEC, 30)], GRID, epsilon=0.5)
+        ab = mixed([(SPEC, 30), (other, 20)], epsilon=0.5)
+        ba = mixed([(other, 20), (SPEC, 30)], epsilon=0.5)
         assert ab.value == ba.value

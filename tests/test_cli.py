@@ -177,6 +177,56 @@ class TestDeltaSubcommand:
         assert report["value"] == pytest.approx(flat_value, abs=1e-12)
 
 
+class TestAnalyticBound:
+    """The rigorous tail bound is printed only inside its envelope."""
+
+    GRID = ["--L", "20", "--n", "65536", "--eps", "1"]
+
+    def report(self, mechanism, capsys):
+        code, out, _ = run_cli(["delta", *mechanism, *self.GRID], capsys)
+        assert code == 0
+        return json.loads(out)
+
+    def test_inside_the_envelope(self, capsys):
+        report = self.report(["--sigma", "4", "--q", "0.01", "--k", "1000"], capsys)
+        assert report["analytic_tail_bound"] == 5.468250028726255e-87
+
+    def test_mixed_groups_multiply_their_growth_factors(self, capsys):
+        groups = [
+            "--mech", "scheme=poisson,sigma=4,q=0.01,count=500",
+            "--mech", "scheme=poisson,sigma=5,q=0.02,count=300",
+        ]
+        report = self.report(groups, capsys)
+        growth = [2.0 * q * q * 11.0 * 10.0 / (s * s) for s, q in ((4.0, 0.01), (5.0, 0.02))]
+        want = (1 + growth[0]) ** 500 * (1 + growth[1]) ** 300 * np.exp(-200.0)
+        assert report["analytic_tail_bound"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            ["--sigma", "1.5", "--q", "0.01", "--k", "100"],
+            ["--scheme", "with-replacement", "--sigma", "4", "--batch-size", "8",
+             "--dataset-size", "6400", "--k", "10"],
+            ["--mech", "scheme=poisson,sigma=4,q=0.01,count=5", "--mech",
+             "scheme=poisson,sigma=3,q=0.01,count=5"],
+        ],
+        ids=["sigma-below-4", "with-replacement", "one-group-outside"],
+    )
+    def test_omitted_outside_the_envelope(self, mechanism, capsys):
+        assert "analytic_tail_bound" not in self.report(mechanism, capsys)
+
+    def test_beyond_the_double_range_prints_inf(self, capsys):
+        # exp(709) is the largest power of e a double holds; the library
+        # returns inf above it, and so does the report.
+        code, out, _ = run_cli(
+            ["delta", "--sigma", "4", "--q", "0.2", "--k", "100000", "--L", "8", "--n", "65536",
+             "--eps", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["analytic_tail_bound"] == "inf"
+
+
 class TestEpsilonSubcommand:
     def test_round_trip(self, capsys):
         target = library_delta(eps=0.8).value

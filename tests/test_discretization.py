@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpconv import (
+    ConvolvedPld,
     Direction,
     DomainError,
     Grid,
@@ -13,11 +14,10 @@ from dpconv import (
     MechanismSpec,
     Scheme,
     discretize,
-    half_swap,
     pld_density,
     pld_density_poisson,
 )
-from dpconv.discretization import Sampler
+from dpconv.discretization import Sampler, half_swap
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
 
@@ -137,11 +137,10 @@ class TestDiscretize:
         gauss = MechanismSpec(sigma=1.0, q=1.0)
         discretize(gauss, Grid(half_width=2.0, size=64))
 
-    def test_accepts_prebuilt_density(self):
-        grid = Grid(half_width=12.0, size=32)
-        via_spec = discretize(SPEC, grid).samples
-        via_density = discretize(pld_density(SPEC), grid).samples
-        np.testing.assert_array_equal(via_spec, via_density)
+    def test_returns_a_one_fold_density(self):
+        pld = discretize(SPEC, Grid(half_width=12.0, size=32))
+        assert isinstance(pld, ConvolvedPld)
+        assert pld.k == 1
 
 
 WOR = MechanismSpec(sigma=1.5, q=0.01, scheme=Scheme.WITHOUT_REPLACEMENT)
@@ -160,9 +159,8 @@ class TestBlockedSampling:
     def test_compare_is_the_byte_order_of_the_samples(self):
         grid = Grid(half_width=12.0, size=2 ** 14 + 2)
         specs = [*BLOCKED_SPECS, MechanismSpec(sigma=2.0, q=0.02), SPEC]
-        samplers = [Sampler(spec, grid) for spec in specs]
-        for a in samplers:
-            for b in samplers:
-                x, y = discretize(a.density, grid).samples, discretize(b.density, grid).samples
+        samplers = [(Sampler(spec, grid), discretize(spec, grid).samples) for spec in specs]
+        for a, x in samplers:
+            for b, y in samplers:
                 want = (x.tobytes() > y.tobytes()) - (x.tobytes() < y.tobytes())
                 assert a.compare(b) == want

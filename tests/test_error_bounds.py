@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from dpconv import (
     CompositionQuery,
     Grid,
     MechanismSpec,
+    Scheme,
     alpha_bound,
     alpha_lambda_limit,
     analytic_lambda_limit,
@@ -21,6 +23,15 @@ from dpconv import (
     periodisation_bound,
     tail_estimate,
 )
+
+def composition(sigma, q, k, half_width):
+    """k invocations of the Poisson mechanism (sigma, q), on a grid of radius half_width."""
+    spec = MechanismSpec(sigma=sigma, q=q)
+    return CompositionQuery.homogeneous(spec, k, Grid(half_width=half_width, size=2))
+
+
+WR = MechanismSpec(sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=64, dataset_size=6400)
+
 
 # Reference tail values at sigma=1.5, q=0.01, k=1e4.
 TAIL_COLUMN = {
@@ -72,35 +83,58 @@ class TestAlphaBound:
 class TestTailEstimate:
     @pytest.mark.parametrize("half_width,reference", sorted(TAIL_COLUMN.items()))
     def test_matches_reference_column(self, half_width, reference):
-        got = tail_estimate(1.5, 0.01, 10 ** 4, half_width)
+        got = tail_estimate(composition(1.5, 0.01, 10 ** 4, half_width))
         ratio = got.value / reference
         assert 1 / 1.5 <= ratio <= 1.5
 
     def test_monotone_decreasing_in_half_width(self):
-        values = [tail_estimate(2.0, 0.01, 100, L).value for L in (4.0, 6.0, 8.0, 10.0)]
+        values = [
+            tail_estimate(composition(2.0, 0.01, 100, L)).value for L in (4.0, 6.0, 8.0, 10.0)
+        ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_nondecreasing_in_k(self):
-        values = [tail_estimate(2.0, 0.01, k, 8.0).value for k in (1, 10, 100, 1000)]
+        values = [tail_estimate(composition(2.0, 0.01, k, 8.0)).value for k in (1, 10, 100, 1000)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_validity_follows_alpha_envelope(self):
         # lambda = L/2 = 10 exceeds sigma^2 ln(1/(q sigma)) = 9.44 at sigma=1.5.
-        got = tail_estimate(1.5, 0.01, 10, 20.0)
+        got = tail_estimate(composition(1.5, 0.01, 10, 20.0))
         assert not got.valid
+
+    def test_one_mechanism_is_the_scalar_formula_bitwise(self):
+        alpha = alpha_bound(1.5, 0.01, 6.0)
+        got = tail_estimate(composition(1.5, 0.01, 10 ** 4, 12.0))
+        assert got.value == math.exp(10 ** 4 * alpha.value - 12.0 * 12.0 / 2.0)
+        assert got.valid
+
+    def test_log_moments_add_across_mechanisms(self):
+        other = MechanismSpec(sigma=2.0, q=0.02)
+        query = CompositionQuery(
+            specs=(MechanismSpec(sigma=1.5, q=0.01), other), counts=(600, 400),
+            grid=Grid(half_width=12.0, size=2),
+        )
+        exponent = 600 * alpha_bound(1.5, 0.01, 6.0).value + 400 * alpha_bound(2.0, 0.02, 6.0).value
+        assert tail_estimate(query).value == pytest.approx(math.exp(exponent - 72.0), rel=1e-12)
+
+    def test_with_replacement_is_reported_as_a_violated_condition(self):
+        got = tail_estimate(CompositionQuery.homogeneous(WR, 1000, Grid(half_width=12.0, size=2)))
+        assert not got.valid
+        assert any("with-replacement" in condition for condition in got.violated)
+        assert 0.0 < got.value < 1e-20
 
 
 class TestAnalyticTailBound:
     def test_sigma_gate(self):
-        got = analytic_tail_bound(3.9, 0.01, 1, 20.0)
+        got = analytic_tail_bound(composition(3.9, 0.01, 1, 20.0))
         assert not got.valid
         assert math.isnan(got.value)
 
     def test_q_gate(self):
-        assert not analytic_tail_bound(4.0, 0.25, 1, 20.0).valid
+        assert not analytic_tail_bound(composition(4.0, 0.25, 1, 20.0)).valid
 
     def test_value_inside_envelope(self):
-        got = analytic_tail_bound(4.0, 0.01, 1, 20.0)
+        got = analytic_tail_bound(composition(4.0, 0.01, 1, 20.0))
         assert got.valid
         assert got.value == pytest.approx(1.3857993844610187e-87, rel=1e-12)
 
@@ -111,7 +145,7 @@ class TestAnalyticTailBound:
         # Nonvacuous witness: at q=0.2, L=3 the true tail is representable
         # (1.3e-74) rather than underflowing to zero as at the q=0.01, L=20
         # point, where the comparison would hold trivially.
-        bound = analytic_tail_bound(4.0, 0.2, 1, 3.0)
+        bound = analytic_tail_bound(composition(4.0, 0.2, 1, 3.0))
         assert bound.valid
         spec = MechanismSpec(sigma=4.0, q=0.2)
         grid = Grid(half_width=24.0, size=2 ** 20)
@@ -121,8 +155,46 @@ class TestAnalyticTailBound:
         assert bound.value >= tail
 
     def test_monotone_decreasing_in_half_width(self):
-        values = [analytic_tail_bound(4.0, 0.01, 10, L).value for L in (8.0, 12.0, 16.0)]
+        values = [
+            analytic_tail_bound(composition(4.0, 0.01, 10, L)).value for L in (8.0, 12.0, 16.0)
+        ]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_growth_factors_multiply_across_mechanisms(self):
+        query = CompositionQuery(
+            specs=(MechanismSpec(sigma=4.0, q=0.01), MechanismSpec(sigma=5.0, q=0.02)),
+            counts=(500, 300), grid=Grid(half_width=20.0, size=2),
+        )
+        growth = [2.0 * q * q * 11.0 * 10.0 / (s * s) for s, q in ((4.0, 0.01), (5.0, 0.02))]
+        want = (1 + growth[0]) ** 500 * (1 + growth[1]) ** 300 * math.exp(-200.0)
+        got = analytic_tail_bound(query)
+        assert got.valid
+        assert got.value == pytest.approx(want, rel=1e-12)
+
+    def test_one_mechanism_out_of_envelope_voids_the_bound(self):
+        query = CompositionQuery(
+            specs=(MechanismSpec(sigma=4.0, q=0.01), MechanismSpec(sigma=3.0, q=0.01)),
+            counts=(5, 5), grid=Grid(half_width=20.0, size=2),
+        )
+        alone = dataclasses.replace(query, specs=query.specs[:1], counts=(5,))
+        assert analytic_tail_bound(alone).valid
+        got = analytic_tail_bound(query)
+        assert math.isnan(got.value)
+        assert got.violated[0] == "sigma >= 4 fails (sigma = 3)"
+
+    @pytest.mark.parametrize(
+        "spec", [WR, MechanismSpec(sigma=4.0, q=1.0)], ids=["with-replacement", "q=1"]
+    )
+    def test_outside_the_moment_lemma_is_a_violated_condition(self, spec):
+        got = analytic_tail_bound(CompositionQuery.homogeneous(spec, 10, Grid(20.0, 2)))
+        assert not got.valid
+        assert math.isnan(got.value)
+        assert len(got.violated) == 1
+
+    def test_overflow_is_inf_not_a_capped_double(self):
+        got = analytic_tail_bound(composition(4.0, 0.2, 10 ** 5, 8.0))
+        assert got.valid
+        assert got.value == math.inf
 
 
 class TestPeriodisationBound:
@@ -134,7 +206,7 @@ class TestPeriodisationBound:
 
     def test_smaller_than_tail_estimate(self):
         bound = periodisation_bound(2.0, 0.01, 10 ** 4, 12.0)
-        tail = tail_estimate(2.0, 0.01, 10 ** 4, 12.0)
+        tail = tail_estimate(composition(2.0, 0.01, 10 ** 4, 12.0))
         assert bound.value < tail.value
 
     def test_monotone_decreasing_in_half_width(self):

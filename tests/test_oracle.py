@@ -97,6 +97,21 @@ class TestGaussianMechanismDelta:
         assert abs(fast - exact) <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: direct_convolution_delta(SPEC, 2, Grid(half_width=12.0, size=1024), math.nan),
+        lambda: gaussian_mechanism_delta(1.0, 1, math.nan),
+        lambda: gaussian_mechanism_delta(math.nan, 1, 1.0),
+        lambda: bisection_epsilon(SPEC, 2, GRID, math.nan),
+    ],
+    ids=["direct-epsilon", "gaussian-epsilon", "gaussian-sigma", "bisection-delta"],
+)
+def test_nan_input_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestBisectionEpsilon:
     def test_self_consistency(self):
         target = delta_of_epsilon(

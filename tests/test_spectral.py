@@ -12,26 +12,36 @@ from dpconv import (
     CompositionQuery,
     Direction,
     Grid,
-    GridMismatchError,
     MechanismSpec,
     Scheme,
     SpectralResidueError,
-    convolution_power,
-    convolution_product,
     discretize,
-    half_swap,
     pld_density,
 )
 from dpconv import spectral
-from dpconv.accountant import _convolutions, _directions_needed
+from dpconv.accountant import convolutions
+from dpconv.discretization import half_swap
 from dpconv.oracle import direct_dft, direct_inverse_dft
-from dpconv.spectral import _spectrum_power
+from dpconv.spectral import _factor_spectrum, _inverse, _spectrum_power, convolve_factors
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
 
 
 def poisson_pld(size=2048, half_width=12.0, sigma=1.5, q=0.01):
     return discretize(MechanismSpec(sigma=sigma, q=q), Grid(half_width=half_width, size=size))
+
+
+def power(size=2048, k=1, half_width=12.0):
+    """The k-fold convolution of SPEC's density on one grid."""
+    return convolve_factors([[(SPEC, k)]], Grid(half_width=half_width, size=size))[0]
+
+
+def convolve_samples(samples, grid, k):
+    """The k-fold convolution of arbitrary samples, through the pipeline's kernel."""
+    spectrum = _factor_spectrum(
+        np.zeros(grid.size, dtype=complex), lambda block: samples[block], grid.dx, k
+    )
+    return _inverse(spectrum, np.empty(grid.size), grid, k)
 
 
 def forward(values):
@@ -104,33 +114,24 @@ class TestConvolutionPower:
         # is in max-norm; deep-tail samples near 1e-130 have no relative digits
         # to preserve through a transform round trip.
         pld = poisson_pld()
-        conv = convolution_power(pld, 1)
+        conv = power(k=1)
         scale = float(np.max(pld.samples))
         assert np.max(np.abs(conv.samples - pld.samples)) <= 1e-12 * scale
 
     def test_boxcar_self_convolution_stays_flat(self):
         grid = Grid(half_width=6.0, size=256)
-        from dpconv.discretization import DiscretePld
-
-        flat = DiscretePld(grid=grid, samples=np.full(256, 1.0 / 12.0), spec=None)
-        conv = convolution_power(flat, 2)
+        conv = convolve_samples(np.full(256, 1.0 / 12.0), grid, 2)
         np.testing.assert_allclose(conv.samples, 1.0 / 12.0, rtol=1e-12)
 
     def test_mass_preserved_under_powers(self):
         pld = poisson_pld(size=4096)
         for k in (2, 7, 32):
-            conv = convolution_power(pld, k)
+            conv = power(size=4096, k=k)
             assert conv.mass == pytest.approx(pld.mass ** k, rel=1e-9)
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(Exception):
-            convolution_power(poisson_pld(size=64), 0)
 
     def test_residue_guard_trips_on_asymmetric_spectrum(self):
         # Real inputs keep their spectra conjugate-symmetric under elementwise
         # powers, so the guard is exercised on a hand-broken spectrum instead.
-        from dpconv.spectral import _inverse
-
         spectrum = np.zeros(8, dtype=complex)
         spectrum[1] = 1.0
         with pytest.raises(SpectralResidueError):
@@ -140,7 +141,7 @@ class TestConvolutionPower:
         pld = poisson_pld(size=64)
         pld.samples[5] = np.nan
         with pytest.raises(SpectralResidueError, match="not finite"):
-            convolution_power(pld, 3)
+            convolve_samples(pld.samples, pld.grid, 3)
 
     def test_spectrum_power_matches_builtin(self):
         rng = np.random.default_rng(9)
@@ -162,39 +163,15 @@ class TestConvolutionPower:
 
 class TestConvolutionProduct:
     def test_pair_equals_power(self):
-        pld = poisson_pld()
-        prod = convolution_product([pld, pld])
-        power = convolution_power(pld, 2)
-        np.testing.assert_allclose(prod.samples, power.samples, atol=1e-12)
+        grid = Grid(half_width=12.0, size=2048)
+        prod = convolve_factors([[(SPEC, 1), (SPEC, 1)]], grid)[0]
+        np.testing.assert_allclose(prod.samples, power(k=2).samples, atol=1e-12)
         assert prod.k == 2
 
-    def test_singleton_is_identity(self):
-        pld = poisson_pld()
-        prod = convolution_product([pld])
-        np.testing.assert_allclose(prod.samples, pld.samples, atol=1e-12)
-
-    def test_commutative(self):
-        a = poisson_pld(sigma=1.5, q=0.01)
-        b = poisson_pld(sigma=2.0, q=0.02)
-        ab = convolution_product([a, b]).samples
-        ba = convolution_product([b, a]).samples
-        np.testing.assert_array_equal(ab, ba)
-
     def test_counts_expand_to_repetition(self):
-        pld = poisson_pld(size=512)
-        with_counts = convolution_product([pld], counts=[3])
-        repeated = convolution_power(pld, 3)
-        np.testing.assert_allclose(with_counts.samples, repeated.samples, atol=1e-13)
-
-    def test_grid_mismatch_rejected(self):
-        a = poisson_pld(size=512)
-        b = poisson_pld(size=1024)
-        with pytest.raises(GridMismatchError):
-            convolution_product([a, b])
-
-    def test_empty_rejected(self):
-        with pytest.raises(Exception):
-            convolution_product([])
+        grid = Grid(half_width=12.0, size=512)
+        split = convolve_factors([[(SPEC, 2), (SPEC, 1)]], grid)[0]
+        np.testing.assert_allclose(split.samples, power(size=512, k=3).samples, atol=1e-13)
 
 
 def test_two_fold_poisson_matches_quadratic_oracle():
@@ -202,7 +179,7 @@ def test_two_fold_poisson_matches_quadratic_oracle():
     from dpconv.oracle import direct_convolution_combine
 
     pld = poisson_pld(size=2048)
-    fast = convolution_power(pld, 2)
+    fast = power(k=2)
     slow = direct_convolution_combine(pld, pld)
     scale = np.max(np.abs(slow.samples))
     np.testing.assert_allclose(fast.samples / scale, slow.samples / scale, atol=1e-10)
@@ -213,13 +190,14 @@ def test_heterogeneous_pair_matches_quadratic_oracle():
 
     a = poisson_pld(size=2048, sigma=1.5, q=0.01)
     b = poisson_pld(size=2048, sigma=2.0, q=0.02)
-    fast = convolution_product([a, b])
+    other = MechanismSpec(sigma=2.0, q=0.02)
+    fast = convolve_factors([[(SPEC, 1), (other, 1)]], a.grid)[0]
     slow = direct_convolution_combine(a, b)
     scale = np.max(np.abs(slow.samples))
     np.testing.assert_allclose(fast.samples / scale, slow.samples / scale, atol=1e-10)
 
 
-def reference_convolutions(query):
+def referenceconvolutions(query):
     """Each needed direction's convolved density by the direct formula.
 
     Every factor is sampled over the full grid in one call, transformed by
@@ -228,7 +206,7 @@ def reference_convolutions(query):
     """
     grid = query.grid
     convolutions = []
-    for direction in _directions_needed(query):
+    for direction in query.evaluated_directions:
         groups = {}
         for spec, count in zip(query.specs, query.counts):
             if spec.scheme is Scheme.POISSON:
@@ -266,9 +244,9 @@ PIPELINE_CASES = {
 def test_pipeline_matches_direct_formula_bitwise(case):
     specs, counts, grid = PIPELINE_CASES[case]
     query = CompositionQuery(specs=specs, counts=counts, grid=grid)
-    got = _convolutions(query)
-    want = reference_convolutions(query)
-    assert [d for d, _conv in got] == _directions_needed(query)
+    got = convolutions(query)
+    want = referenceconvolutions(query)
+    assert tuple(d for d, _conv in got) == query.evaluated_directions
     for (_direction, conv), samples in zip(got, want):
         assert conv.k == sum(counts)
         assert np.array_equal(conv.samples, samples)
@@ -277,8 +255,8 @@ def test_pipeline_matches_direct_formula_bitwise(case):
 def test_factor_order_does_not_change_the_product():
     grid = Grid(half_width=12.0, size=2 ** 14 + 2)
     other = MechanismSpec(sigma=2.0, q=0.02)
-    forward_order = _convolutions(CompositionQuery(specs=(SPEC, other), counts=(6, 4), grid=grid))
-    backward = _convolutions(CompositionQuery(specs=(other, SPEC), counts=(4, 6), grid=grid))
+    forward_order = convolutions(CompositionQuery(specs=(SPEC, other), counts=(6, 4), grid=grid))
+    backward = convolutions(CompositionQuery(specs=(other, SPEC), counts=(4, 6), grid=grid))
     for (_d, a), (_e, b) in zip(forward_order, backward):
         assert np.array_equal(a.samples, b.samples)
 
@@ -303,12 +281,12 @@ class TestWorkerThreads:
         )
         substitute = CompositionQuery.homogeneous(WR, 10, grid)
         for query in (restricted, substitute):
-            assert len(_convolutions(query)) == 1
+            assert len(convolutions(query)) == 1
         assert made == []
 
     def test_both_directions_run_on_the_pool(self, monkeypatch):
         made = self.executors(monkeypatch)
-        _convolutions(CompositionQuery.homogeneous(SPEC, 10, Grid(half_width=12.0, size=2 ** 12)))
+        convolutions(CompositionQuery.homogeneous(SPEC, 10, Grid(half_width=12.0, size=2 ** 12)))
         # Two factors, then two directions; a single CPU runs both inline.
         assert made == ([] if spectral._usable_cpus() == 1 else [2, 2])
 
@@ -328,13 +306,13 @@ class TestWorkerThreads:
                 specs=(WOR, other_wor), counts=(50, 20), grid=grid, directions=tuple(Direction)
             ),
         ]
-        wanted = [reference_convolutions(query) for query in queries]
+        wanted = [referenceconvolutions(query) for query in queries]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
                 for query, want in zip(queries, wanted):
-                    got = _convolutions(query)
+                    got = convolutions(query)
                     assert all(np.array_equal(c.samples, w) for (_d, c), w in zip(got, want))
         finally:
             sys.setswitchinterval(interval)
@@ -343,13 +321,13 @@ class TestWorkerThreads:
         monkeypatch.setattr(spectral, "_IMAG_RESIDUE_TOL", -1.0)
         query = CompositionQuery.homogeneous(SPEC, 10, Grid(half_width=12.0, size=2 ** 12))
         with pytest.raises(SpectralResidueError, match="^imaginary residue .* exceeds -1e"):
-            _convolutions(query)
+            convolutions(query)
 
     def test_workers_see_the_callers_numpy_error_state(self):
         # The 1000th power of a spectrum underflows in its smallest entries;
         # raising on underflow is the caller's choice, and the threads that
         # build the two directions' factors must honour it.
         query = CompositionQuery.homogeneous(SPEC, 1000, Grid(half_width=12.0, size=2 ** 12))
-        assert len(_convolutions(query)) == 2
+        assert len(convolutions(query)) == 2
         with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
-            _convolutions(query)
+            convolutions(query)
