@@ -21,8 +21,8 @@ block, transformed in place and raised to the count in place. A product of
 factors is accumulated into a buffer of one of its own factors and inverse
 transformed in place, so a convolution holds one complex buffer per
 distinct factor plus its float result. Independent factors, and the
-inverse transforms of independent products, run on one thread per usable
-CPU. The transforms
+inverse transforms of independent products, run on one kept thread per
+usable CPU, which sees the same allocations on every call. The transforms
 are scipy.fft's complex-to-complex ones, which match numpy.fft on the same
 values bit for bit and keep their plans between calls.
 """
@@ -33,9 +33,10 @@ import contextvars
 import functools
 import math
 import os
+import threading
 from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -44,6 +45,14 @@ from .errors import SpectralResidueError
 from .mechanisms import MechanismSpec
 
 _IMAG_RESIDUE_TOL = 1e-6
+_ARENA_LIMIT_BYTES = 32 * 2 ** 20  # glibc gives any larger block a mapping of its own
+_PLANNED: set[int] = set()
+# Slot i runs item i of every wave, for the process's life. Threads made per call took any
+# free malloc arena and left scratch in it; cli-report's peak RSS varied by 16 to 37 MB.
+_SLOTS: list[ThreadPoolExecutor] = []
+_SLOTS_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_SLOTS.clear)  # a child has no threads
 
 
 def _spectrum_power(spectrum: np.ndarray, k: int) -> np.ndarray:
@@ -76,11 +85,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _slots(count: int) -> list[ThreadPoolExecutor]:
+    with _SLOTS_LOCK:
+        while len(_SLOTS) < count:
+            _SLOTS.append(ThreadPoolExecutor(1, f"dpconv-spectral-{len(_SLOTS)}"))
+        return _SLOTS[:count]
+
+
 def _map(fn, items: list) -> list:
     """[fn(item) for item in items], on up to one thread per usable CPU.
 
     One item, or one CPU, runs inline and starts no thread. Items run in
-    waves of one per thread, so that an item started late (a third factor
+    waves of one per slot, so that an item started late (a third factor
     on two threads) never holds its buffer while two earlier transforms
     still hold their scratch. An exception from a call is raised here
     unchanged once its wave has ended: the first item of the wave that
@@ -91,14 +107,14 @@ def _map(fn, items: list) -> list:
     workers = min(len(items), _usable_cpus())
     if workers <= 1:
         return [fn(item) for item in items]
-    results = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, len(items), workers):
-            wave = [
-                pool.submit(contextvars.copy_context().run, fn, item)
-                for item in items[start : start + workers]
-            ]
-            results += [future.result() for future in wave]
+    slots, results = _slots(workers), []
+    for start in range(0, len(items), workers):
+        wave = [
+            slot.submit(contextvars.copy_context().run, fn, item)
+            for slot, item in zip(slots, items[start : start + workers])
+        ]
+        wait(wave)
+        results += [future.result() for future in wave]
     return results
 
 
@@ -205,6 +221,16 @@ def convolve_factors(
     # size kept there made the peak resident size of repeated mixed queries
     # at n = 2^20 vary by up to 50 MB from one process to the next.
     buffers = {factor: np.zeros(grid.size, dtype=complex) for factor in uses}
+    n = grid.size
+    if min(len(uses), _usable_cpus()) > 1 and n not in _PLANNED and 16 * n <= _ARENA_LIMIT_BYTES:
+        # scipy.fft builds a 16 n-byte plan per size on the first transform; two
+        # threads racing to build it left it in an arena or a mapping of its
+        # own, and peak RSS 16 MB apart. Slot 0 builds it first, on zeros.
+        from scipy import fft
+        first = next(iter(buffers.values()))
+        _slots(1)[0].submit(fft.fft, first, overwrite_x=True).result()
+        first.fill(0)
+        _PLANNED.add(n)
 
     def build(factor: tuple[MechanismSpec, int]) -> np.ndarray:
         spec, count = factor

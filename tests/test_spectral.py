@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -262,19 +265,21 @@ def test_factor_order_does_not_change_the_product():
 
 
 class TestWorkerThreads:
-    def executors(self, monkeypatch):
-        made = []
+    def threads(self, monkeypatch):
+        """Records (stage, thread name) for every factor build and inverse transform."""
+        used = []
+        for stage in ("_factor_spectrum", "_inverse"):
+            original = getattr(spectral, stage)
 
-        class Counted(spectral.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
+            def recorded(*args, _original=original, _stage=stage):
+                used.append((_stage, threading.current_thread().name))
+                return _original(*args)
 
-        monkeypatch.setattr(spectral, "ThreadPoolExecutor", Counted)
-        return made
+            monkeypatch.setattr(spectral, stage, recorded)
+        return used
 
     def test_single_direction_single_factor_starts_no_thread(self, monkeypatch):
-        made = self.executors(monkeypatch)
+        used = self.threads(monkeypatch)
         grid = Grid(half_width=12.0, size=2 ** 12)
         restricted = CompositionQuery(
             specs=(SPEC,), counts=(10,), grid=grid, directions=(Direction.X_OVER_Y,)
@@ -282,13 +287,86 @@ class TestWorkerThreads:
         substitute = CompositionQuery.homogeneous(WR, 10, grid)
         for query in (restricted, substitute):
             assert len(convolutions(query)) == 1
-        assert made == []
+        assert {thread for _stage, thread in used} == {threading.main_thread().name}
 
     def test_both_directions_run_on_the_pool(self, monkeypatch):
-        made = self.executors(monkeypatch)
-        convolutions(CompositionQuery.homogeneous(SPEC, 10, Grid(half_width=12.0, size=2 ** 12)))
+        used = self.threads(monkeypatch)
+        query = CompositionQuery.homogeneous(SPEC, 10, Grid(half_width=12.0, size=2 ** 12))
+        convolutions(query)
+        first = sorted(used)
+        used.clear()
+        convolutions(query)
         # Two factors, then two directions; a single CPU runs both inline.
-        assert made == ([] if spectral._usable_cpus() == 1 else [2, 2])
+        # The threads are kept, so a second call runs on the same two.
+        assert sorted(used) == first
+        threads = {thread for _stage, thread in first}
+        if spectral._usable_cpus() == 1:
+            assert threads == {threading.main_thread().name}
+        else:
+            assert len(threads) == 2 and threading.main_thread().name not in threads
+            stages = ("_factor_spectrum", "_inverse")
+            assert first == sorted((stage, thread) for stage in stages for thread in threads)
+
+    def test_item_i_of_every_wave_runs_on_slot_i(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+
+        def where(item):
+            return item, threading.current_thread().name
+
+        first = spectral._map(where, list(range(5)))
+        assert [item for item, _thread in first] == list(range(5))
+        slot0, slot1 = first[0][1], first[1][1]
+        assert slot0 != slot1 and threading.main_thread().name not in (slot0, slot1)
+        assert [thread for _item, thread in first] == [slot0, slot1, slot0, slot1, slot0]
+        assert spectral._map(where, list(range(5))) == first
+
+    def test_slot_0_builds_each_small_plan_once_before_the_factors(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(spectral, "_PLANNED", set())
+        query = CompositionQuery.homogeneous(SPEC, 10, Grid(half_width=12.0, size=2 ** 12))
+        want = referenceconvolutions(query)
+        calls = []
+        original = fft.fft
+
+        def recorded(x, *args, **kwargs):
+            calls.append((threading.current_thread().name, bool(np.any(x))))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(fft, "fft", recorded)
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            got = convolutions(query)
+            # The zeroed buffer comes back zeroed, so the results keep their bits.
+            assert all(np.array_equal(c.samples, w) for (_d, c), w in zip(got, want))
+            runs.append(list(calls))
+        (plan_thread, plan_nonzero), *factors = runs[0]
+        assert plan_thread.startswith("dpconv-spectral-0") and not plan_nonzero
+        assert len(factors) == 2 and all(nonzero for _thread, nonzero in factors)
+        assert len(runs[1]) == 2
+        # A plan too large for an arena is left to the first transform.
+        monkeypatch.setattr(spectral, "_ARENA_LIMIT_BYTES", 16 * 2 ** 12 - 1)
+        monkeypatch.setattr(spectral, "_PLANNED", set())
+        calls.clear()
+        convolutions(query)
+        assert len(calls) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_threads(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        assert spectral._map(len, [[1], [2, 3]]) == [1, 2]  # the parent's threads exist
+        pid = os.fork()
+        if pid == 0:
+            # The parent's threads do not exist here; a wave sent to them
+            # would never end, so the child is stopped after 30 s.
+            signal.alarm(30)
+            code = 1
+            try:
+                code = 0 if spectral._map(len, [[1], [2, 3], [4]]) == [1, 2, 1] else 1
+            finally:
+                os._exit(code)
+        _pid, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_shared_factor_survives_contended_workers(self, monkeypatch):
         # More workers than cores and a short switch interval: a product
