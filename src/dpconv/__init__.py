@@ -35,22 +35,7 @@ from .errors import (
     TargetDeltaBelowFloor,
     TargetDeltaTooLarge,
 )
-from .mechanisms import (
-    Direction,
-    MechanismSpec,
-    PldDensity,
-    Scheme,
-    loss_inverse_poisson,
-    loss_inverse_with_replacement,
-    loss_inverse_without_replacement,
-    loss_poisson,
-    loss_with_replacement,
-    loss_without_replacement,
-    pld_density,
-    pld_density_poisson,
-    pld_density_with_replacement,
-    pld_density_without_replacement,
-)
+from .mechanisms import Direction, MechanismSpec, Scheme
 
 __version__ = "0.1.0"
 
@@ -66,7 +51,6 @@ __all__ = [
     "GridTooSmallError",
     "MechanismSpec",
     "NonConvergenceError",
-    "PldDensity",
     "RootFindingError",
     "Scheme",
     "SpectralResidueError",
@@ -81,16 +65,6 @@ __all__ = [
     "discretization_estimate",
     "discretize",
     "epsilon_of_delta",
-    "loss_inverse_poisson",
-    "loss_inverse_with_replacement",
-    "loss_inverse_without_replacement",
-    "loss_poisson",
-    "loss_with_replacement",
-    "loss_without_replacement",
     "periodisation_bound",
-    "pld_density",
-    "pld_density_poisson",
-    "pld_density_with_replacement",
-    "pld_density_without_replacement",
     "tail_estimate",
 ]

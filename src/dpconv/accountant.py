@@ -39,7 +39,7 @@ from .errors import (
     TargetDeltaBelowFloor,
     TargetDeltaTooLarge,
 )
-from .mechanisms import Direction, MechanismSpec, Scheme
+from .mechanisms import Direction, MechanismSpec
 from .spectral import convolve_factors
 
 
@@ -124,7 +124,7 @@ class CompositionQuery:
         """
         if self.directions is not None:
             return self.directions
-        if any(s.scheme is Scheme.POISSON for s in self.specs):
+        if any(s.directional for s in self.specs):
             return (Direction.X_OVER_Y, Direction.Y_OVER_X)
         return (Direction.X_OVER_Y,)
 
@@ -151,7 +151,6 @@ class DeltaResult:
     query: CompositionQuery
     tail_estimate: float
     tail_estimate_valid: bool
-    discretization_estimate: float | None = None
 
 
 def convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld]]:
@@ -217,9 +216,9 @@ def _build_result(
     )
 
 
-def delta_of_epsilon(query: CompositionQuery, epsilon: float | None = None) -> DeltaResult:
-    """Tight delta at a given epsilon (default: the query's stored target)."""
-    return delta_of_epsilons(query, (query.epsilon if epsilon is None else epsilon,))[0]
+def delta_of_epsilon(query: CompositionQuery) -> DeltaResult:
+    """Tight delta at the query's epsilon target."""
+    return delta_of_epsilons(query, (query.epsilon,))[0]
 
 
 def delta_of_epsilons(query: CompositionQuery, epsilons) -> tuple[DeltaResult, ...]:
@@ -245,8 +244,9 @@ def delta_of_epsilons(query: CompositionQuery, epsilons) -> tuple[DeltaResult, .
     )
 
 
-def epsilon_of_delta(query: CompositionQuery, delta: float | None = None) -> DeltaResult:
-    """Smallest epsilon whose tight delta meets the target, solved exactly on the grid.
+def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
+    """Smallest epsilon whose tight delta meets the query's delta target,
+    solved exactly on the grid.
 
     The convolved density for each direction is built once. A target within
     newton_tolerance of delta(0) returns epsilon = 0. Otherwise each
@@ -260,11 +260,9 @@ def epsilon_of_delta(query: CompositionQuery, delta: float | None = None) -> Del
     sum misses the target by more than the tolerance, which happens for
     targets below what the truncated grid and its rounding resolve.
     """
-    target = query.delta if delta is None else delta
+    target = query.delta
     if target is None:
         raise DomainError("epsilon_of_delta needs a delta target")
-    if not (0.0 < target < 1.0):
-        raise DomainError(f"target delta must lie in (0, 1), got {target}")
     tol = query.newton_tolerance
 
     convolved = convolutions(query)

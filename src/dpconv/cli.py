@@ -183,7 +183,7 @@ def _build_query(args, parser, epsilon=None, delta=None) -> CompositionQuery:
     )
 
 
-def _report_dict(result: DeltaResult, include_estimates: bool = True) -> dict:
+def _report_dict(result: DeltaResult) -> dict:
     query = result.query
     specs, counts = query.specs, query.counts
     single = len(specs) == 1
@@ -198,16 +198,13 @@ def _report_dict(result: DeltaResult, include_estimates: bool = True) -> dict:
         "tail_estimate": result.tail_estimate,
         "tail_estimate_valid": result.tail_estimate_valid,
     }
-    if include_estimates:
-        analytic = error_bounds.analytic_tail_bound(query)
-        if analytic.valid:
-            report["analytic_tail_bound"] = analytic.value
-        base_query = query
-        if query.epsilon is None:
-            base_query = dataclasses.replace(query, epsilon=result.epsilon, delta=None)
-        report["discretization_estimate"] = error_bounds.discretization_estimate(
-            base_query, value=result.delta
-        )
+    analytic = error_bounds.analytic_tail_bound(query)
+    if analytic.valid:
+        report["analytic_tail_bound"] = analytic.value
+    at_result = dataclasses.replace(query, epsilon=result.epsilon, delta=None)
+    report["discretization_estimate"] = error_bounds.discretization_estimate(
+        at_result, value=result.delta
+    )
     report.update(
         {
             "L": query.grid.half_width,
@@ -273,6 +270,11 @@ def _run_epsilon(args, parser) -> list[dict]:
     return [_report_dict(epsilon_of_delta(query))]
 
 
+def _sweep_row(key: str, x, result: DeltaResult) -> dict:
+    warnings = list(result.warnings)
+    return {key: x, "value": result.value, "ell_eps": result.ell_eps, "warnings": warnings}
+
+
 def _run_sweep(args, parser) -> list[dict]:
     rows = []
     if args.over == "eps":
@@ -284,14 +286,7 @@ def _run_sweep(args, parser) -> list[dict]:
         epsilons = [args.start + i * step for i in range(args.count)]
         results = delta_of_epsilons(_build_query(args, parser), epsilons)
         for eps, result in zip(epsilons, results):
-            rows.append(
-                {
-                    "eps": eps,
-                    "value": result.value,
-                    "ell_eps": result.ell_eps,
-                    "warnings": list(result.warnings),
-                }
-            )
+            rows.append(_sweep_row("eps", eps, result))
     else:
         if not args.values:
             parser.error("sweep --over k needs --values, e.g. --values 1,2,4,8")
@@ -306,15 +301,7 @@ def _run_sweep(args, parser) -> list[dict]:
             probe = argparse.Namespace(**vars(args))
             probe.k = k
             query = _build_query(probe, parser, epsilon=args.eps)
-            result = delta_of_epsilon(query)
-            rows.append(
-                {
-                    "k": k,
-                    "value": result.value,
-                    "ell_eps": result.ell_eps,
-                    "warnings": list(result.warnings),
-                }
-            )
+            rows.append(_sweep_row("k", k, delta_of_epsilon(query)))
     return rows
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridTooSmallError
-from .mechanisms import MechanismSpec, PldDensity, Scheme, pld_density
+from .mechanisms import MechanismSpec, Scheme
 
 # Points per sampling and spectral block: a block of complex128 values is
 # 256 KiB, small enough to stay in a core's private cache.
@@ -172,18 +172,18 @@ class Sampler:
     """
 
     def __init__(self, spec: MechanismSpec, grid: Grid) -> None:
-        density = pld_density(spec)
-        _check_support(density, grid)
-        self.density = density
+        _check_support(spec, grid)
+        self.spec = spec
         self.grid = grid
         self._whole: np.ndarray | None = None
 
     def block(self, block: slice) -> np.ndarray:
-        if self.density.spec.scheme is Scheme.WITH_REPLACEMENT:
+        density = self.spec.density
+        if self.spec.scheme is Scheme.WITH_REPLACEMENT:
             if self._whole is None:
-                self._whole = np.asarray(self.density(self.grid.points()), dtype=float)
+                self._whole = np.asarray(density(self.grid.points()), dtype=float)
             return self._whole[block]
-        return np.asarray(self.density(self.grid.points(block.start, block.stop)), dtype=float)
+        return np.asarray(density(self.grid.points(block.start, block.stop)), dtype=float)
 
     def compare(self, other: "Sampler") -> int:
         """-1, 0 or 1 as this density's samples.tobytes() sorts before, equal
@@ -199,8 +199,8 @@ class Sampler:
         return 0
 
 
-def _check_support(density: PldDensity, grid: Grid) -> None:
-    lo, hi = density.support_lo, density.support_hi
+def _check_support(spec: MechanismSpec, grid: Grid) -> None:
+    lo, hi = spec.support
     if math.isfinite(lo) and lo <= -grid.half_width:
         raise GridTooSmallError(
             f"support edge {lo:.6g} lies at or below the grid boundary {-grid.half_width:.6g}; "

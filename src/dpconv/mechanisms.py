@@ -99,7 +99,7 @@ class MechanismSpec:
         batch_size: number of independent draws (WITH_REPLACEMENT only).
         dataset_size: number of records; the per-draw probability of hitting
             the substituted record is 1 / dataset_size (WITH_REPLACEMENT only).
-        direction: likelihood-ratio direction, ignored for substitute schemes.
+        direction: likelihood-ratio direction; X_OVER_Y for substitute schemes.
     """
 
     sigma: float
@@ -136,6 +136,14 @@ class MechanismSpec:
                 raise DomainError(
                     f"batch_size {self.batch_size} exceeds dataset_size {self.dataset_size}"
                 )
+        if not self.directional and self.direction is not Direction.X_OVER_Y:
+            raise DomainError(f"the {self.scheme.value} scheme has no direction but x-over-y")
+
+    @property
+    def directional(self) -> bool:
+        """Whether the two likelihood-ratio directions differ: for POISSON's
+        remove/add relation only (substitute losses are odd)."""
+        return self.scheme is Scheme.POISSON
 
     @property
     def draw_probability(self) -> float:
@@ -150,42 +158,28 @@ class MechanismSpec:
         Returns self when the direction is unchanged or the scheme is a
         substitute one, whose two directions coincide.
         """
-        if self.scheme is not Scheme.POISSON or self.direction is direction:
+        if not self.directional or self.direction is direction:
             return self
         return dataclasses.replace(self, direction=direction)
 
+    @property
+    def support(self) -> tuple[float, float]:
+        """(lo, hi), outside which the privacy loss density is zero. Only a
+        subsampled Poisson mechanism has a finite edge, log(1-q), mirrored
+        in the Y_OVER_X direction."""
+        if not self.directional or self.q == 1.0:
+            return -math.inf, math.inf
+        edge = math.log1p(-self.q)
+        return (edge, math.inf) if self.direction is Direction.X_OVER_Y else (-math.inf, -edge)
 
-@dataclass(frozen=True)
-class PldDensity:
-    """A privacy loss density omega together with its support interval.
-
-    omega is zero outside (support_lo, support_hi) and integrates to one.
-    Instances are callables: density(s) evaluates omega pointwise.
-    """
-
-    spec: MechanismSpec
-    support_lo: float
-    support_hi: float
-
-    def __call__(self, s):
-        scheme = self.spec.scheme
-        if scheme is Scheme.POISSON:
-            return pld_density_poisson(self.spec, s)
-        if scheme is Scheme.WITHOUT_REPLACEMENT:
-            return pld_density_without_replacement(self.spec, s)
-        return pld_density_with_replacement(self.spec, s)
-
-
-def pld_density(spec: MechanismSpec) -> PldDensity:
-    """Builds the privacy loss density object for a mechanism."""
-    lo, hi = -math.inf, math.inf
-    if spec.scheme is Scheme.POISSON and spec.q < 1.0:
-        edge = math.log1p(-spec.q)
-        if spec.direction is Direction.X_OVER_Y:
-            lo = edge
-        else:
-            hi = -edge
-    return PldDensity(spec=spec, support_lo=lo, support_hi=hi)
+    def density(self, s):
+        """The privacy loss density omega at s, a scalar or an array, by the
+        scheme's formula, looked up in the module namespace at each call."""
+        if self.scheme is Scheme.POISSON:
+            return pld_density_poisson(self, s)
+        if self.scheme is Scheme.WITHOUT_REPLACEMENT:
+            return pld_density_without_replacement(self, s)
+        return pld_density_with_replacement(self, s)
 
 
 def _split_scalar(s):

@@ -55,11 +55,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_SLOTS.clear)  # a child has no threads
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _spectrum_power(spectrum: np.ndarray, k: int) -> np.ndarray:
     """Elementwise k-th power by repeated squaring.
 
     Stable for very large k because every spectrum entry of a subprobability
     mass vector has modulus at most one, so intermediate squares never grow.
+    On a grid that under-resolves the density an entry can exceed one and its
+    power overflow, with no warning; _inverse then reports the non-finite result.
     The first squaring allocates the working square, every later product is
     taken in place, and the caller's spectrum is left untouched.
     """
@@ -140,6 +143,7 @@ def _factor_spectrum(
     return buffer
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see _spectrum_power
 def _product(factors: list[np.ndarray], owned: list[bool]) -> np.ndarray:
     """The product of factor spectra, accumulated left to right.
 

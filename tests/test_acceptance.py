@@ -38,15 +38,17 @@ from dpconv import (
     discretization_estimate,
     discretize,
     epsilon_of_delta,
+    tail_estimate,
+)
+from dpconv.accountant import convolutions
+from dpconv.mechanisms import (
     loss_inverse_poisson,
     loss_inverse_with_replacement,
     loss_inverse_without_replacement,
     pld_density_poisson,
     pld_density_with_replacement,
     pld_density_without_replacement,
-    tail_estimate,
 )
-from dpconv.accountant import convolutions
 from dpconv.oracle import (
     bisection_epsilon,
     direct_convolution_combine,

@@ -177,7 +177,7 @@ class TestDeltaOfEpsilons:
         rows = delta_of_epsilons(q, self.EPSILONS)
         assert len(rows) == len(self.EPSILONS)
         for eps, row in zip(self.EPSILONS, rows):
-            single = delta_of_epsilon(q, eps)
+            single = delta_of_epsilon(dataclasses.replace(q, epsilon=eps))
             assert row.epsilon == eps
             assert row.value == single.value
             assert row.per_direction == single.per_direction

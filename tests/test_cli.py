@@ -544,6 +544,15 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error: imaginary residue ")
 
+    def test_under_resolved_grid_is_three(self, capsys):
+        # At n = 4096 the sampled density's mass exceeds 1, and its 10^4-th
+        # power overflows in the spectral layer.
+        flags = ["--sigma", "1.5", "--q", "0.01", "--k", "10000", "--L", "12", "--n", "4096"]
+        code, out, err = run_cli(["delta", *flags, "--eps", "1"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: the convolved density is not finite")
+        assert err.count("\n") == 1
+
     def test_unreachable_delta_is_three(self, capsys):
         code, _, err = run_cli(["epsilon", *BASE, "--delta", "0.9999"], capsys)
         assert code == 3

@@ -14,10 +14,9 @@ from dpconv import (
     MechanismSpec,
     Scheme,
     discretize,
-    pld_density,
-    pld_density_poisson,
 )
 from dpconv.discretization import Sampler, half_swap
+from dpconv.mechanisms import pld_density_poisson
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
 
@@ -153,7 +152,7 @@ class TestBlockedSampling:
     @pytest.mark.parametrize("size", [8, 2 ** 14 + 2, 2 ** 15 + 6])
     def test_blocks_equal_one_call_over_the_grid(self, spec, size):
         grid = Grid(half_width=12.0, size=size)
-        whole = pld_density(spec)(grid.points())
+        whole = spec.density(grid.points())
         assert np.array_equal(discretize(spec, grid).samples, whole)
 
     def test_compare_is_the_byte_order_of_the_samples(self):

@@ -6,6 +6,7 @@ from quadrature checks on explicit grids.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,18 +20,19 @@ from dpconv import (
     MechanismSpec,
     RootFindingError,
     Scheme,
+)
+import dpconv.mechanisms
+from dpconv.mechanisms import (
     loss_inverse_poisson,
     loss_inverse_with_replacement,
     loss_inverse_without_replacement,
     loss_poisson,
     loss_with_replacement,
     loss_without_replacement,
-    pld_density,
     pld_density_poisson,
     pld_density_with_replacement,
     pld_density_without_replacement,
 )
-import dpconv.mechanisms
 from dpconv.discretization import Grid, discretize
 
 POISSON = MechanismSpec(sigma=1.5, q=0.01)
@@ -91,6 +93,17 @@ class TestSpecValidation:
 
     def test_draw_probability(self):
         assert WR.draw_probability == 0.01
+
+    def test_only_poisson_is_directional(self):
+        assert POISSON.directional
+        assert not WOR.directional and not WR.directional
+
+    @pytest.mark.parametrize("spec", [WOR, WR], ids=["without-replacement", "with-replacement"])
+    def test_substitute_schemes_reject_a_direction(self, spec):
+        # Such a spec would compare unequal to the default one, and a query
+        # holding both would build a second, identical factor.
+        with pytest.raises(DomainError, match="direction"):
+            dataclasses.replace(spec, direction=Direction.Y_OVER_X)
 
 
 class TestPoissonLossInverse:
@@ -381,7 +394,25 @@ class TestKernelWindow:
 
 
 def test_pld_density_dispatch():
-    density = pld_density(POISSON)
-    assert density.support_lo == pytest.approx(math.log(0.99))
-    assert density(0.3) == pytest.approx(pld_density_poisson(POISSON, 0.3), rel=1e-15)
-    assert math.isinf(pld_density(WOR).support_lo)
+    edge = math.log1p(-0.01)
+    assert POISSON.support == (edge, math.inf)
+    assert POISSON.with_direction(Direction.Y_OVER_X).support == (-math.inf, -edge)
+    assert MechanismSpec(sigma=1.5, q=1.0).support == (-math.inf, math.inf)
+    assert WOR.support == WR.support == (-math.inf, math.inf)
+    assert POISSON.density(0.3) == pld_density_poisson(POISSON, 0.3)
+    assert WOR.density(0.3) == pld_density_without_replacement(WOR, 0.3)
+    assert WR.density(0.3) == pld_density_with_replacement(WR, 0.3)
+
+
+def test_density_calls_the_formula_the_module_holds_now(monkeypatch):
+    # A wrapper put in dpconv.mechanisms' namespace (as a profiler's hooks
+    # do) must see every density evaluation.
+    calls = []
+    formula = dpconv.mechanisms.pld_density_poisson
+    monkeypatch.setattr(
+        dpconv.mechanisms,
+        "pld_density_poisson",
+        lambda spec, s: calls.append(spec) or formula(spec, s),
+    )
+    POISSON.density(np.array([0.1, 0.2]))
+    assert calls == [POISSON]

@@ -19,13 +19,18 @@ from dpconv import (
     Scheme,
     SpectralResidueError,
     discretize,
-    pld_density,
 )
 from dpconv import spectral
 from dpconv.accountant import convolutions
 from dpconv.discretization import half_swap
 from dpconv.oracle import direct_dft, direct_inverse_dft
-from dpconv.spectral import _factor_spectrum, _inverse, _spectrum_power, convolve_factors
+from dpconv.spectral import (
+    _factor_spectrum,
+    _inverse,
+    _product,
+    _spectrum_power,
+    convolve_factors,
+)
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
 
@@ -146,6 +151,17 @@ class TestConvolutionPower:
         with pytest.raises(SpectralResidueError, match="not finite"):
             convolve_samples(pld.samples, pld.grid, 3)
 
+    def test_overflowing_power_and_product_reach_the_finite_check_silently(self):
+        # On a grid that under-resolves a density, spectral entries can exceed
+        # modulus one. Their powers and products overflow with no warning (the
+        # suite turns warnings into errors), and _inverse reports the result.
+        big = np.full(8, 1e200 + 0j)
+        assert not np.isfinite(_spectrum_power(big, 3)).any()
+        product = _product([big.copy(), big.copy()], [True, True])
+        assert not np.isfinite(product).any()
+        with pytest.raises(SpectralResidueError, match="not finite"):
+            _inverse(product, np.empty(8), Grid(half_width=4.0, size=8), 2)
+
     def test_spectrum_power_matches_builtin(self):
         rng = np.random.default_rng(9)
         radius = rng.uniform(0.2, 1.0, size=33)
@@ -215,7 +231,7 @@ def referenceconvolutions(query):
             if spec.scheme is Scheme.POISSON:
                 spec = spec.with_direction(direction)
             groups[spec] = groups.get(spec, 0) + count
-        factors = [(pld_density(spec)(grid.points()), count) for spec, count in groups.items()]
+        factors = [(spec.density(grid.points()), count) for spec, count in groups.items()]
         spectrum = np.ones(grid.size, dtype=complex)
         for samples, count in sorted(factors, key=lambda item: item[0].tobytes()):
             spectrum *= power_by_squaring(np.fft.fft(half_swap(samples) * grid.dx), count)
