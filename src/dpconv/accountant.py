@@ -51,8 +51,9 @@ class CompositionQuery:
     specs[i], convolved together. Exactly one of epsilon (for delta_of_epsilon)
     or delta (for epsilon_of_delta) should be set. directions restricts the
     likelihood-ratio directions evaluated; None takes the tight max over both
-    where the relation is asymmetric. newton_tolerance is the absolute delta
-    tolerance of epsilon_of_delta (the name predates its exact inverse).
+    where the relation is asymmetric. newton_tolerance is epsilon_of_delta's
+    bound on |delta(epsilon) - target| at the returned epsilon; a target that
+    close to delta(0) gives epsilon 0.
     """
 
     specs: tuple[MechanismSpec, ...]

@@ -17,8 +17,10 @@ every subcommand to one likelihood-ratio direction, error estimates included.
 Reports are serialized as JSON (one object, stable key order), CSV
 (RFC 4180), or an aligned text table; numbers use shortest round-trip
 formatting. Exit codes: 0 success, 2 flag errors (malformed numbers and an
-unwritable --out included), 3 domain errors, 4 non-convergence of a loss
-inverse root finder.
+unwritable --out included), 3 domain errors (and running out of memory), 4
+non-convergence of a loss inverse root finder. Each command checks all
+its flags in one CompositionQuery; a row of a k sweep or a convergence
+table replaces the query's counts or grid.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .mechanisms import Direction, MechanismSpec, Scheme
 
 _DEFAULT_HALF_WIDTH = 20.0
 _DEFAULT_SIZE = 2 ** 22
+_MAX_SWEEP_COUNT = 10 ** 6
 
 _EXIT_FLAGS = 2
 _EXIT_DOMAIN = 3
@@ -106,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--over", choices=["eps", "k"], default="eps")
     p_sweep.add_argument("--start", type=float, help="first epsilon (eps sweeps)")
     p_sweep.add_argument("--stop", type=float, help="last epsilon (eps sweeps)")
-    p_sweep.add_argument("--count", type=int, default=10, help="number of rows (eps sweeps)")
+    p_sweep.add_argument("--count", type=int, default=10, help=f"eps rows, 2 to {_MAX_SWEEP_COUNT}")
     p_sweep.add_argument("--values", help="comma-separated composition counts (k sweeps)")
     p_sweep.add_argument("--eps", type=float, help="fixed epsilon (k sweeps)")
 
@@ -276,77 +279,61 @@ def _sweep_row(key: str, x, result: DeltaResult) -> dict:
 
 
 def _run_sweep(args, parser) -> list[dict]:
-    rows = []
     if args.over == "eps":
         if args.start is None or args.stop is None:
             parser.error("sweep --over eps needs --start and --stop")
-        if args.count < 2:
-            parser.error("sweep --count must be at least 2")
+        if not 2 <= args.count <= _MAX_SWEEP_COUNT:
+            parser.error(f"sweep --count must be from 2 to {_MAX_SWEEP_COUNT}, got {args.count}")
         step = (args.stop - args.start) / (args.count - 1)
         epsilons = [args.start + i * step for i in range(args.count)]
         results = delta_of_epsilons(_build_query(args, parser), epsilons)
-        for eps, result in zip(epsilons, results):
-            rows.append(_sweep_row("eps", eps, result))
-    else:
-        if not args.values:
-            parser.error("sweep --over k needs --values, e.g. --values 1,2,4,8")
-        if args.eps is None:
-            parser.error("sweep --over k needs a fixed --eps")
-        if args.mech:
-            parser.error("sweep --over k applies to the flat mechanism flags only")
-        counts = [
-            _parse_number(text, int, "--values entry", parser) for text in args.values.split(",")
-        ]
-        for k in counts:
-            probe = argparse.Namespace(**vars(args))
-            probe.k = k
-            query = _build_query(probe, parser, epsilon=args.eps)
-            rows.append(_sweep_row("k", k, delta_of_epsilon(query)))
-    return rows
+        return [_sweep_row("eps", eps, result) for eps, result in zip(epsilons, results)]
+    if not args.values:
+        parser.error("sweep --over k needs --values, e.g. --values 1,2,4,8")
+    if args.eps is None:
+        parser.error("sweep --over k needs a fixed --eps")
+    if args.mech:
+        parser.error("sweep --over k applies to the flat mechanism flags only")
+    counts = [_parse_number(text, int, "--values entry", parser) for text in args.values.split(",")]
+    query = _build_query(args, parser, epsilon=args.eps)
+    queries = [dataclasses.replace(query, counts=(k,)) for k in counts]
+    return [_sweep_row("k", row.k, delta_of_epsilon(row)) for row in queries]
 
 
 def _run_converge(args, parser) -> list[dict]:
     if args.doublings < 0:
         parser.error("--doublings must be nonnegative")
+    query = _build_query(args, parser, epsilon=args.eps)
+    if args.over == "L":
+        # ldexp doubles exactly; Grid rejects L > 700 before ldexp could overflow.
+        grids = [Grid(math.ldexp(args.start, i), args.n) for i in range(args.doublings + 1)]
+        results = [delta_of_epsilon(dataclasses.replace(query, grid=grid)) for grid in grids]
+        return [
+            {
+                "L": result.query.grid.half_width,
+                "value": result.value,
+                "tail_estimate": result.tail_estimate,
+                "tail_estimate_valid": result.tail_estimate_valid,
+            }
+            for result in results
+        ]
+    if not args.start.is_integer() or args.start % 2:
+        parser.error(f"converge --over n needs an even integer --start, got {args.start!r}")
+    # One grid more than rows: the last row's estimate needs the doubled grid.
+    grids = [Grid(args.L, int(args.start) * 2 ** i) for i in range(args.doublings + 2)]
+    results = [delta_of_epsilon(dataclasses.replace(query, grid=grid)) for grid in grids]
     rows = []
-    if args.over == "n":
-        if not args.start.is_integer():
-            parser.error(f"converge --over n needs an integer --start, got {args.start!r}")
-        start = int(args.start)
-        sizes = [start * 2 ** i for i in range(args.doublings + 1)]
-        queries, values = {}, {}
-        for size in sizes + [sizes[-1] * 2]:
-            probe = argparse.Namespace(**vars(args))
-            probe.n = size
-            queries[size] = _build_query(probe, parser, epsilon=args.eps)
-            values[size] = delta_of_epsilon(queries[size]).value
-        for size in sizes:
-            err = error_bounds.discretization_estimate(
-                queries[size], value=values[size], refined=values[size * 2]
-            )
-            rows.append(
-                {
-                    "n": size,
-                    "value": values[size],
-                    "err": err,
-                    "err_rel": err / values[size] if values[size] > 0 else math.inf,
-                }
-            )
-    else:
-        for i in range(args.doublings + 1):
-            half = args.start * 2 ** i
-            probe = argparse.Namespace(**vars(args))
-            probe.L = half
-            query = _build_query(probe, parser, epsilon=args.eps)
-            result = delta_of_epsilon(query)
-            rows.append(
-                {
-                    "L": half,
-                    "value": result.value,
-                    "tail_estimate": result.tail_estimate,
-                    "tail_estimate_valid": result.tail_estimate_valid,
-                }
-            )
+    for result, refined in zip(results, results[1:]):
+        value = result.value
+        err = error_bounds.discretization_estimate(result.query, value=value, refined=refined.value)
+        rows.append(
+            {
+                "n": result.query.grid.size,
+                "value": value,
+                "err": err,
+                "err_rel": err / value if value > 0 else math.inf,
+            }
+        )
     return rows
 
 
@@ -361,12 +348,9 @@ def main(argv=None) -> int:
     }
     try:
         rows = runners[args.subcommand](args, parser)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NONCONVERGENCE
-    except AccountingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DOMAIN
+    except (AccountingError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return _EXIT_NONCONVERGENCE if isinstance(exc, NonConvergenceError) else _EXIT_DOMAIN
     text = _render(rows, args.format)
     if args.out:
         try:

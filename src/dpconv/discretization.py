@@ -43,7 +43,8 @@ class Grid:
     """Symmetric uniform grid on [-half_width, half_width) with an even size.
 
     half_width is at most 700 (_MAX_HALF_WIDTH), so that exp(+-s) stays a
-    finite double at every grid point.
+    finite double at every grid point. A complex array of size values, 16
+    bytes each, must lie within what numpy can address.
     """
 
     half_width: float
@@ -54,6 +55,8 @@ class Grid:
             raise DomainError(f"half_width must be positive and finite, got {self.half_width}")
         if self.size < 2 or self.size % 2:
             raise DomainError(f"size must be an even integer >= 2, got {self.size}")
+        if 16 * self.size > np.iinfo(np.intp).max:
+            raise DomainError(f"size {self.size} is too large for numpy to address as complex")
         if not (0.0 < self.dx < math.inf):
             raise DomainError(
                 f"grid spacing 2 L / n must be positive and finite, got {self.dx} "

@@ -28,14 +28,15 @@ are covered:
   is solved once for t >= 0 and mirrored: t(-s) = -t(s), and f_X(-t) comes
   from the same kernel row as f_X(t) with its two log-sum-exps swapped.
 
-All densities accept scalars or numpy arrays and evaluate in a vectorised,
-overflow-safe way.
+Every density, loss and loss inverse takes a scalar or an array of any
+shape (see _pointwise) and evaluates in a vectorised, overflow-safe way.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -182,13 +183,18 @@ class MechanismSpec:
         return pld_density_with_replacement(self, s)
 
 
-def _split_scalar(s):
-    arr = np.asarray(s, dtype=float)
-    return arr, arr.ndim == 0
+def _pointwise(formula):
+    """formula(spec, x), written for a flat float array x, made to take a
+    scalar x, giving a float, or an array of any shape, giving an array of
+    that shape. The name and module stay formula's."""
 
+    @functools.wraps(formula)
+    def pointwise(spec: MechanismSpec, x):
+        arr = np.asarray(x, dtype=float)
+        out = formula(spec, arr.ravel())
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
-def _pack_scalar(values: np.ndarray, scalar: bool):
-    return float(values) if scalar else values
+    return pointwise
 
 
 def _mixture_pdf(t: np.ndarray, sigma: float, q: float) -> np.ndarray:
@@ -204,35 +210,33 @@ def _mixture_pdf(t: np.ndarray, sigma: float, q: float) -> np.ndarray:
 # Poisson subsampling, remove/add relation
 # ---------------------------------------------------------------------------
 
-def loss_poisson(spec: MechanismSpec, t):
+@_pointwise
+def loss_poisson(spec: MechanismSpec, t: np.ndarray) -> np.ndarray:
     """Privacy loss log(f_X(t)/f_Y(t)) for Poisson subsampling."""
-    arr, scalar = _split_scalar(t)
     sigma, q = spec.sigma, spec.q
-    a = (2.0 * arr - 1.0) / (2.0 * sigma * sigma)
+    a = (2.0 * t - 1.0) / (2.0 * sigma * sigma)
     if q == 1.0:
-        return _pack_scalar(a, scalar)
-    out = np.logaddexp(math.log(q) + a, math.log1p(-q))
-    return _pack_scalar(out, scalar)
+        return a
+    return np.logaddexp(math.log(q) + a, math.log1p(-q))
 
 
-def loss_inverse_poisson(spec: MechanismSpec, s):
+@_pointwise
+def loss_inverse_poisson(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
     """Inverse of the Poisson loss, sigma^2 log((exp(s) - (1-q))/q) + 1/2.
 
     Raises DomainError if any point lies at or below the support edge
     log(1-q), where the inverse is undefined.
     """
-    arr, scalar = _split_scalar(s)
     sigma, q = spec.sigma, spec.q
     if q == 1.0:
-        return _pack_scalar(sigma * sigma * arr + 0.5, scalar)
+        return sigma * sigma * s + 0.5
     # exp(s) - (1 - q) via expm1 keeps precision near the support edge.
-    u = np.expm1(arr) + q
-    if np.any(u <= 0.0) or np.any(arr <= math.log1p(-q)):
+    u = np.expm1(s) + q
+    if np.any(u <= 0.0) or np.any(s <= math.log1p(-q)):
         raise DomainError(
             f"loss inverse undefined at or below the support edge log(1-q) = {math.log1p(-q):.6g}"
         )
-    out = sigma * sigma * (np.log(u) - math.log(q)) + 0.5
-    return _pack_scalar(out, scalar)
+    return sigma * sigma * (np.log(u) - math.log(q)) + 0.5
 
 
 def _poisson_density_xy(sigma: float, q: float, arr: np.ndarray) -> np.ndarray:
@@ -255,7 +259,8 @@ def _poisson_density_xy(sigma: float, q: float, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def pld_density_poisson(spec: MechanismSpec, s):
+@_pointwise
+def pld_density_poisson(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
     """Privacy loss density for Poisson subsampling.
 
     The X-over-Y direction is evaluated directly from the loss inverse and
@@ -263,88 +268,89 @@ def pld_density_poisson(spec: MechanismSpec, s):
     omega_yx(s) = exp(s) * omega_xy(-s), so its support is the mirrored
     interval (-inf, -log(1-q)).
     """
-    arr, scalar = _split_scalar(s)
     if spec.direction is Direction.X_OVER_Y:
-        out = _poisson_density_xy(spec.sigma, spec.q, arr)
-    else:
-        out = np.exp(arr) * _poisson_density_xy(spec.sigma, spec.q, -arr)
-    return _pack_scalar(out, scalar)
+        return _poisson_density_xy(spec.sigma, spec.q, s)
+    return np.exp(s) * _poisson_density_xy(spec.sigma, spec.q, -s)
 
 
 # ---------------------------------------------------------------------------
 # Sampling without replacement, substitute relation
 # ---------------------------------------------------------------------------
 
-def loss_without_replacement(spec: MechanismSpec, t):
+@_pointwise
+def loss_without_replacement(spec: MechanismSpec, t: np.ndarray) -> np.ndarray:
     """Privacy loss for fixed-size sampling without replacement."""
-    arr, scalar = _split_scalar(t)
     sigma, q = spec.sigma, spec.q
     two_var = 2.0 * sigma * sigma
-    a = (2.0 * arr - 1.0) / two_var
-    b = (-2.0 * arr - 1.0) / two_var
+    a = (2.0 * t - 1.0) / two_var
+    b = (-2.0 * t - 1.0) / two_var
     if q == 1.0:
-        return _pack_scalar(a - b, scalar)
+        return a - b
     lq, l1q = math.log(q), math.log1p(-q)
-    out = np.logaddexp(lq + a, l1q) - np.logaddexp(lq + b, l1q)
-    return _pack_scalar(out, scalar)
+    return np.logaddexp(lq + a, l1q) - np.logaddexp(lq + b, l1q)
 
 
-def _wor_positive_root(sigma: float, q: float, arr: np.ndarray) -> np.ndarray:
-    """Positive root x = exp(t/sigma^2) of the quadratic that inverts the loss.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _wor_inverse(sigma: float, q: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The loss inverse t at each s, and its slope dt/ds.
 
-    With c = q exp(-1/(2 sigma^2)) the inverse solves
-    c x^2 + (1-q)(1-exp(s)) x - c exp(s) = 0. The two algebraically equal
-    forms of the positive root are picked per sign of s so that neither
-    suffers cancellation.
+    With c = q exp(-1/(2 sigma^2)) and b = (1-q)(1-exp(s)), x = exp(t/sigma^2)
+    solves c x^2 + b x - c exp(s) = 0. With R = sqrt(b^2 + 4 c^2 exp(s)) the
+    root is (R - b) / (2 c) for s >= 0 and the equal 2 c exp(s) / (R + b)
+    for s < 0, so neither form cancels; the slope is
+    sigma^2 exp(s) (2 c^2 + (1-q)(R - b)) / (R (R - b)), with R - b taken as
+    4 c^2 exp(s) / (R + b) where b > 0. _wor_inverse_far gives both where they
+    are not finite: beyond |s| of about 355 (b^2 overflows) or once c^2 underflows.
     """
     c = q * math.exp(-1.0 / (2.0 * sigma * sigma))
-    em = np.expm1(arr)
-    es = np.exp(arr)
-    disc = np.square((1.0 - q) * em) + 4.0 * c * c * es
-    root = np.sqrt(disc)
-    grow = ((1.0 - q) * em + root) / (2.0 * c)
-    decay_denom = -(1.0 - q) * em + root
-    decay = np.divide(2.0 * c * es, decay_denom, out=np.zeros_like(arr), where=decay_denom > 0)
-    return np.where(arr >= 0.0, grow, decay)
-
-
-def loss_inverse_without_replacement(spec: MechanismSpec, s):
-    """Closed-form inverse of the without-replacement loss."""
-    arr, scalar = _split_scalar(s)
-    x = _wor_positive_root(spec.sigma, spec.q, arr)
-    out = spec.sigma * spec.sigma * np.log(x)
-    return _pack_scalar(out, scalar)
-
-
-def _wor_inverse_derivative(sigma: float, q: float, arr: np.ndarray) -> np.ndarray:
-    """Derivative of the without-replacement loss inverse, cancellation-free.
-
-    Writing b = (1-q)(1-exp(s)) and R = sqrt(b^2 + 4 c^2 exp(s)), the
-    derivative equals sigma^2 exp(s) (2 c^2 + (1-q)(R - b)) / (R (R - b)).
-    R - b is computed as 4 c^2 exp(s) / (R + b) whenever b > 0, which keeps
-    precision deep in the left tail.
-    """
-    c = q * math.exp(-1.0 / (2.0 * sigma * sigma))
-    em = np.expm1(arr)
-    es = np.exp(arr)
-    b = -(1.0 - q) * em
+    es = np.exp(s)
+    b = -(1.0 - q) * np.expm1(s)
     r = np.sqrt(b * b + 4.0 * c * c * es)
-    conj = np.divide(4.0 * c * c * es, r + b, out=np.zeros_like(arr), where=(r + b) > 0)
+    r_plus_b = r + b
+    decay = np.divide(2.0 * c * es, r_plus_b, out=np.zeros_like(s), where=r_plus_b > 0)
+    t = sigma * sigma * np.log(np.where(s >= 0.0, (r - b) / (2.0 * c), decay))
+    conj = np.divide(4.0 * c * c * es, r_plus_b, out=np.zeros_like(s), where=r_plus_b > 0)
     r_minus_b = np.where(b > 0.0, conj, r - b)
-    return sigma * sigma * es * (2.0 * c * c + (1.0 - q) * r_minus_b) / (r * r_minus_b)
+    slope = sigma * sigma * es * (2.0 * c * c + (1.0 - q) * r_minus_b) / (r * r_minus_b)
+    far = ~(np.isfinite(t) & np.isfinite(slope))
+    if far.any():
+        t[far], slope[far] = _wor_inverse_far(sigma, q, s[far])
+    return t, slope
 
 
-def pld_density_without_replacement(spec: MechanismSpec, s):
+def _wor_inverse_far(sigma: float, q: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_wor_inverse's (t, slope) by t = sigma^2 (s/2 + asinh(sinh(s/2) / k))
+    and slope = sigma^2 (1 + cosh(s/2) / sqrt(sinh(s/2)^2 + k^2)) / 2 with
+    k = c / (1-q), in logs, as k underflows where c does and sinh(s/2) / k
+    can overflow; asinh(e^z) = log(e^z + sqrt(e^(2z) + 1)). Only s = 0 with
+    c = 0, where the density is a point mass, stays not finite.
+    """
+    half = 0.5 * np.abs(s)
+    log_sinh = np.log(np.sinh(half))
+    log_k = math.log(q) - 1.0 / (2.0 * sigma * sigma)
+    log_k = log_k - math.log1p(-q) if q < 1.0 else math.inf
+    z = log_sinh - log_k
+    asinh = np.logaddexp(z, 0.5 * np.logaddexp(2.0 * z, 0.0))
+    t = sigma * sigma * (0.5 * s + np.copysign(asinh, s))
+    ratio = np.cosh(half) * np.exp(-0.5 * np.logaddexp(2.0 * log_sinh, 2.0 * log_k))
+    return t, 0.5 * sigma * sigma * (1.0 + ratio)
+
+
+@_pointwise
+def loss_inverse_without_replacement(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of the without-replacement loss."""
+    return _wor_inverse(spec.sigma, spec.q, s)[0]
+
+
+@_pointwise
+def pld_density_without_replacement(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
     """Privacy loss density for sampling without replacement.
 
     The loss is odd, so this density serves both directions and satisfies
     omega(s) = exp(s) * omega(-s).
     """
-    arr, scalar = _split_scalar(s)
-    sigma, q = spec.sigma, spec.q
-    t = sigma * sigma * np.log(_wor_positive_root(sigma, q, arr))
-    out = _mixture_pdf(t, sigma, q) * _wor_inverse_derivative(sigma, q, arr)
-    return _pack_scalar(out, scalar)
+    t, slope = _wor_inverse(spec.sigma, spec.q, s)
+    return _mixture_pdf(t, spec.sigma, spec.q) * slope
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +472,10 @@ def _wr_kernel(spec: MechanismSpec, t: np.ndarray):
     return loss, slope, lse_up, lse_down
 
 
-def loss_with_replacement(spec: MechanismSpec, t):
+@_pointwise
+def loss_with_replacement(spec: MechanismSpec, t: np.ndarray) -> np.ndarray:
     """Privacy loss for sampling with replacement, via a max-shifted log-sum-exp."""
-    arr, scalar = _split_scalar(t)
-    out = _wr_kernel(spec, arr.ravel())[0].reshape(arr.shape)
-    return _pack_scalar(out, scalar)
+    return _wr_kernel(spec, t)[0]
 
 
 def _wr_loss_table(spec: MechanismSpec, reach: float):
@@ -583,7 +588,8 @@ def _wr_newton(spec: MechanismSpec, s: np.ndarray, table: tuple[np.ndarray, ...]
     return t, slope, lse_up, lse_down
 
 
-def loss_inverse_with_replacement(spec: MechanismSpec, s):
+@_pointwise
+def loss_inverse_with_replacement(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
     """Numerical inverse of the with-replacement loss.
 
     The loss is strictly increasing and odd with image all of R, so each
@@ -594,13 +600,12 @@ def loss_inverse_with_replacement(spec: MechanismSpec, s):
     the points not yet converged only. Raises RootFindingError for a
     non-finite s or if the tolerance is not met within the iteration cap.
     """
-    arr, scalar = _split_scalar(s)
-    s = arr.ravel()
     reach, t = _wr_solve(spec, s)[:2]
-    return _pack_scalar(_wr_mirror(s, reach, t, -t).reshape(arr.shape), scalar)
+    return _wr_mirror(s, reach, t, -t)
 
 
-def pld_density_with_replacement(spec: MechanismSpec, s):
+@_pointwise
+def pld_density_with_replacement(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
     """Privacy loss density for sampling with replacement.
 
     omega(s) = f_X(t) / loss'(t) at t = loss_inverse(s), where
@@ -608,8 +613,6 @@ def pld_density_with_replacement(spec: MechanismSpec, s):
     the log-sum-exp of the root finder's last kernel evaluation, and
     lse_down in place of lse_up gives f_X(-t).
     """
-    arr, scalar = _split_scalar(s)
-    s = arr.ravel()
     reach, t, slope, lse_up, lse_down = _wr_solve(spec, s)
     two_var = 2.0 * spec.sigma * spec.sigma
     square = np.multiply(t, t, out=t)
@@ -620,5 +623,4 @@ def pld_density_with_replacement(spec: MechanismSpec, s):
         omega -= 0.5 * math.log(math.pi * two_var)
         np.exp(omega, out=omega)
         omega /= slope
-    out = _wr_mirror(s, reach, lse_up, lse_down)
-    return _pack_scalar(out.reshape(arr.shape), scalar)
+    return _wr_mirror(s, reach, lse_up, lse_down)

@@ -27,26 +27,24 @@ _BISECTION_TOL = 1e-9
 _BISECTION_MAX_ITER = 200
 
 
-def direct_dft(values: np.ndarray) -> np.ndarray:
-    """Discrete Fourier transform by the defining O(n^2) summation."""
+def _direct_sum(values, unit: complex) -> np.ndarray:
+    """out[k] = sum_j values[j] exp(unit pi j k / n), by the O(n^2) summation."""
     values = np.asarray(values, dtype=complex)
     n = values.size
     if n > _MAX_DIRECT_SIZE:
         raise DomainError(f"direct DFT is limited to n <= {_MAX_DIRECT_SIZE}, got {n}")
     indices = np.arange(n)
-    kernel = np.exp(-2j * math.pi / n * np.outer(indices, indices))
-    return kernel @ values
+    return np.exp(unit * math.pi / n * np.outer(indices, indices)) @ values
+
+
+def direct_dft(values: np.ndarray) -> np.ndarray:
+    """Discrete Fourier transform by the defining O(n^2) summation."""
+    return _direct_sum(values, -2j)
 
 
 def direct_inverse_dft(values: np.ndarray) -> np.ndarray:
     """Inverse transform by direct summation with the 1/n convention."""
-    values = np.asarray(values, dtype=complex)
-    n = values.size
-    if n > _MAX_DIRECT_SIZE:
-        raise DomainError(f"direct DFT is limited to n <= {_MAX_DIRECT_SIZE}, got {n}")
-    indices = np.arange(n)
-    kernel = np.exp(2j * math.pi / n * np.outer(indices, indices))
-    return kernel @ values / n
+    return _direct_sum(values, 2j) / np.size(values)
 
 
 def _direct_circular(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -206,16 +206,12 @@ def convolve_factors(
     the result (elementwise rounding is not symmetric under operand swaps on
     fused-multiply-add hardware; the mathematical product of course is).
 
-    Raises GridTooSmallError when the grid cuts into a support edge.
+    One Sampler per distinct spec is made first, in the calling thread, so
+    a GridTooSmallError (the grid cuts into a support edge) is raised there
+    before any buffer is allocated.
     """
-    # Samplers made here, in list order, are the ones the ordering needs;
-    # a factor that is alone in its list gets its sampler, and with it any
-    # GridTooSmallError, in the thread that builds its spectrum.
-    samplers = {
-        spec: Sampler(spec, grid)
-        for factors in factor_lists if len(factors) > 1
-        for spec, _count in factors
-    }
+    specs = dict.fromkeys(spec for factors in factor_lists for spec, _count in factors)
+    samplers = {spec: Sampler(spec, grid) for spec in specs}
     order = functools.cmp_to_key(lambda a, b: samplers[a[0]].compare(samplers[b[0]]))
     ordered = [sorted(factors, key=order) for factors in factor_lists]
     uses = Counter(factor for factors in ordered for factor in factors)
@@ -238,8 +234,7 @@ def convolve_factors(
 
     def build(factor: tuple[MechanismSpec, int]) -> np.ndarray:
         spec, count = factor
-        sampler = samplers.get(spec) or Sampler(spec, grid)
-        return _factor_spectrum(buffers.pop(factor), sampler.block, grid.dx, count)
+        return _factor_spectrum(buffers.pop(factor), samplers[spec].block, grid.dx, count)
 
     spectra = dict(zip(uses, _map(build, list(uses))))
     samplers.clear()

@@ -6,6 +6,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -350,6 +353,50 @@ class TestConvergeSubcommand:
         assert rows[1]["tail_estimate"] < rows[0]["tail_estimate"]
 
 
+class TestRowsAreTheirOwnCommands:
+    """Each row of a k sweep or a convergence table equals, bit for bit, the
+    delta command that sets that row's flag; the later flag wins."""
+
+    def delta_report(self, capsys, *flags):
+        code, out, _ = run_cli(["delta", *BASE, *flags], capsys)
+        assert code == 0
+        return json.loads(out)
+
+    def test_k_sweep(self, capsys):
+        argv = ["sweep", *BASE, "--over", "k", "--values", "1,3,7", "--eps", "0.5"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        for row in json.loads(out):
+            report = self.delta_report(capsys, "--k", str(row["k"]), "--eps", "0.5")
+            assert (row["value"], row["warnings"]) == (report["value"], report["warnings"])
+
+    def test_converge_over_n(self, capsys):
+        argv = ["converge", *BASE, "--over", "n", "--start", "2048", "--doublings", "2",
+                "--eps", "1.0"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["n"] for r in rows] == [2048, 4096, 8192]
+        for row in rows:
+            i_n = self.delta_report(capsys, "--n", str(row["n"]), "--eps", "1.0")["value"]
+            i_2n = self.delta_report(capsys, "--n", str(2 * row["n"]), "--eps", "1.0")["value"]
+            assert row["value"] == i_n
+            assert row["err"] == 2.0 * abs(i_n - i_2n)
+
+    def test_converge_over_half_width(self, capsys):
+        argv = ["converge", *BASE, "--over", "L", "--start", "3", "--doublings", "2",
+                "--eps", "1.0"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["L"] for r in rows] == [3.0, 6.0, 12.0]
+        for row in rows:
+            report = self.delta_report(capsys, "--L", repr(row["L"]), "--eps", "1.0")
+            assert (row["value"], row["tail_estimate"]) == (
+                report["value"], report["tail_estimate"]
+            )
+
+
 class TestDirectionFlag:
     """--direction restricts every subcommand, error estimates included."""
 
@@ -514,10 +561,11 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_grid_too_small_in_both_workers_is_three(self, capsys, monkeypatch):
-        # log(1 - q) = -11.5 lies outside [-10, 10) in both directions, so
-        # both factor builds fail; the report names the x-over-y edge first.
-        failed = []
+    def test_grid_too_small_is_three_from_the_calling_thread(self, capsys, monkeypatch):
+        # log(1 - q) = -11.5 lies outside [-10, 10) in both directions. The
+        # samplers are made in the calling thread before any factor builds,
+        # so the x-over-y one fails there first and nothing is transformed.
+        failed, built = [], []
 
         class Recorded(spectral.Sampler):
             def __init__(self, spec, grid):
@@ -528,15 +576,116 @@ class TestExitCodes:
                     raise
 
         monkeypatch.setattr(spectral, "Sampler", Recorded)
+        monkeypatch.setattr(spectral, "_factor_spectrum", lambda *args: built.append(args))
         flags = ["--sigma", "1.5", "--q", "0.99999", "--L", "10", "--n", "4096", "--k", "10"]
         code, out, err = run_cli(["delta", *flags, "--eps", "1.0"], capsys)
         assert code == 3 and out == ""
         with pytest.raises(GridTooSmallError) as expected:
             discretize(MechanismSpec(sigma=1.5, q=0.99999), Grid(half_width=10.0, size=4096))
         assert err == f"error: {expected.value}\n"
-        if spectral._usable_cpus() > 1:
-            assert {direction for direction, _thread in failed} == set(Direction)
-            assert threading.main_thread().name not in {thread for _d, thread in failed}
+        assert failed == [(Direction.X_OVER_Y, threading.current_thread().name)]
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["sweep", "--over", "k", "--values", "1,2", "--eps", "1", "--k", "0"], 3),
+            (["converge", "--over", "n", "--start", "2048", "--doublings", "1", "--eps", "1",
+              "--n", "3"], 2),
+            (["converge", "--over", "n", "--start", "2047", "--doublings", "1", "--eps", "1"], 2),
+            (["converge", "--over", "L", "--start", "6", "--doublings", "1", "--eps", "1",
+              "--L", "800"], 3),
+        ],
+        ids=["sweep-k-zero", "converge-odd-n", "converge-odd-start", "converge-wide-L"],
+    )
+    def test_flags_a_row_overrides_are_still_checked(self, capsys, argv, code):
+        flags = ["--sigma", "1.5", "--q", "0.01", "--L", "12", "--n", "4096"]
+        try:
+            got, out, err = run_cli([*argv[:1], *flags, *argv[1:]], capsys)
+        except SystemExit as exc:
+            got, out, err = exc.code, "", capsys.readouterr().err
+        assert (got, out) == (code, "")
+        assert err.count("error: ") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["delta", "--n", "1" + "0" * 30, "--eps", "1"],
+            ["converge", "--over", "n", "--start", "1e300", "--doublings", "1", "--eps", "1"],
+            ["converge", "--over", "n", "--start", "4096", "--doublings", "2000", "--eps", "1"],
+        ],
+        ids=["delta-n", "converge-start", "converge-doublings"],
+    )
+    def test_unaddressable_grid_is_three_before_any_pipeline(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("dpconv.cli.delta_of_epsilon", pytest.fail)
+        flags = ["--sigma", "1.5", "--q", "0.01", "--L", "12"]
+        code, out, err = run_cli([*argv[:1], *flags, *argv[1:]], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: size ") and err.count("\n") == 1
+
+    def test_sweep_count_above_its_bound_is_two(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert "2 to 1000000" in " ".join(capsys.readouterr().out.split())
+        argv = ["sweep", *BASE, "--over", "eps", "--start", "0", "--stop", "1", "--count"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "1000001"])
+        assert excinfo.value.code == 2
+        assert "--count must be from 2 to 1000000, got 1000001" in capsys.readouterr().err
+
+    def test_without_replacement_beyond_s_355_is_finite(self, capsys):
+        argv = ["delta", "--scheme", "without-replacement", "--sigma", "1", "--q", "0.5",
+                "--L", "400", "--n", "4096", "--eps", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        value = json.loads(out)["value"]
+        assert isinstance(value, float) and 0.0 < value < 1.0
+
+    def test_without_replacement_at_tiny_sigma_ends_in_one_error_line(self, capsys):
+        # c = q exp(-1/(2 sigma^2)) is 0: the density is a point mass at s = 0.
+        argv = ["delta", "--scheme", "without-replacement", "--sigma", "1e-3", "--q", "0.5",
+                "--L", "12", "--n", "4096", "--eps", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code in (0, 3)
+        if code == 3:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "raised, message",
+        [(MemoryError("Unable to allocate 256. GiB"), "Unable to allocate 256. GiB"),
+         (MemoryError(), "out of memory")],
+    )
+    def test_memory_error_is_three(self, capsys, monkeypatch, raised, message):
+        def exhaust(query):
+            raise raised
+
+        monkeypatch.setattr("dpconv.cli.delta_of_epsilon", exhaust)
+        code, out, err = run_cli(["delta", *BASE, "--eps", "1"], capsys)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_huge_sizes_under_an_address_space_limit(self):
+        # In a child process capped at 3 GiB of address space: a 256 GiB
+        # buffer, and a sweep count that once filled memory with epsilons.
+        script = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+            "from dpconv.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        flags = ["--sigma", "1.5", "--q", "0.01", "--L", "12"]
+        cases = [
+            (["delta", *flags, "--n", str(2 ** 34), "--eps", "1"], 3),
+            (["sweep", *flags, "--n", "4096", "--over", "eps", "--start", "0", "--stop", "1",
+              "--count", "1" + "0" * 20], 2),
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        for argv, code in cases:
+            child = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-c", script, *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert child.returncode == code, child.stderr
+            assert child.stdout == "" and child.stderr.count("error: ") == 1
+            assert "Traceback" not in child.stderr
 
     def test_residue_error_from_workers_is_three(self, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "_IMAG_RESIDUE_TOL", -1.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +196,45 @@ class TestWithoutReplacement:
 
     def test_normalisation(self):
         assert quadrature_mass(WOR, 15.0, 10 ** 6) == pytest.approx(1.0, abs=1e-8)
+
+
+class TestWithoutReplacementFarTail:
+    """Where the quadratic root overflows (|s| beyond about 355) or c =
+    q exp(-1/(2 sigma^2)) underflows, the closed form in logs takes over."""
+
+    FAR = MechanismSpec(sigma=1.0, scheme=Scheme.WITHOUT_REPLACEMENT, q=0.5)
+
+    def test_no_sample_is_non_finite(self):
+        samples = discretize(self.FAR, Grid(half_width=360.0, size=4096)).samples
+        assert np.all(np.isfinite(samples))
+
+    def test_only_points_where_the_root_is_not_finite_take_the_log_form(self, monkeypatch):
+        seen = []
+        far = dpconv.mechanisms._wor_inverse_far
+        monkeypatch.setattr(
+            dpconv.mechanisms, "_wor_inverse_far", lambda *args: seen.append(args[2]) or far(*args)
+        )
+        s = Grid(half_width=360.0, size=4096).points()
+        pld_density_without_replacement(self.FAR, s)
+        (points,) = seen
+        assert points.size == 27 and np.all(points > 355.0)
+
+    @pytest.mark.parametrize(
+        "sigma, q, s",
+        [(1.0, 0.5, 360.0), (1.0, 0.5, 700.0), (0.02, 0.5, 650.0), (0.02, 0.5, -3.0),
+         (1e-3, 0.5, 1.0), (1e-3, 1.0, -2.0)],
+    )
+    def test_log_form_matches_high_precision(self, sigma, q, s):
+        with mpmath.workdps(60):
+            sig, qq, ss = mpmath.mpf(sigma), mpmath.mpf(q), mpmath.mpf(s)
+            k = qq * mpmath.exp(-1 / (2 * sig ** 2)) / (1 - qq) if q < 1 else mpmath.inf
+            t = sig ** 2 * (ss / 2 + (mpmath.asinh(mpmath.sinh(ss / 2) / k) if q < 1 else 0))
+            slope = sig ** 2 / 2 * (1 + mpmath.cosh(ss / 2) / mpmath.sqrt(
+                mpmath.sinh(ss / 2) ** 2 + (k ** 2 if q < 1 else mpmath.inf)
+            ))
+        got_t, got_slope = dpconv.mechanisms._wor_inverse_far(sigma, q, np.array([s]))
+        assert got_t[0] == pytest.approx(float(t), rel=1e-14)
+        assert got_slope[0] == pytest.approx(float(slope), rel=1e-14)
 
 
 class TestWithReplacement:
@@ -416,3 +456,31 @@ def test_density_calls_the_formula_the_module_holds_now(monkeypatch):
     )
     POISSON.density(np.array([0.1, 0.2]))
     assert calls == [POISSON]
+
+
+FORMULAS = [
+    (pld_density_poisson, POISSON, np.linspace(-0.5, 6.0, 4)),
+    (loss_poisson, POISSON, np.linspace(-3.0, 3.0, 4)),
+    (loss_inverse_poisson, POISSON, np.linspace(-0.005, 6.0, 4)),
+    (pld_density_without_replacement, WOR, np.linspace(-6.0, 6.0, 4)),
+    (loss_without_replacement, WOR, np.linspace(-3.0, 3.0, 4)),
+    (loss_inverse_without_replacement, WOR, np.linspace(-6.0, 6.0, 4)),
+    (pld_density_with_replacement, WR, np.linspace(-6.0, 6.0, 4)),
+    (loss_with_replacement, WR, np.linspace(-3.0, 3.0, 4)),
+    (loss_inverse_with_replacement, WR, np.linspace(-6.0, 6.0, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "formula, spec, points", FORMULAS, ids=[formula.__name__ for formula, *_ in FORMULAS]
+)
+def test_formulas_take_scalars_and_arrays_of_any_shape(formula, spec, points):
+    flat = formula(spec, points)
+    assert isinstance(flat, np.ndarray) and flat.shape == (4,)
+    square = formula(spec, points.reshape(2, 2))
+    assert square.shape == (2, 2) and np.array_equal(square.ravel(), flat)
+    scalars = [formula(spec, float(x)) for x in points]
+    assert all(type(value) is float for value in scalars)
+    assert formula(spec, [float(x) for x in points]).tolist() == flat.tolist()
+    assert formula.__module__ == "dpconv.mechanisms"
+    assert getattr(dpconv.mechanisms, formula.__name__) is formula

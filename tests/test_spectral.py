@@ -323,6 +323,31 @@ class TestWorkerThreads:
             stages = ("_factor_spectrum", "_inverse")
             assert first == sorted((stage, thread) for stage in stages for thread in threads)
 
+    def test_one_sampler_per_distinct_spec_before_any_buffer(self, monkeypatch):
+        events = []
+
+        class Recorded(spectral.Sampler):
+            def __init__(self, spec, grid):
+                events.append(("sampler", spec, threading.current_thread().name))
+                super().__init__(spec, grid)
+
+        zeros = np.zeros
+        monkeypatch.setattr(spectral, "Sampler", Recorded)
+        monkeypatch.setattr(
+            spectral.np, "zeros", lambda *args, **kw: events.append(("buffer",)) or zeros(*args, **kw)
+        )
+        query = CompositionQuery(
+            specs=(SPEC, WOR), counts=(5, 5), grid=Grid(half_width=12.0, size=2 ** 12)
+        )
+        convolutions(query)
+        monkeypatch.undo()
+        made = [event[1:] for event in events if event[0] == "sampler"]
+        main = threading.current_thread().name
+        # The without-replacement factor serves both directions.
+        oriented = [SPEC, WOR, SPEC.with_direction(Direction.Y_OVER_X)]
+        assert made == [(spec, main) for spec in oriented]
+        assert events[3:] and all(event == ("buffer",) for event in events[3:])
+
     def test_item_i_of_every_wave_runs_on_slot_i(self, monkeypatch):
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
 
