@@ -199,10 +199,12 @@ def _build_result(
     kind: str,
     epsilon: float,
     per_direction: list[tuple[str, float, int, str | None]],
+    tail: error_bounds.BoundResult,
 ) -> DeltaResult:
+    """The result at one epsilon; tail is error_bounds.tail_estimate(query),
+    which does not depend on epsilon."""
     best = max(per_direction, key=lambda item: item[1])
     warnings = tuple(sorted({w for *_rest, w in per_direction if w is not None}))
-    tail = error_bounds.tail_estimate(query)
     return DeltaResult(
         value=best[1] if kind == "delta" else epsilon,
         kind=kind,
@@ -240,8 +242,10 @@ def delta_of_epsilons(query: CompositionQuery, epsilons) -> tuple[DeltaResult, .
         [(direction.value, *conv.delta(eps)) for eps in epsilons]
         for direction, conv in convolutions(query)
     ]
+    tail = error_bounds.tail_estimate(query)
     return tuple(
-        _build_result(query, "delta", eps, list(row)) for eps, row in zip(epsilons, zip(*columns))
+        _build_result(query, "delta", eps, list(row), tail)
+        for eps, row in zip(epsilons, zip(*columns))
     )
 
 
@@ -285,4 +289,4 @@ def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
             f"{eps:.6g} (delta there {achieved:.6g}); enlarge the truncation radius or "
             "raise the tolerance"
         )
-    return _build_result(query, "epsilon", eps, per_direction)
+    return _build_result(query, "epsilon", eps, per_direction, error_bounds.tail_estimate(query))

@@ -168,10 +168,11 @@ class Sampler:
     over the whole grid, kept, and sliced; every block is then the same
     slice of discretize's samples bit for bit.
 
-    Raises GridTooSmallError if the density has a finite support edge at or
-    outside the grid boundary, since then the grid cannot see where the
-    density actually lives. Densities supported on all of R merely lose
-    tail mass, which the periodisation bound accounts for.
+    Making a Sampler evaluates no density. It raises GridTooSmallError if
+    the density has a finite support edge at or outside the grid boundary,
+    since then the grid cannot see where the density actually lives.
+    Densities supported on all of R merely lose tail mass, which the
+    periodisation bound accounts for.
     """
 
     def __init__(self, spec: MechanismSpec, grid: Grid) -> None:
@@ -187,19 +188,6 @@ class Sampler:
                 self._whole = np.asarray(density(self.grid.points()), dtype=float)
             return self._whole[block]
         return np.asarray(density(self.grid.points(block.start, block.stop)), dtype=float)
-
-    def compare(self, other: "Sampler") -> int:
-        """-1, 0 or 1 as this density's samples.tobytes() sorts before, equal
-        to or after other's on the same grid.
-
-        Blocks are evaluated from the left edge and the first differing one
-        decides, so neither full sample array is built.
-        """
-        for block in blocks(self.grid.size):
-            mine, theirs = self.block(block).tobytes(), other.block(block).tobytes()
-            if mine != theirs:
-                return -1 if mine < theirs else 1
-        return 0
 
 
 def _check_support(spec: MechanismSpec, grid: Grid) -> None:

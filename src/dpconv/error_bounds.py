@@ -245,7 +245,7 @@ def periodisation_bound(sigma: float, q: float, k: int, half_width: float) -> Bo
 
 
 def discretization_estimate(
-    query, value: float | None = None, refined: float | None = None, relative: bool = False
+    query, value: float | None = None, refined: float | None = None
 ) -> float:
     """First-order discretisation error estimate 2 |I_n - I_2n|.
 
@@ -253,9 +253,7 @@ def discretization_estimate(
     factor 2 turns the difference of two first-order approximations into an
     estimate of the error of the coarser one. value and refined, when given,
     are taken as the already computed I_n and I_2n; each one missing costs a
-    full pipeline run, I_2n on the doubled grid. relative=True divides by
-    I_n, the form reference tables tend to quote in their pre-asymptotic
-    rows.
+    full pipeline run, I_2n on the doubled grid.
     """
     from .accountant import delta_of_epsilon
 
@@ -264,7 +262,4 @@ def discretization_estimate(
     base = delta_of_epsilon(query).value if value is None else value
     if refined is None:
         refined = delta_of_epsilon(dataclasses.replace(query, grid=query.grid.refine())).value
-    estimate = 2.0 * abs(base - refined)
-    if relative:
-        return estimate / base if base > 0.0 else (math.inf if estimate > 0.0 else 0.0)
-    return estimate
+    return 2.0 * abs(base - refined)

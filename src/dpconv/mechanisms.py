@@ -220,9 +220,29 @@ def loss_poisson(spec: MechanismSpec, t: np.ndarray) -> np.ndarray:
     return np.logaddexp(math.log(q) + a, math.log1p(-q))
 
 
+def _poisson_inverse(sigma: float, q: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The loss inverse t = sigma^2 log((exp(s) - (1-q))/q) + 1/2 at each s,
+    and its slope dt/ds = sigma^2 exp(s) / (exp(s) - (1-q)).
+
+    exp(s) - (1-q) is taken as expm1(s) + q, which keeps precision near the
+    support edge log(1-q); where it is not positive, t is -inf and the slope 0.
+    """
+    u = np.expm1(s) + q
+    ok = u > 0.0
+    t = np.full_like(s, -np.inf)
+    np.log(u, out=t, where=ok)
+    t = sigma * sigma * (t - math.log(q)) + 0.5
+    slope = np.zeros_like(s)
+    np.divide(np.exp(s), u, out=slope, where=ok)
+    slope *= sigma * sigma
+    return t, slope
+
+
 @_pointwise
+@np.errstate(invalid="ignore")  # the slope at s = inf, inf / inf, is not used
 def loss_inverse_poisson(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
-    """Inverse of the Poisson loss, sigma^2 log((exp(s) - (1-q))/q) + 1/2.
+    """Inverse of the Poisson loss, by _poisson_inverse; at q = 1 it is
+    sigma^2 s + 1/2, as expm1(s) + 1 loses digits for s below 0.
 
     Raises DomainError if any point lies at or below the support edge
     log(1-q), where the inverse is undefined.
@@ -230,32 +250,19 @@ def loss_inverse_poisson(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
     sigma, q = spec.sigma, spec.q
     if q == 1.0:
         return sigma * sigma * s + 0.5
-    # exp(s) - (1 - q) via expm1 keeps precision near the support edge.
-    u = np.expm1(s) + q
-    if np.any(u <= 0.0) or np.any(s <= math.log1p(-q)):
+    t = _poisson_inverse(sigma, q, s)[0]
+    if np.any(t == -np.inf) or np.any(s <= math.log1p(-q)):
         raise DomainError(
             f"loss inverse undefined at or below the support edge log(1-q) = {math.log1p(-q):.6g}"
         )
-    return sigma * sigma * (np.log(u) - math.log(q)) + 0.5
+    return t
 
 
 def _poisson_density_xy(sigma: float, q: float, arr: np.ndarray) -> np.ndarray:
     out = np.zeros_like(arr)
-    if q == 1.0:
-        inside = np.ones_like(arr, dtype=bool)
-    else:
-        inside = arr > math.log1p(-q)
-    sm = arr[inside]
-    u = np.expm1(sm) + q
-    ok = u > 0.0
-    t = np.full_like(sm, -np.inf)
-    np.log(u, out=t, where=ok)
-    t = sigma * sigma * (t - math.log(q)) + 0.5
-    deriv = np.zeros_like(sm)
-    np.divide(np.exp(sm), u, out=deriv, where=ok)
-    deriv *= sigma * sigma
-    vals = _mixture_pdf(t, sigma, q) * deriv
-    out[inside] = np.where(ok, vals, 0.0)
+    inside = arr > math.log1p(-q) if q < 1.0 else np.ones_like(arr, dtype=bool)
+    t, slope = _poisson_inverse(sigma, q, arr[inside])
+    out[inside] = _mixture_pdf(t, sigma, q) * slope
     return out
 
 

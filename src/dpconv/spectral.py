@@ -30,7 +30,6 @@ values bit for bit and keep their plans between calls.
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import os
 import threading
@@ -202,18 +201,19 @@ def convolve_factors(
     both likelihood-ratio directions) is shared, read-only. Factors build
     concurrently; then each list's product is formed, and the inverse
     transforms run concurrently. Within a list the spectra multiply in the
-    order of their samples' bytes, so the order of the list does not change
-    the result (elementwise rounding is not symmetric under operand swaps on
-    fused-multiply-add hardware; the mathematical product of course is).
+    order of the factors' reprs, a total order on (spec, count), so the
+    order of the list does not change the result (elementwise rounding is
+    not symmetric under operand swaps on fused-multiply-add hardware; the
+    mathematical product of course is).
 
-    One Sampler per distinct spec is made first, in the calling thread, so
-    a GridTooSmallError (the grid cuts into a support edge) is raised there
-    before any buffer is allocated.
+    One Sampler per distinct spec is made first, in the calling thread. It
+    only checks the support, so a GridTooSmallError (the grid cuts into a
+    support edge) is raised there before any buffer is allocated; every
+    density is evaluated in its factor's build.
     """
     specs = dict.fromkeys(spec for factors in factor_lists for spec, _count in factors)
     samplers = {spec: Sampler(spec, grid) for spec in specs}
-    order = functools.cmp_to_key(lambda a, b: samplers[a[0]].compare(samplers[b[0]]))
-    ordered = [sorted(factors, key=order) for factors in factor_lists]
+    ordered = [sorted(factors, key=repr) for factors in factor_lists]
     uses = Counter(factor for factors in ordered for factor in factors)
 
     # The full-size arrays are allocated here, in the calling thread. What a

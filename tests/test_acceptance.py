@@ -205,12 +205,12 @@ def test_acceptance_3_err_column(size_sweep):
             failures.append(f"n={size}: reference digits fit no single convention")
             continue
         relative, derived = conventions[size]
+        base = values[size]
         estimate = discretization_estimate(
-            reference_query(size),
-            value=values[size],
-            refined=values.get(2 * size),
-            relative=relative,
+            reference_query(size), value=base, refined=values.get(2 * size)
         )
+        if relative:
+            estimate = estimate / base if base > 0.0 else (math.inf if estimate > 0.0 else 0.0)
         ratio = estimate / reference
         form = ("relative" if relative else "absolute") + ("" if derived else ", assumed")
         row_results.append(f"n={size}: {form} {estimate:.2e} ratio {ratio:.3f}")

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import dpconv.error_bounds
 from dpconv import (
     CompositionQuery,
     Direction,
@@ -20,6 +21,7 @@ from dpconv import (
     delta_of_epsilon,
     delta_of_epsilons,
     epsilon_of_delta,
+    tail_estimate,
 )
 from dpconv.accountant import convolutions
 from dpconv.discretization import _EMPTY_SUM_WARNING, _OVER_UNITY_WARNING
@@ -184,6 +186,21 @@ class TestDeltaOfEpsilons:
             assert row.ell_eps == single.ell_eps
             assert row.warnings == single.warnings
         assert _EMPTY_SUM_WARNING in rows[-1].warnings
+
+    def test_tail_estimate_runs_once_per_call(self, monkeypatch):
+        q = query(k=500)
+        want = tail_estimate(q)
+        calls = []
+        monkeypatch.setattr(
+            dpconv.error_bounds, "tail_estimate", lambda arg: calls.append(arg) or want
+        )
+        rows = delta_of_epsilons(q, np.linspace(0.0, 5.0, 1000))
+        assert calls == [q]
+        assert {(row.tail_estimate, row.tail_estimate_valid) for row in rows} == {
+            (want.value, want.valid)
+        }
+        epsilon_of_delta(dataclasses.replace(q, delta=1e-3))
+        assert len(calls) == 2
 
     def test_tail_sum_at_and_next_to_grid_points_matches_full_grid(self):
         # The sum builds only the points from ell_eps on; the full grid and

@@ -15,7 +15,7 @@ from dpconv import (
     Scheme,
     discretize,
 )
-from dpconv.discretization import Sampler, half_swap
+from dpconv.discretization import half_swap
 from dpconv.mechanisms import pld_density_poisson
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
@@ -154,12 +154,3 @@ class TestBlockedSampling:
         grid = Grid(half_width=12.0, size=size)
         whole = spec.density(grid.points())
         assert np.array_equal(discretize(spec, grid).samples, whole)
-
-    def test_compare_is_the_byte_order_of_the_samples(self):
-        grid = Grid(half_width=12.0, size=2 ** 14 + 2)
-        specs = [*BLOCKED_SPECS, MechanismSpec(sigma=2.0, q=0.02), SPEC]
-        samplers = [(Sampler(spec, grid), discretize(spec, grid).samples) for spec in specs]
-        for a, x in samplers:
-            for b, y in samplers:
-                want = (x.tobytes() > y.tobytes()) - (x.tobytes() < y.tobytes())
-                assert a.compare(b) == want

@@ -244,14 +244,18 @@ class TestDiscretizationEstimate:
         )
 
     def test_relative_form(self):
+        # The relative form reference tables quote, 2 |I_n - I_2n| / I_n,
+        # is the estimate divided by I_n, which the caller has at hand.
         spec = MechanismSpec(sigma=1.5, q=0.01)
         grid = Grid(half_width=12.0, size=4096)
         query = CompositionQuery.homogeneous(spec, 8, grid, epsilon=1.0)
-        absolute = discretization_estimate(query)
         base = delta_of_epsilon(query).value
-        assert discretization_estimate(query, relative=True) == pytest.approx(
-            absolute / base, rel=1e-12
-        )
+        fine = delta_of_epsilon(
+            CompositionQuery.homogeneous(spec, 8, grid.refine(), epsilon=1.0)
+        ).value
+        estimate = discretization_estimate(query, value=base)
+        relative = estimate / base if base > 0.0 else (math.inf if estimate > 0.0 else 0.0)
+        assert relative == pytest.approx(2.0 * abs(base - fine) / base, rel=1e-12)
 
     def test_shrinks_with_refinement(self):
         spec = MechanismSpec(sigma=1.5, q=0.01)
@@ -278,6 +282,3 @@ class TestDiscretizationEstimate:
 
         monkeypatch.setattr("dpconv.accountant.delta_of_epsilon", refuse)
         assert discretization_estimate(query, value=coarse, refined=fine) == computed
-        assert discretization_estimate(
-            query, value=coarse, refined=fine, relative=True
-        ) == computed / coarse

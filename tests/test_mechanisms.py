@@ -116,6 +116,10 @@ class TestPoissonLossInverse:
     def test_degenerate_q_one_is_affine(self):
         spec = MechanismSpec(sigma=1.5, q=1.0)
         assert loss_inverse_poisson(spec, 2.0) == pytest.approx(5.0, abs=1e-12)
+        # Also far below 0, where expm1(s) + 1 has lost its digits (it
+        # rounds to 0 below s of about -37).
+        s = np.array([-40.0, -30.0, -1.0])
+        assert np.array_equal(loss_inverse_poisson(spec, s), 2.25 * s + 0.5)
 
     def test_forward_evaluation_round_trip(self):
         t = loss_inverse_poisson(POISSON, 1.0)
@@ -130,6 +134,15 @@ class TestPoissonLossInverse:
             loss_inverse_poisson(POISSON, edge)
         with pytest.raises(DomainError):
             loss_inverse_poisson(POISSON, edge - 0.5)
+        with pytest.raises(DomainError):
+            loss_inverse_poisson(POISSON, math.nan)
+
+    def test_density_is_built_on_the_same_inverse(self):
+        s = np.linspace(math.log(0.99) + 1e-6, 10.0, 501)
+        t = loss_inverse_poisson(POISSON, s)
+        slope = np.exp(s) / (np.expm1(s) + 0.01) * (1.5 * 1.5)
+        want = dpconv.mechanisms._mixture_pdf(t, 1.5, 0.01) * slope
+        assert np.array_equal(pld_density_poisson(POISSON, s), want)
 
     @given(st.floats(min_value=-4.0, max_value=8.0))
     @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
 import sys
@@ -221,7 +222,7 @@ def referenceconvolutions(query):
 
     Every factor is sampled over the full grid in one call, transformed by
     numpy as a real array and powered by squaring; the spectra multiply in
-    the order of their samples' bytes, starting from ones.
+    the order of the (spec, count) factors' reprs, starting from ones.
     """
     grid = query.grid
     convolutions = []
@@ -231,9 +232,9 @@ def referenceconvolutions(query):
             if spec.scheme is Scheme.POISSON:
                 spec = spec.with_direction(direction)
             groups[spec] = groups.get(spec, 0) + count
-        factors = [(spec.density(grid.points()), count) for spec, count in groups.items()]
         spectrum = np.ones(grid.size, dtype=complex)
-        for samples, count in sorted(factors, key=lambda item: item[0].tobytes()):
+        for spec, count in sorted(groups.items(), key=repr):
+            samples = spec.density(grid.points())
             spectrum *= power_by_squaring(np.fft.fft(half_swap(samples) * grid.dx), count)
         raw = half_swap(np.fft.ifft(spectrum)).real / grid.dx
         convolutions.append(np.maximum(raw, 0.0))
@@ -249,7 +250,7 @@ PIPELINE_CASES = {
     "poisson-2^15+6": ((SPEC,), (10_000,), Grid(half_width=12.0, size=2 ** 15 + 6)),
     # The without-replacement factor is shared by both directions.
     "poisson+wor": ((SPEC, WOR), (50, 50), Grid(half_width=12.0, size=2 ** 15 + 6)),
-    # Four Poisson factors, two per direction, put in byte order.
+    # Four Poisson factors, two per direction, put in repr order.
     "poisson+poisson": (
         (SPEC, MechanismSpec(sigma=2.0, q=0.02)), (60, 40), Grid(half_width=12.0, size=2 ** 14 + 2)
     ),
@@ -272,12 +273,20 @@ def test_pipeline_matches_direct_formula_bitwise(case):
 
 
 def test_factor_order_does_not_change_the_product():
-    grid = Grid(half_width=12.0, size=2 ** 14 + 2)
+    # Every order of two Poisson factors, and of one factor of each scheme.
     other = MechanismSpec(sigma=2.0, q=0.02)
-    forward_order = convolutions(CompositionQuery(specs=(SPEC, other), counts=(6, 4), grid=grid))
-    backward = convolutions(CompositionQuery(specs=(other, SPEC), counts=(4, 6), grid=grid))
-    for (_d, a), (_e, b) in zip(forward_order, backward):
-        assert np.array_equal(a.samples, b.samples)
+    cases = [
+        ([(SPEC, 6), (other, 4)], Grid(half_width=12.0, size=2 ** 14 + 2)),
+        ([(SPEC, 30), (WOR, 20), (WR, 10)], Grid(half_width=12.0, size=2 ** 12)),
+    ]
+    for factors, grid in cases:
+        results = []
+        for order in itertools.permutations(factors):
+            specs, counts = zip(*order)
+            got = convolutions(CompositionQuery(specs=specs, counts=counts, grid=grid))
+            results.append([conv.samples for _direction, conv in got])
+        for result in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(result, results[0]))
 
 
 class TestWorkerThreads:
@@ -347,6 +356,27 @@ class TestWorkerThreads:
         oriented = [SPEC, WOR, SPEC.with_direction(Direction.Y_OVER_X)]
         assert made == [(spec, main) for spec in oriented]
         assert events[3:] and all(event == ("buffer",) for event in events[3:])
+
+    def test_heterogeneous_product_samples_no_density_in_the_caller(self, monkeypatch):
+        # Ordering the factors looks at no sample, so every density,
+        # the with-replacement one too, is sampled in its factor's build.
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        sampled = []
+        block = spectral.Sampler.block
+
+        def recorded(self, part):
+            sampled.append((self.spec, threading.current_thread().name))
+            return block(self, part)
+
+        monkeypatch.setattr(spectral.Sampler, "block", recorded)
+        query = CompositionQuery(
+            specs=(SPEC, WOR, WR), counts=(5, 5, 5), grid=Grid(half_width=12.0, size=2 ** 12)
+        )
+        convolutions(query)
+        monkeypatch.undo()
+        oriented = {SPEC, WOR, WR, SPEC.with_direction(Direction.Y_OVER_X)}
+        assert {spec for spec, _thread in sampled} == oriented
+        assert threading.current_thread().name not in {thread for _spec, thread in sampled}
 
     def test_item_i_of_every_wave_runs_on_slot_i(self, monkeypatch):
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
