@@ -48,12 +48,13 @@ class CompositionQuery:
     """One accounting question: a composition, a grid, and a target.
 
     specs and counts describe the composition: counts[i] invocations of
-    specs[i], convolved together. Exactly one of epsilon (for delta_of_epsilon)
-    or delta (for epsilon_of_delta) should be set. directions restricts the
-    likelihood-ratio directions evaluated; None takes the tight max over both
-    where the relation is asymmetric. newton_tolerance is epsilon_of_delta's
-    bound on |delta(epsilon) - target| at the returned epsilon; a target that
-    close to delta(0) gives epsilon 0.
+    specs[i], convolved together. At most one of epsilon (for
+    delta_of_epsilon) or delta (for epsilon_of_delta) may be set. directions
+    restricts the likelihood-ratio directions evaluated; None takes the
+    tight max over both where the relation is asymmetric. Each spec keeps
+    the default direction and is oriented to every evaluated one.
+    newton_tolerance is epsilon_of_delta's bound on |delta(epsilon) - target|
+    at the returned epsilon; a target that close to delta(0) gives epsilon 0.
     """
 
     specs: tuple[MechanismSpec, ...]
@@ -73,6 +74,13 @@ class CompositionQuery:
             )
         if any(c < 1 for c in self.counts):
             raise DomainError(f"all repetition counts must be >= 1, got {self.counts}")
+        if self.epsilon is not None and self.delta is not None:
+            raise DomainError("a query takes an epsilon target or a delta target, not both")
+        if any(spec.direction is not Direction.X_OVER_Y for spec in self.specs):
+            raise DomainError(
+                "a query's specs must keep the default direction; choose the likelihood-ratio "
+                "directions with directions="
+            )
         if self.epsilon is not None and not self.epsilon >= 0.0:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
@@ -200,11 +208,14 @@ def _build_result(
     epsilon: float,
     per_direction: list[tuple[str, float, int, str | None]],
     tail: error_bounds.BoundResult,
+    convolved: list[tuple[Direction, ConvolvedPld]],
 ) -> DeltaResult:
     """The result at one epsilon; tail is error_bounds.tail_estimate(query),
-    which does not depend on epsilon."""
+    which does not depend on epsilon, and convolved the query's convolutions,
+    whose warnings the result repeats."""
     best = max(per_direction, key=lambda item: item[1])
-    warnings = tuple(sorted({w for *_rest, w in per_direction if w is not None}))
+    warnings = {w for *_rest, w in per_direction if w is not None}
+    warnings |= {w for _direction, conv in convolved for w in conv.warnings}
     return DeltaResult(
         value=best[1] if kind == "delta" else epsilon,
         kind=kind,
@@ -212,7 +223,7 @@ def _build_result(
         delta=best[1],
         ell_eps=best[2],
         per_direction=tuple((name, value) for name, value, _ell, _w in per_direction),
-        warnings=warnings,
+        warnings=tuple(sorted(warnings)),
         query=query,
         tail_estimate=tail.value,
         tail_estimate_valid=tail.valid,
@@ -238,13 +249,13 @@ def delta_of_epsilons(query: CompositionQuery, epsilons) -> tuple[DeltaResult, .
             raise DomainError("delta_of_epsilon needs an epsilon target")
         if not eps >= 0.0:
             raise DomainError(f"epsilon must be >= 0, got {eps}")
+    convolved = convolutions(query)
     columns = [
-        [(direction.value, *conv.delta(eps)) for eps in epsilons]
-        for direction, conv in convolutions(query)
+        [(direction.value, *conv.delta(eps)) for eps in epsilons] for direction, conv in convolved
     ]
     tail = error_bounds.tail_estimate(query)
     return tuple(
-        _build_result(query, "delta", eps, list(row), tail)
+        _build_result(query, "delta", eps, list(row), tail, convolved)
         for eps, row in zip(epsilons, zip(*columns))
     )
 
@@ -289,4 +300,5 @@ def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
             f"{eps:.6g} (delta there {achieved:.6g}); enlarge the truncation radius or "
             "raise the tolerance"
         )
-    return _build_result(query, "epsilon", eps, per_direction, error_bounds.tail_estimate(query))
+    tail = error_bounds.tail_estimate(query)
+    return _build_result(query, "epsilon", eps, per_direction, tail, convolved)

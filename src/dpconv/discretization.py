@@ -109,12 +109,15 @@ class ConvolvedPld:
     are nonnegative; k = 1 is a density sampled by discretize. mass is the
     discrete integral dx * sum(samples): it falls short of one by the
     probability outside [-L, L), and approximates the product of the
-    constituent masses.
+    constituent masses. warnings, set by spectral.convolve_factors, name
+    the factors whose sampled mass exceeded 1, which only a grid that
+    under-resolves a density gives.
     """
 
     grid: Grid
     samples: np.ndarray
     k: int
+    warnings: tuple[str, ...] = ()
 
     @property
     def mass(self) -> float:
@@ -158,39 +161,33 @@ def swapped(block: slice, size: int) -> slice:
     return slice(block.start + shift, block.stop + shift)
 
 
-class Sampler:
-    """Samples of a privacy loss density on a grid, one block at a time.
+def samples(spec: MechanismSpec, grid: Grid):
+    """(block, values) for each slice of blocks(grid.size): the samples of
+    spec's privacy loss density at the grid indices of block.
 
-    block(b) returns the samples at the grid indices of b, a slice from
-    blocks(grid.size), without evaluating the rest of the grid. The
-    with-replacement density is the exception: its loss inverse tabulates
-    the loss out to the largest |s| of the call, so it is evaluated once
-    over the whole grid, kept, and sliced; every block is then the same
-    slice of discretize's samples bit for bit.
-
-    Making a Sampler evaluates no density. It raises GridTooSmallError if
-    the density has a finite support edge at or outside the grid boundary,
-    since then the grid cannot see where the density actually lives.
-    Densities supported on all of R merely lose tail mass, which the
-    periodisation bound accounts for.
+    Nothing is evaluated until the first item is taken, so a caller can make
+    the generator in one thread and sample in another. Each block is
+    evaluated alone, except with replacement: that loss inverse tabulates
+    the loss out to the largest |s| of the call, so the density is evaluated
+    once over the whole grid and sliced, and every block is the same slice
+    of discretize's samples bit for bit. The support is not checked here
+    (see check_support).
     """
-
-    def __init__(self, spec: MechanismSpec, grid: Grid) -> None:
-        _check_support(spec, grid)
-        self.spec = spec
-        self.grid = grid
-        self._whole: np.ndarray | None = None
-
-    def block(self, block: slice) -> np.ndarray:
-        density = self.spec.density
-        if self.spec.scheme is Scheme.WITH_REPLACEMENT:
-            if self._whole is None:
-                self._whole = np.asarray(density(self.grid.points()), dtype=float)
-            return self._whole[block]
-        return np.asarray(density(self.grid.points(block.start, block.stop)), dtype=float)
+    if spec.scheme is Scheme.WITH_REPLACEMENT:
+        whole = np.asarray(spec.density(grid.points()), dtype=float)
+        for block in blocks(grid.size):
+            yield block, whole[block]
+        return
+    for block in blocks(grid.size):
+        yield block, np.asarray(spec.density(grid.points(block.start, block.stop)), dtype=float)
 
 
-def _check_support(spec: MechanismSpec, grid: Grid) -> None:
+def check_support(spec: MechanismSpec, grid: Grid) -> None:
+    """Raises GridTooSmallError if the density has a finite support edge at
+    or outside the grid boundary, since then the grid cannot see where the
+    density actually lives. Densities supported on all of R merely lose
+    tail mass, which the periodisation bound accounts for.
+    """
     lo, hi = spec.support
     if math.isfinite(lo) and lo <= -grid.half_width:
         raise GridTooSmallError(
@@ -206,15 +203,15 @@ def _check_support(spec: MechanismSpec, grid: Grid) -> None:
 
 def discretize(spec: MechanismSpec, grid: Grid) -> ConvolvedPld:
     """Samples a mechanism's privacy loss density on a grid, block by block
-    (see Sampler), as a density with k = 1.
+    (see samples), as a density with k = 1.
 
     Raises GridTooSmallError when the grid cuts into a finite support edge.
     """
-    sampler = Sampler(spec, grid)
-    samples = np.empty(grid.size)
-    for block in blocks(grid.size):
-        samples[block] = sampler.block(block)
-    return ConvolvedPld(grid=grid, samples=samples, k=1)
+    check_support(spec, grid)
+    values = np.empty(grid.size)
+    for block, part in samples(spec, grid):
+        values[block] = part
+    return ConvolvedPld(grid=grid, samples=values, k=1)
 
 
 def half_swap(values: np.ndarray) -> np.ndarray:

@@ -30,6 +30,8 @@ are covered:
 
 Every density, loss and loss inverse takes a scalar or an array of any
 shape (see _pointwise) and evaluates in a vectorised, overflow-safe way.
+The Poisson and without-replacement densities are 0 at s = +-inf; the
+with-replacement loss inverse raises RootFindingError for a non-finite s.
 """
 
 from __future__ import annotations
@@ -259,8 +261,10 @@ def loss_inverse_poisson(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
 
 
 def _poisson_density_xy(sigma: float, q: float, arr: np.ndarray) -> np.ndarray:
+    """The X-over-Y density; 0 outside the support and at s = inf, where
+    the slope is inf / inf."""
     out = np.zeros_like(arr)
-    inside = arr > math.log1p(-q) if q < 1.0 else np.ones_like(arr, dtype=bool)
+    inside = (arr > (math.log1p(-q) if q < 1.0 else -math.inf)) & (arr < math.inf)
     t, slope = _poisson_inverse(sigma, q, arr[inside])
     out[inside] = _mixture_pdf(t, sigma, q) * slope
     return out
@@ -273,11 +277,13 @@ def pld_density_poisson(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
     The X-over-Y direction is evaluated directly from the loss inverse and
     its derivative; the Y-over-X direction follows from the identity
     omega_yx(s) = exp(s) * omega_xy(-s), so its support is the mirrored
-    interval (-inf, -log(1-q)).
+    interval (-inf, -log(1-q)). The factor exp(s) is applied only where
+    omega_xy(-s) is positive, so that s = inf gives 0, not inf * 0.
     """
     if spec.direction is Direction.X_OVER_Y:
         return _poisson_density_xy(spec.sigma, spec.q, s)
-    return np.exp(s) * _poisson_density_xy(spec.sigma, spec.q, -s)
+    mirrored = _poisson_density_xy(spec.sigma, spec.q, -s)
+    return np.multiply(np.exp(s), mirrored, out=mirrored, where=mirrored > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +335,9 @@ def _wor_inverse_far(sigma: float, q: float, s: np.ndarray) -> tuple[np.ndarray,
     """_wor_inverse's (t, slope) by t = sigma^2 (s/2 + asinh(sinh(s/2) / k))
     and slope = sigma^2 (1 + cosh(s/2) / sqrt(sinh(s/2)^2 + k^2)) / 2 with
     k = c / (1-q), in logs, as k underflows where c does and sinh(s/2) / k
-    can overflow; asinh(e^z) = log(e^z + sqrt(e^(2z) + 1)). Only s = 0 with
-    c = 0, where the density is a point mass, stays not finite.
+    can overflow; asinh(e^z) = log(e^z + sqrt(e^(2z) + 1)). At s = +-inf,
+    where the logs give NaN, t is s and the slope its limit sigma^2. Only
+    s = 0 with c = 0, where the density is a point mass, stays not finite.
     """
     half = 0.5 * np.abs(s)
     log_sinh = np.log(np.sinh(half))
@@ -340,6 +347,8 @@ def _wor_inverse_far(sigma: float, q: float, s: np.ndarray) -> tuple[np.ndarray,
     asinh = np.logaddexp(z, 0.5 * np.logaddexp(2.0 * z, 0.0))
     t = sigma * sigma * (0.5 * s + np.copysign(asinh, s))
     ratio = np.cosh(half) * np.exp(-0.5 * np.logaddexp(2.0 * log_sinh, 2.0 * log_k))
+    infinite = np.isinf(s)
+    t[infinite], ratio[infinite] = s[infinite], 1.0
     return t, 0.5 * sigma * sigma * (1.0 + ratio)
 
 

@@ -34,16 +34,20 @@ import math
 import os
 import threading
 from collections import Counter
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .discretization import ConvolvedPld, Grid, Sampler, blocks, swapped
+from .discretization import ConvolvedPld, Grid, blocks, check_support, samples, swapped
 from .errors import SpectralResidueError
 from .mechanisms import MechanismSpec
 
 _IMAG_RESIDUE_TOL = 1e-6
+# A factor's sampled mass above 1 + _MASS_TOL names it in a warning. Resolved
+# densities sampled up to 1 + 5e-5 over the test suite (1 +- 1e-15 on the
+# benchmark's queries); 2^12-point grids at L = 12 give 1.0023 and 1.076,
+# and a spike no grid resolves 1e18 and more.
+_MASS_TOL = 1e-3
 _ARENA_LIMIT_BYTES = 32 * 2 ** 20  # glibc gives any larger block a mapping of its own
 _PLANNED: set[int] = set()
 # Slot i runs item i of every wave, for the process's life. Threads made per call took any
@@ -120,26 +124,27 @@ def _map(fn, items: list) -> list:
     return results
 
 
-def _factor_spectrum(
-    buffer: np.ndarray, sample: Callable[[slice], np.ndarray], dx: float, count: int
-) -> np.ndarray:
-    """FFT(half_swap(samples) * dx) ** count, in place in a zeroed complex buffer.
+def _factor_spectrum(buffer: np.ndarray, samples, dx: float, count: int) -> tuple[np.ndarray, float]:
+    """FFT(half_swap(samples) * dx) ** count, in place in a zeroed complex
+    buffer, and the factor's sampled mass dx * sum(samples).
 
-    sample(block) gives the samples on one slice from blocks(buffer.size).
+    samples yields (block, values) for the slices of blocks(buffer.size).
+    The mass is bin 0 of the forward transform, read before the power.
     """
     from scipy import fft
 
     n = buffer.size
     real = buffer.real
-    for block in blocks(n):
-        np.multiply(sample(block), dx, out=real[swapped(block, n)])
+    for block, values in samples:
+        np.multiply(values, dx, out=real[swapped(block, n)])
     # A complex input keeps scipy on the transform numpy.fft uses for real
     # arrays; a float input would take a real transform with other rounding.
     buffer = fft.fft(buffer, overwrite_x=True)
+    mass = float(buffer[0].real)
     if count > 1:
         for block in blocks(n):
             buffer[block] = _spectrum_power(buffer[block], count)
-    return buffer
+    return buffer, mass
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see _spectrum_power
@@ -160,9 +165,12 @@ def _product(factors: list[np.ndarray], owned: list[bool]) -> np.ndarray:
     return product
 
 
-def _inverse(product: np.ndarray, samples: np.ndarray, grid: Grid, k: int) -> ConvolvedPld:
+def _inverse(
+    product: np.ndarray, samples: np.ndarray, grid: Grid, k: int, warnings: tuple[str, ...] = ()
+) -> ConvolvedPld:
     """Density samples of an owned product spectrum, inverse transformed in
-    place, written into samples."""
+    place, written into samples. warnings are its factors' (see
+    _over_unity); a non-finite result repeats them in its error."""
     from scipy import fft
 
     raw = fft.ifft(product, overwrite_x=True)
@@ -182,13 +190,23 @@ def _inverse(product: np.ndarray, samples: np.ndarray, grid: Grid, k: int) -> Co
         raise SpectralResidueError(
             "the convolved density is not finite: a density sample was not finite, or the "
             "grid under-resolves a density whose mass then exceeds 1 and its power overflows"
+            + "".join(f"; {warning}" for warning in warnings)
         )
     if not residue <= _IMAG_RESIDUE_TOL:
         raise SpectralResidueError(
             f"imaginary residue {residue:.3g} after the inverse transform exceeds "
             f"{_IMAG_RESIDUE_TOL:.0e}; the input was likely not a real density"
         )
-    return ConvolvedPld(grid=grid, samples=samples, k=k)
+    return ConvolvedPld(grid=grid, samples=samples, k=k, warnings=warnings)
+
+
+def _over_unity(spec: MechanismSpec, mass: float) -> str | None:
+    """A warning naming spec if its sampled mass exceeds 1 + _MASS_TOL, else None."""
+    if not mass > 1.0 + _MASS_TOL:
+        return None
+    fields = {key: getattr(value, "value", value) for key, value in vars(spec).items()}
+    name = ", ".join(f"{key}={value}" for key, value in fields.items() if value is not None)
+    return f"sampled mass {mass:.6g} of mechanism ({name}) exceeds 1: the grid under-resolves it"
 
 
 def convolve_factors(
@@ -206,13 +224,14 @@ def convolve_factors(
     not symmetric under operand swaps on fused-multiply-add hardware; the
     mathematical product of course is).
 
-    One Sampler per distinct spec is made first, in the calling thread. It
-    only checks the support, so a GridTooSmallError (the grid cuts into a
-    support edge) is raised there before any buffer is allocated; every
-    density is evaluated in its factor's build.
+    The support of each distinct spec is checked first, in the calling
+    thread, so a GridTooSmallError (the grid cuts into a support edge) is
+    raised there before any buffer is allocated; every density is evaluated
+    in its factor's build. Each result's warnings name its factors whose
+    sampled mass exceeds 1 + _MASS_TOL.
     """
-    specs = dict.fromkeys(spec for factors in factor_lists for spec, _count in factors)
-    samplers = {spec: Sampler(spec, grid) for spec in specs}
+    for spec in dict.fromkeys(spec for factors in factor_lists for spec, _count in factors):
+        check_support(spec, grid)
     ordered = [sorted(factors, key=repr) for factors in factor_lists]
     uses = Counter(factor for factors in ordered for factor in factors)
 
@@ -232,22 +251,23 @@ def convolve_factors(
         first.fill(0)
         _PLANNED.add(n)
 
-    def build(factor: tuple[MechanismSpec, int]) -> np.ndarray:
+    def build(factor: tuple[MechanismSpec, int]) -> tuple[np.ndarray, float]:
         spec, count = factor
-        return _factor_spectrum(buffers.pop(factor), samplers[spec].block, grid.dx, count)
+        return _factor_spectrum(buffers.pop(factor), samples(spec, grid), grid.dx, count)
 
-    spectra = dict(zip(uses, _map(build, list(uses))))
-    samplers.clear()
+    built = dict(zip(uses, _map(build, list(uses))))
+    notes = {factor: _over_unity(factor[0], mass) for factor, (_spectrum, mass) in built.items()}
     # Every product is formed before any inverse transform starts, so a
     # shared factor is freed before the transforms' scratch is allocated.
     jobs = [
         (
-            _product([spectra[f] for f in factors], [uses[f] == 1 for f in factors]),
+            _product([built[f][0] for f in factors], [uses[f] == 1 for f in factors]),
             np.empty(grid.size),
             grid,
             sum(count for _spec, count in factors),
+            tuple(notes[f] for f in factors if notes[f]),
         )
         for factors in ordered
     ]
-    spectra.clear()
+    built.clear()
     return _map(lambda job: _inverse(*job), jobs)

@@ -16,10 +16,12 @@ from dpconv import (
     Grid,
     MechanismSpec,
     Scheme,
+    SpectralResidueError,
     TargetDeltaBelowFloor,
     TargetDeltaTooLarge,
     delta_of_epsilon,
     delta_of_epsilons,
+    discretize,
     epsilon_of_delta,
     tail_estimate,
 )
@@ -74,6 +76,20 @@ class TestQueryValidation:
     def test_empty_composition_rejected(self, specs, counts):
         with pytest.raises(DomainError):
             CompositionQuery(specs=specs, counts=counts, grid=GRID)
+
+    def test_at_most_one_target(self):
+        # Each solver would silently ignore the other target.
+        with pytest.raises(DomainError, match="not both"):
+            query(epsilon=1.0, delta=1e-5)
+
+    def test_spec_direction_is_rejected_not_ignored(self):
+        # convolutions orients every spec to each evaluated direction, so a
+        # flipped spec would give the x-over-y result unchanged.
+        flipped = SPEC.with_direction(Direction.Y_OVER_X)
+        with pytest.raises(DomainError, match="directions="):
+            CompositionQuery(specs=(flipped,), counts=(1,), grid=GRID, epsilon=1.0)
+        with pytest.raises(DomainError, match="directions="):
+            CompositionQuery(specs=(SPEC, flipped), counts=(1, 1), grid=GRID, epsilon=1.0)
 
 
 class TestDeltaOfEpsilon:
@@ -310,3 +326,48 @@ class TestHeterogeneousQuery:
         ab = mixed([(SPEC, 30), (other, 20)], epsilon=0.5)
         ba = mixed([(other, 20), (SPEC, 30)], epsilon=0.5)
         assert ab.value == ba.value
+
+
+class TestUnderResolvedDensity:
+    """A density whose spike at s = 0 no grid here resolves: its pointwise
+    samples carry a mass far above 1, and at k = 1 the pipeline's delta is
+    half the true 0.0099999339 (quadrature of max(f_X - e f_Y, 0))."""
+
+    SPIKY = MechanismSpec(sigma=0.1, q=0.01, scheme=Scheme.WITHOUT_REPLACEMENT)
+
+    def spiky(self, k, size):
+        grid = Grid(half_width=300.0, size=size)
+        return CompositionQuery.homogeneous(self.SPIKY, k, grid, epsilon=1.0)
+
+    def mass_warning(self, size):
+        """The text that names SPIKY and its sampled mass on the grid of size."""
+        mass = discretize(self.SPIKY, Grid(half_width=300.0, size=size)).mass
+        assert mass > 1e18
+        return (
+            f"sampled mass {mass:.6g} of mechanism (sigma=0.1, scheme=without-replacement, "
+            "q=0.01, direction=x-over-y) exceeds 1: the grid under-resolves it"
+        )
+
+    @pytest.mark.parametrize("size", [8192, 2 ** 16, 2 ** 20])
+    def test_k_one_warns(self, size):
+        result = delta_of_epsilon(self.spiky(1, size))
+        assert result.warnings == (self.mass_warning(size),)
+
+    def test_k_two_names_the_mechanism_and_its_mass(self):
+        result = delta_of_epsilon(self.spiky(2, 8192))
+        assert result.value == 1.0
+        assert result.warnings == tuple(sorted((_OVER_UNITY_WARNING, self.mass_warning(8192))))
+
+    def test_k_hundred_names_the_mechanism_and_its_mass_in_the_error(self):
+        with pytest.raises(SpectralResidueError, match="not finite") as error:
+            delta_of_epsilon(self.spiky(100, 8192))
+        assert str(error.value).endswith("; " + self.mass_warning(8192))
+
+    def test_only_the_under_resolved_factor_is_named(self):
+        assert delta_of_epsilon(query(epsilon=1.0)).warnings == ()
+        mixed_query = CompositionQuery(
+            specs=(SPEC, self.SPIKY), counts=(1, 1), grid=GRID, epsilon=1.0
+        )
+        warned = delta_of_epsilon(mixed_query).warnings
+        named = [warning for warning in warned if warning.startswith("sampled mass")]
+        assert len(named) == 1 and "scheme=without-replacement" in named[0]

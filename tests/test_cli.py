@@ -563,19 +563,19 @@ class TestExitCodes:
 
     def test_grid_too_small_is_three_from_the_calling_thread(self, capsys, monkeypatch):
         # log(1 - q) = -11.5 lies outside [-10, 10) in both directions. The
-        # samplers are made in the calling thread before any factor builds,
-        # so the x-over-y one fails there first and nothing is transformed.
+        # support is checked in the calling thread before any factor builds,
+        # so the x-over-y check fails there first and nothing is transformed.
         failed, built = [], []
+        check = spectral.check_support
 
-        class Recorded(spectral.Sampler):
-            def __init__(self, spec, grid):
-                try:
-                    super().__init__(spec, grid)
-                except GridTooSmallError:
-                    failed.append((spec.direction, threading.current_thread().name))
-                    raise
+        def recorded(spec, grid):
+            try:
+                check(spec, grid)
+            except GridTooSmallError:
+                failed.append((spec.direction, threading.current_thread().name))
+                raise
 
-        monkeypatch.setattr(spectral, "Sampler", Recorded)
+        monkeypatch.setattr(spectral, "check_support", recorded)
         monkeypatch.setattr(spectral, "_factor_spectrum", lambda *args: built.append(args))
         flags = ["--sigma", "1.5", "--q", "0.99999", "--L", "10", "--n", "4096", "--k", "10"]
         code, out, err = run_cli(["delta", *flags, "--eps", "1.0"], capsys)

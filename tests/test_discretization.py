@@ -15,7 +15,7 @@ from dpconv import (
     Scheme,
     discretize,
 )
-from dpconv.discretization import half_swap
+from dpconv.discretization import blocks, half_swap, samples
 from dpconv.mechanisms import pld_density_poisson
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
@@ -154,3 +154,24 @@ class TestBlockedSampling:
         grid = Grid(half_width=12.0, size=size)
         whole = spec.density(grid.points())
         assert np.array_equal(discretize(spec, grid).samples, whole)
+
+    @pytest.mark.parametrize("spec", BLOCKED_SPECS, ids=lambda s: s.scheme.value)
+    def test_samples_evaluate_nothing_until_taken(self, spec, monkeypatch):
+        grid = Grid(half_width=12.0, size=2 ** 15 + 6)
+        calls = []
+        density = MechanismSpec.density
+        monkeypatch.setattr(
+            MechanismSpec, "density", lambda self, s: calls.append(s.size) or density(self, s)
+        )
+        generator = samples(spec, grid)
+        assert calls == []
+        taken = list(generator)
+        assert [block for block, _values in taken] == list(blocks(grid.size))
+        # With replacement, one call over the whole grid; otherwise one per block.
+        if spec.scheme is Scheme.WITH_REPLACEMENT:
+            assert calls == [grid.size]
+        else:
+            assert calls == [block.stop - block.start for block in blocks(grid.size)]
+        monkeypatch.undo()
+        whole = np.concatenate([values for _block, values in taken])
+        assert np.array_equal(whole, spec.density(grid.points()))

@@ -457,6 +457,31 @@ def test_pld_density_dispatch():
     assert WR.density(0.3) == pld_density_with_replacement(WR, 0.3)
 
 
+INFINITE_S_SPECS = [
+    POISSON,
+    POISSON.with_direction(Direction.Y_OVER_X),
+    MechanismSpec(sigma=1.5, q=1.0),
+    MechanismSpec(sigma=1.5, q=1.0, direction=Direction.Y_OVER_X),
+    WOR,
+    MechanismSpec(sigma=2.0, scheme=Scheme.WITHOUT_REPLACEMENT, q=1.0),
+    # c = q exp(-1/(2 sigma^2)) underflows, so every point takes the log form.
+    MechanismSpec(sigma=0.03, scheme=Scheme.WITHOUT_REPLACEMENT, q=0.01),
+]
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "spec",
+    INFINITE_S_SPECS,
+    ids=lambda spec: f"{spec.scheme.value}-q{spec.q:g}-s{spec.sigma:g}-{spec.direction.value}",
+)
+def test_density_is_zero_at_infinite_loss(spec, s):
+    # Under the suite's error::RuntimeWarning, inf / inf or inf * 0 would fail.
+    assert spec.density(s) == 0.0
+    values = spec.density(np.array([s, 0.001, s]))
+    assert values[0] == values[2] == 0.0 and values[1] == spec.density(0.001)
+
+
 def test_density_calls_the_formula_the_module_holds_now(monkeypatch):
     # A wrapper put in dpconv.mechanisms' namespace (as a profiler's hooks
     # do) must see every density evaluation.

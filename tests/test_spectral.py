@@ -23,7 +23,7 @@ from dpconv import (
 )
 from dpconv import spectral
 from dpconv.accountant import convolutions
-from dpconv.discretization import half_swap
+from dpconv.discretization import blocks, half_swap
 from dpconv.oracle import direct_dft, direct_inverse_dft
 from dpconv.spectral import (
     _factor_spectrum,
@@ -47,8 +47,11 @@ def power(size=2048, k=1, half_width=12.0):
 
 def convolve_samples(samples, grid, k):
     """The k-fold convolution of arbitrary samples, through the pipeline's kernel."""
-    spectrum = _factor_spectrum(
-        np.zeros(grid.size, dtype=complex), lambda block: samples[block], grid.dx, k
+    spectrum, _mass = _factor_spectrum(
+        np.zeros(grid.size, dtype=complex),
+        ((block, samples[block]) for block in blocks(grid.size)),
+        grid.dx,
+        k,
     )
     return _inverse(spectrum, np.empty(grid.size), grid, k)
 
@@ -332,16 +335,16 @@ class TestWorkerThreads:
             stages = ("_factor_spectrum", "_inverse")
             assert first == sorted((stage, thread) for stage in stages for thread in threads)
 
-    def test_one_sampler_per_distinct_spec_before_any_buffer(self, monkeypatch):
+    def test_support_checked_per_distinct_spec_before_any_buffer(self, monkeypatch):
         events = []
+        check = spectral.check_support
 
-        class Recorded(spectral.Sampler):
-            def __init__(self, spec, grid):
-                events.append(("sampler", spec, threading.current_thread().name))
-                super().__init__(spec, grid)
+        def recorded(spec, grid):
+            events.append(("support", spec, threading.current_thread().name))
+            check(spec, grid)
 
         zeros = np.zeros
-        monkeypatch.setattr(spectral, "Sampler", Recorded)
+        monkeypatch.setattr(spectral, "check_support", recorded)
         monkeypatch.setattr(
             spectral.np, "zeros", lambda *args, **kw: events.append(("buffer",)) or zeros(*args, **kw)
         )
@@ -350,7 +353,7 @@ class TestWorkerThreads:
         )
         convolutions(query)
         monkeypatch.undo()
-        made = [event[1:] for event in events if event[0] == "sampler"]
+        made = [event[1:] for event in events if event[0] == "support"]
         main = threading.current_thread().name
         # The without-replacement factor serves both directions.
         oriented = [SPEC, WOR, SPEC.with_direction(Direction.Y_OVER_X)]
@@ -362,13 +365,13 @@ class TestWorkerThreads:
         # the with-replacement one too, is sampled in its factor's build.
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
         sampled = []
-        block = spectral.Sampler.block
+        density = MechanismSpec.density
 
-        def recorded(self, part):
-            sampled.append((self.spec, threading.current_thread().name))
-            return block(self, part)
+        def recorded(self, s):
+            sampled.append((self, threading.current_thread().name))
+            return density(self, s)
 
-        monkeypatch.setattr(spectral.Sampler, "block", recorded)
+        monkeypatch.setattr(MechanismSpec, "density", recorded)
         query = CompositionQuery(
             specs=(SPEC, WOR, WR), counts=(5, 5, 5), grid=Grid(half_width=12.0, size=2 ** 12)
         )
