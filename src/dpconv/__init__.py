@@ -30,7 +30,6 @@ from .errors import (
     DomainError,
     GridTooSmallError,
     NonConvergenceError,
-    RootFindingError,
     SpectralResidueError,
     TargetDeltaBelowFloor,
     TargetDeltaTooLarge,
@@ -51,7 +50,6 @@ __all__ = [
     "GridTooSmallError",
     "MechanismSpec",
     "NonConvergenceError",
-    "RootFindingError",
     "Scheme",
     "SpectralResidueError",
     "TargetDeltaBelowFloor",

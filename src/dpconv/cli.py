@@ -42,7 +42,7 @@ from .accountant import (
     epsilon_of_delta,
 )
 from .discretization import Grid
-from .errors import AccountingError, NonConvergenceError
+from .errors import AccountingError, DomainError, NonConvergenceError
 from .mechanisms import Direction, MechanismSpec, Scheme
 
 _DEFAULT_HALF_WIDTH = 20.0
@@ -190,11 +190,10 @@ def _report_dict(result: DeltaResult) -> dict:
     query = result.query
     specs, counts = query.specs, query.counts
     single = len(specs) == 1
-
-    def field(getter):
-        values = [getter(s) for s in specs]
-        return values[0] if single else values
-
+    # The keys a --mech group takes, each left out if no spec sets it.
+    fields = {"scheme": [spec.scheme.value for spec in specs]}
+    fields.update({key: [getattr(spec, key) for spec in specs] for key, _kind in _MECH_NUMBERS})
+    fields = {key: v[0] if single else v for key, v in fields.items() if set(v) != {None}}
     report = {
         "value": result.value,
         "kind": result.kind,
@@ -213,9 +212,7 @@ def _report_dict(result: DeltaResult) -> dict:
             "L": query.grid.half_width,
             "n": query.grid.size,
             "k": query.k,
-            "scheme": field(lambda s: s.scheme.value),
-            "sigma": field(lambda s: s.sigma),
-            "q": field(lambda s: s.q if s.q is not None else s.draw_probability),
+            **fields,
             "directions": [name for name, _value in result.per_direction],
             "warnings": list(result.warnings),
         }
@@ -236,6 +233,8 @@ def _json_safe(value):
 
 
 def _format_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -285,6 +284,11 @@ def _run_sweep(args, parser) -> list[dict]:
         if not 2 <= args.count <= _MAX_SWEEP_COUNT:
             parser.error(f"sweep --count must be from 2 to {_MAX_SWEEP_COUNT}, got {args.count}")
         step = (args.stop - args.start) / (args.count - 1)
+        if not math.isfinite(step):
+            raise DomainError(
+                f"sweep --start {args.start!r} and --stop {args.stop!r} must be finite epsilons"
+                f" a finite distance apart, got the step {step!r}"
+            )
         epsilons = [args.start + i * step for i in range(args.count)]
         results = delta_of_epsilons(_build_query(args, parser), epsilons)
         return [_sweep_row("eps", eps, result) for eps, result in zip(epsilons, results)]

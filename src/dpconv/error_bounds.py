@@ -169,20 +169,16 @@ def analytic_lambda_limit(sigma: float, q: float) -> float:
     """Largest lambda the analytic_tail_bound envelope admits, by bisection.
 
     Only the two lambda caps are probed; the fixed gates on sigma and q must
-    already hold, otherwise no lambda is admissible and 0 is returned.
+    already hold, otherwise no lambda is admissible and 0 is returned. As
+    log1p(x) <= x, no lambda >= 1 + sigma / sqrt(2 q) passes the first cap.
     """
     def admissible(lam: float) -> bool:
         return not _analytic_conditions(sigma, q, lam)
 
-    lo = 1.0 + 1e-9
+    lo, hi = 1.0 + 1e-9, 2.0 + 2.0 * sigma / math.sqrt(2.0 * q)
     if not admissible(lo):
         return 0.0
-    hi = 2.0
-    while admissible(hi):
-        hi *= 2.0
-        if hi > 1e9:
-            return math.inf
-    for _ in range(200):
+    while math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
         if admissible(mid):
             lo = mid

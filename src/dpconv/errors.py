@@ -31,10 +31,6 @@ class NonConvergenceError(AccountingError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class RootFindingError(NonConvergenceError):
-    """The bracketed Newton solver for a loss inverse did not converge."""
-
-
 class TargetDeltaTooLarge(DomainError):
     """The requested delta target is above delta(0); no epsilon >= 0 is needed."""
 

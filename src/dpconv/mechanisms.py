@@ -31,7 +31,7 @@ are covered:
 Every density, loss and loss inverse takes a scalar or an array of any
 shape (see _pointwise) and evaluates in a vectorised, overflow-safe way.
 The Poisson and without-replacement densities are 0 at s = +-inf; the
-with-replacement loss inverse raises RootFindingError for a non-finite s.
+with-replacement loss inverse raises DomainError for a non-finite s.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, RootFindingError
+from .errors import DomainError, NonConvergenceError
 
 # Largest accepted noise scale. The densities square loss inverses of order
 # sigma^2 times a few thousand (|s| <= 700 on any grid, |log q| <= 745), so
@@ -147,13 +147,6 @@ class MechanismSpec:
         """Whether the two likelihood-ratio directions differ: for POISSON's
         remove/add relation only (substitute losses are odd)."""
         return self.scheme is Scheme.POISSON
-
-    @property
-    def draw_probability(self) -> float:
-        """Per-draw probability of selecting the substituted record."""
-        if self.scheme is not Scheme.WITH_REPLACEMENT:
-            raise DomainError("draw_probability is defined for the with-replacement scheme only")
-        return 1.0 / self.dataset_size
 
     def with_direction(self, direction: Direction) -> "MechanismSpec":
         """This mechanism in the given likelihood-ratio direction.
@@ -381,7 +374,7 @@ def _wr_log_weights(spec: MechanismSpec):
     Gaussian factor -ell^2 / (2 sigma^2) that appears in the loss polynomial.
     """
     m = spec.batch_size
-    p = spec.draw_probability
+    p = 1.0 / spec.dataset_size
     ell = np.arange(m + 1, dtype=float)
     log_binom = (
         gammaln(m + 1.0)
@@ -507,7 +500,7 @@ def _wr_loss_table(spec: MechanismSpec, reach: float):
             break
         extent *= 2.0
     if not (math.isfinite(edge) and edge > reach):
-        raise RootFindingError(f"could not tabulate the loss out to |s| = {reach:.6g}")
+        raise NonConvergenceError(f"could not tabulate the loss out to |s| = {reach:.6g}")
     t = np.linspace(0.0, extent, _LOSS_TABLE_CELLS + 1)
     loss, slope = _wr_kernel(spec, t)[:2]
     return t, loss, slope
@@ -523,7 +516,7 @@ def _wr_solve(spec: MechanismSpec, s: np.ndarray):
     the root finder's state is bounded too.
     """
     if not np.all(np.isfinite(s)):
-        raise RootFindingError("the loss inverse needs finite privacy losses")
+        raise DomainError("the loss inverse needs finite privacy losses")
     magnitude = np.abs(s)
     magnitude.sort()
     new = np.empty(magnitude.size, dtype=bool)
@@ -597,7 +590,7 @@ def _wr_newton(spec: MechanismSpec, s: np.ndarray, table: tuple[np.ndarray, ...]
         inside = (proposal > lo[active]) & (proposal < hi[active])
         t[active] = np.where(inside, proposal, 0.5 * (lo[active] + hi[active]))
     else:
-        raise RootFindingError(
+        raise NonConvergenceError(
             f"loss inverse did not reach |loss(t) - s| <= {_LOSS_INVERSE_TOL} "
             f"within {_LOSS_INVERSE_MAX_ITER} iterations"
         )
@@ -613,8 +606,9 @@ def loss_inverse_with_replacement(spec: MechanismSpec, s: np.ndarray) -> np.ndar
     tabulated once on a lattice of t >= 0; each point starts from the
     table's cubic interpolation and is refined by Newton steps that fall
     back to bisection whenever they leave the bracketing lattice cell, on
-    the points not yet converged only. Raises RootFindingError for a
-    non-finite s or if the tolerance is not met within the iteration cap.
+    the points not yet converged only. Raises DomainError for a non-finite
+    s, and NonConvergenceError if the tolerance is not met within the
+    iteration cap.
     """
     reach, t = _wr_solve(spec, s)[:2]
     return _wr_mirror(s, reach, t, -t)

@@ -67,9 +67,8 @@ def _direct_circular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clamped(samples: np.ndarray, grid: Grid, k: int) -> ConvolvedPld:
-    samples = np.maximum(samples, 0.0)
-    return ConvolvedPld(grid=grid, samples=samples, k=k)
+def _clamped(samples: np.ndarray, grid: Grid) -> ConvolvedPld:
+    return ConvolvedPld(grid=grid, samples=np.maximum(samples, 0.0))
 
 
 def direct_convolution_combine(
@@ -91,7 +90,7 @@ def direct_convolution_combine(
     a = half_swap(left.samples) * grid.dx
     b = half_swap(right.samples) * grid.dx
     samples = half_swap(_direct_circular(a, b)) / grid.dx
-    return _clamped(samples, grid, left.k + right.k)
+    return _clamped(samples, grid)
 
 
 def direct_convolution_delta(
@@ -123,13 +122,13 @@ def direct_convolution_delta(
     for direction in CompositionQuery.homogeneous(spec, k, grid).evaluated_directions:
         pld = discretize(spec.with_direction(direction), grid)
         if k == 1:
-            conv = _clamped(pld.samples, grid, 1)
+            conv = _clamped(pld.samples, grid)
         else:
             masses = half_swap(pld.samples) * grid.dx
             acc = masses
             for _ in range(k - 1):
                 acc = _direct_circular(acc, masses)
-            conv = _clamped(half_swap(acc) / grid.dx, grid, k)
+            conv = _clamped(half_swap(acc) / grid.dx, grid)
         best = max(best, conv.delta(epsilon)[0])
     return best
 

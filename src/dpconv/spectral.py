@@ -38,16 +38,11 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .discretization import ConvolvedPld, Grid, blocks, check_support, samples, swapped
+from .discretization import ConvolvedPld, Grid, blocks, check_support, over_unity, samples, swapped
 from .errors import SpectralResidueError
 from .mechanisms import MechanismSpec
 
 _IMAG_RESIDUE_TOL = 1e-6
-# A factor's sampled mass above 1 + _MASS_TOL names it in a warning. Resolved
-# densities sampled up to 1 + 5e-5 over the test suite (1 +- 1e-15 on the
-# benchmark's queries); 2^12-point grids at L = 12 give 1.0023 and 1.076,
-# and a spike no grid resolves 1e18 and more.
-_MASS_TOL = 1e-3
 _ARENA_LIMIT_BYTES = 32 * 2 ** 20  # glibc gives any larger block a mapping of its own
 _PLANNED: set[int] = set()
 # Slot i runs item i of every wave, for the process's life. Threads made per call took any
@@ -166,11 +161,11 @@ def _product(factors: list[np.ndarray], owned: list[bool]) -> np.ndarray:
 
 
 def _inverse(
-    product: np.ndarray, samples: np.ndarray, grid: Grid, k: int, warnings: tuple[str, ...] = ()
+    product: np.ndarray, samples: np.ndarray, grid: Grid, warnings: tuple[str, ...] = ()
 ) -> ConvolvedPld:
     """Density samples of an owned product spectrum, inverse transformed in
     place, written into samples. warnings are its factors' (see
-    _over_unity); a non-finite result repeats them in its error."""
+    over_unity); a non-finite result repeats them in its error."""
     from scipy import fft
 
     raw = fft.ifft(product, overwrite_x=True)
@@ -197,16 +192,7 @@ def _inverse(
             f"imaginary residue {residue:.3g} after the inverse transform exceeds "
             f"{_IMAG_RESIDUE_TOL:.0e}; the input was likely not a real density"
         )
-    return ConvolvedPld(grid=grid, samples=samples, k=k, warnings=warnings)
-
-
-def _over_unity(spec: MechanismSpec, mass: float) -> str | None:
-    """A warning naming spec if its sampled mass exceeds 1 + _MASS_TOL, else None."""
-    if not mass > 1.0 + _MASS_TOL:
-        return None
-    fields = {key: getattr(value, "value", value) for key, value in vars(spec).items()}
-    name = ", ".join(f"{key}={value}" for key, value in fields.items() if value is not None)
-    return f"sampled mass {mass:.6g} of mechanism ({name}) exceeds 1: the grid under-resolves it"
+    return ConvolvedPld(grid=grid, samples=samples, warnings=warnings)
 
 
 def convolve_factors(
@@ -228,7 +214,7 @@ def convolve_factors(
     thread, so a GridTooSmallError (the grid cuts into a support edge) is
     raised there before any buffer is allocated; every density is evaluated
     in its factor's build. Each result's warnings name its factors whose
-    sampled mass exceeds 1 + _MASS_TOL.
+    sampled mass exceeds 1 (see over_unity).
     """
     for spec in dict.fromkeys(spec for factors in factor_lists for spec, _count in factors):
         check_support(spec, grid)
@@ -256,7 +242,7 @@ def convolve_factors(
         return _factor_spectrum(buffers.pop(factor), samples(spec, grid), grid.dx, count)
 
     built = dict(zip(uses, _map(build, list(uses))))
-    notes = {factor: _over_unity(factor[0], mass) for factor, (_spectrum, mass) in built.items()}
+    notes = {factor: over_unity(factor[0], mass) for factor, (_spectrum, mass) in built.items()}
     # Every product is formed before any inverse transform starts, so a
     # shared factor is freed before the transforms' scratch is allocated.
     jobs = [
@@ -264,7 +250,6 @@ def convolve_factors(
             _product([built[f][0] for f in factors], [uses[f] == 1 for f in factors]),
             np.empty(grid.size),
             grid,
-            sum(count for _spec, count in factors),
             tuple(notes[f] for f in factors if notes[f]),
         )
         for factors in ordered

@@ -24,7 +24,6 @@ PUBLIC = [
     "GridTooSmallError",
     "MechanismSpec",
     "NonConvergenceError",
-    "RootFindingError",
     "Scheme",
     "SpectralResidueError",
     "TargetDeltaBelowFloor",
@@ -44,7 +43,7 @@ PUBLIC = [
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC) == 27
+    assert len(PUBLIC) == 26
     assert sorted(dpconv.__all__) == PUBLIC
 
 

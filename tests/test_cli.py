@@ -49,6 +49,13 @@ BASE = [
 ]
 
 
+WR_FLAT = [
+    "--scheme", "with-replacement", "--sigma", "1", "--batch-size", "64",
+    "--dataset-size", "6400", "--k", "10",
+]
+WR_GRID = ["--L", "12", "--n", "4096"]
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -178,6 +185,32 @@ class TestDeltaSubcommand:
         assert report["k"] == 100
         assert report["counts"] == [60, 40]
         assert report["value"] == pytest.approx(flat_value, abs=1e-12)
+
+    def test_with_replacement_report_feeds_back_as_a_mech_group(self, capsys):
+        _, out, _ = run_cli(["delta", *WR_FLAT, *WR_GRID, "--eps", "1"], capsys)
+        report = json.loads(out)
+        assert "q" not in report
+        assert (report["batch_size"], report["dataset_size"]) == (64, 6400)
+        keys = ("scheme", "sigma", "batch_size", "dataset_size")
+        mech = ",".join(f"{key}={report[key]}" for key in keys) + f",count={report['k']}"
+        _, again, _ = run_cli(["delta", "--mech", mech, *WR_GRID, "--eps", "1"], capsys)
+        assert json.loads(again)["value"] == report["value"]
+
+    def test_mixed_report_leaves_a_field_one_mechanism_lacks_empty(self, capsys):
+        groups = [
+            "--mech", "scheme=poisson,sigma=1.5,q=0.01,count=5",
+            "--mech", "scheme=with-replacement,sigma=1,batch_size=64,dataset_size=6400,count=5",
+        ]
+        argv = ["delta", *groups, *WR_GRID, "--eps", "1"]
+        _, out, _ = run_cli(argv, capsys)
+        report = json.loads(out)
+        assert report["scheme"] == ["poisson", "with-replacement"]
+        assert report["q"] == [0.01, None]
+        assert report["batch_size"] == [None, 64]
+        assert report["dataset_size"] == [None, 6400]
+        _, csv_out, _ = run_cli([*argv, "--format", "csv"], capsys)
+        row = next(csv.DictReader(io.StringIO(csv_out)))
+        assert (row["q"], row["batch_size"], row["dataset_size"]) == ("0.01;", ";64", ";6400")
 
 
 class TestAnalyticBound:
@@ -534,6 +567,17 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and "epsilon" in err
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--start", "1", "--stop", "inf"], ["--start=-1e308", "--stop", "1e308"]],
+        ids=["infinite-stop", "overflowing-span"],
+    )
+    def test_infinite_eps_step_is_three_and_names_the_flags(self, capsys, bounds):
+        code, out, err = run_cli(["sweep", "--over", "eps", *bounds, *BASE], capsys)
+        assert code == 3 and out == ""
+        assert "--start" in err and "--stop" in err and "epsilon" in err
+        assert "nan" not in err
+
     def test_infinite_newton_tolerance_is_three(self, capsys):
         argv = ["epsilon", *BASE, "--delta", "1e-5", "--newton-tol", "inf"]
         code, out, err = run_cli(argv, capsys)
@@ -715,6 +759,12 @@ class TestExitCodes:
         code, _, err = run_cli(["epsilon", *BASE, "--delta", "1e-6"], capsys)
         assert code == 4
         assert "injected" in err
+
+    def test_loss_inverse_iteration_cap_is_four(self, capsys, monkeypatch):
+        monkeypatch.setattr("dpconv.mechanisms._LOSS_INVERSE_MAX_ITER", 1)
+        code, out, err = run_cli(["delta", *WR_FLAT, *WR_GRID, "--eps", "1"], capsys)
+        assert code == 4 and out == ""
+        assert "did not reach" in err
 
 
 def test_default_grid_flags():

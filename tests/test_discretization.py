@@ -139,7 +139,22 @@ class TestDiscretize:
     def test_returns_a_one_fold_density(self):
         pld = discretize(SPEC, Grid(half_width=12.0, size=32))
         assert isinstance(pld, ConvolvedPld)
-        assert pld.k == 1
+
+    @pytest.mark.parametrize("size", [8192, 2 ** 16, 2 ** 20])
+    def test_under_resolved_density_warns(self, size):
+        # The spike at s = 0 of this density is narrower than any of these
+        # grids' cells, so its sampled mass is far above 1.
+        spike = MechanismSpec(sigma=0.1, q=0.01, scheme=Scheme.WITHOUT_REPLACEMENT)
+        pld = discretize(spike, Grid(half_width=300.0, size=size))
+        assert pld.mass > 1e18
+        (warning,) = pld.warnings
+        assert warning.startswith(f"sampled mass {pld.mass:.6g} of mechanism (sigma=0.1,")
+        if size == 8192:
+            # The warning changes no value: this is the quadrature value.
+            assert pld.delta(1.0)[0] == pytest.approx(0.0099999339, rel=1e-8)
+
+    def test_resolved_density_does_not_warn(self):
+        assert discretize(SPEC, Grid(half_width=12.0, size=2 ** 14)).warnings == ()
 
 
 WOR = MechanismSpec(sigma=1.5, q=0.01, scheme=Scheme.WITHOUT_REPLACEMENT)

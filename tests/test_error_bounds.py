@@ -23,6 +23,8 @@ from dpconv import (
     periodisation_bound,
     tail_estimate,
 )
+from dpconv.error_bounds import _analytic_conditions
+
 
 def composition(sigma, q, k, half_width):
     """k invocations of the Poisson mechanism (sigma, q), on a grid of radius half_width."""
@@ -140,6 +142,21 @@ class TestAnalyticTailBound:
 
     def test_lambda_envelope_value(self):
         assert analytic_lambda_limit(4.0, 0.01) == pytest.approx(14.3, abs=0.2)
+
+    @pytest.mark.parametrize(
+        "sigma, q",
+        [(4.0, 0.01), (5.0, 0.2), (100.0, 1e-4), (1e7, 1e-12), (1e9, 0.01), (1e50, 1e-300)],
+    )
+    def test_lambda_limit_is_the_last_admissible_double(self, sigma, q):
+        # A limit beyond 1e9 is found too: at (1e9, 0.01) it is 1.732e9.
+        limit = analytic_lambda_limit(sigma, q)
+        assert 1.0 < limit < math.inf
+        assert _analytic_conditions(sigma, q, limit) == []
+        assert _analytic_conditions(sigma, q, math.nextafter(limit, math.inf)) != []
+
+    def test_lambda_limit_is_zero_outside_the_fixed_gates(self):
+        assert analytic_lambda_limit(3.9, 0.01) == 0.0
+        assert analytic_lambda_limit(4.0, 0.3) == 0.0
 
     def test_dominates_integrated_tail(self):
         # Nonvacuous witness: at q=0.2, L=3 the true tail is representable

@@ -19,7 +19,6 @@ from dpconv import (
     Direction,
     DomainError,
     MechanismSpec,
-    RootFindingError,
     Scheme,
 )
 import dpconv.mechanisms
@@ -91,9 +90,6 @@ class TestSpecValidation:
         # The substitute schemes have a single direction.
         assert WOR.with_direction(Direction.Y_OVER_X) is WOR
         assert WR.with_direction(Direction.Y_OVER_X) is WR
-
-    def test_draw_probability(self):
-        assert WR.draw_probability == 0.01
 
     def test_only_poisson_is_directional(self):
         assert POISSON.directional
@@ -334,9 +330,9 @@ class TestWithReplacement:
         monkeypatch.setattr(
             dpconv.mechanisms, "_wr_kernel", lambda spec, t: calls.append(t) or kernel(spec, t)
         )
-        with pytest.raises(RootFindingError):
+        with pytest.raises(DomainError):
             fn(WR_WIDE, bad)
-        with pytest.raises(RootFindingError):
+        with pytest.raises(DomainError):
             fn(WR_WIDE, np.array([0.5, bad, -1.0]))
         assert calls == []
 

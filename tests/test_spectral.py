@@ -53,7 +53,7 @@ def convolve_samples(samples, grid, k):
         grid.dx,
         k,
     )
-    return _inverse(spectrum, np.empty(grid.size), grid, k)
+    return _inverse(spectrum, np.empty(grid.size), grid)
 
 
 def forward(values):
@@ -147,7 +147,7 @@ class TestConvolutionPower:
         spectrum = np.zeros(8, dtype=complex)
         spectrum[1] = 1.0
         with pytest.raises(SpectralResidueError):
-            _inverse(spectrum, np.empty(8), Grid(half_width=4.0, size=8), 1)
+            _inverse(spectrum, np.empty(8), Grid(half_width=4.0, size=8))
 
     def test_non_finite_density_is_an_error_not_a_nan(self):
         pld = poisson_pld(size=64)
@@ -164,7 +164,7 @@ class TestConvolutionPower:
         product = _product([big.copy(), big.copy()], [True, True])
         assert not np.isfinite(product).any()
         with pytest.raises(SpectralResidueError, match="not finite"):
-            _inverse(product, np.empty(8), Grid(half_width=4.0, size=8), 2)
+            _inverse(product, np.empty(8), Grid(half_width=4.0, size=8))
 
     def test_spectrum_power_matches_builtin(self):
         rng = np.random.default_rng(9)
@@ -189,7 +189,6 @@ class TestConvolutionProduct:
         grid = Grid(half_width=12.0, size=2048)
         prod = convolve_factors([[(SPEC, 1), (SPEC, 1)]], grid)[0]
         np.testing.assert_allclose(prod.samples, power(k=2).samples, atol=1e-12)
-        assert prod.k == 2
 
     def test_counts_expand_to_repetition(self):
         grid = Grid(half_width=12.0, size=512)
@@ -271,7 +270,6 @@ def test_pipeline_matches_direct_formula_bitwise(case):
     want = referenceconvolutions(query)
     assert tuple(d for d, _conv in got) == query.evaluated_directions
     for (_direction, conv), samples in zip(got, want):
-        assert conv.k == sum(counts)
         assert np.array_equal(conv.samples, samples)
 
 
