@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from .errors import DomainError
 from .mechanisms import Scheme
@@ -171,7 +172,12 @@ def analytic_lambda_limit(sigma: float, q: float) -> float:
     Only the two lambda caps are probed; the fixed gates on sigma and q must
     already hold, otherwise no lambda is admissible and 0 is returned. As
     log1p(x) <= x, no lambda >= 1 + sigma / sqrt(2 q) passes the first cap.
+    Raises DomainError for a q that is not a positive normal float, as the
+    caps divide by a multiple of q.
     """
+    if not q >= sys.float_info.min:
+        raise DomainError(f"q must be a positive normal float, got {q}")
+
     def admissible(lam: float) -> bool:
         return not _analytic_conditions(sigma, q, lam)
 

@@ -56,15 +56,27 @@ _SIGMA_MAX = 1e50
 _LOSS_INVERSE_TOL = 1e-13
 _LOSS_INVERSE_MAX_ITER = 100
 # With-replacement root finder: cells of the loss table on [0, T], the cap
-# on doublings of T (2^1024 overflows), points per kernel chunk (its two
-# temporaries are window terms x points: at batch_size 64 and sigma 1 a
-# Newton chunk's windows hold at most 14 terms up and 6 down, 0.4 and
-# 0.2 MiB, where all 65 terms took 2 MiB each), and the floor of the
-# max-shifted exponents (exp(-700) is still a normal double).
-_LOSS_TABLE_CELLS = 512
+# on doublings of T (2^1024 overflows) and the doublings tried per kernel
+# call, points per kernel chunk (its two temporaries are window terms x
+# points: at batch_size 64 and sigma 1 a Newton chunk's windows hold at most
+# 14 terms up and 6 down, 0.4 and 0.2 MiB, where all 65 terms took 2 MiB
+# each), and the floor of the max-shifted exponents (exp(-700) is still a
+# normal double).
+_LOSS_TABLE_CELLS = 1024
 _TABLE_MAX_DOUBLINGS = 1024
+_TABLE_DOUBLINGS_PER_CALL = 16
 _KERNEL_CHUNK_ROWS = 4096
 _EXP_FLOOR = -700.0
+# The quintic Hermite interpolant on u in [0, 1] is p(u) = p(0) + sum_k a_k u^k,
+# with a_1 .. a_5 (the rows) this matrix times the data (the columns)
+# p(1) - p(0), p'(0), p'(1), p''(0) and p''(1).
+_HERMITE_QUINTIC = np.array([
+    [0.0, 1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.5, 0.0],
+    [10.0, -6.0, -4.0, -1.5, 0.5],
+    [-15.0, 8.0, 7.0, 1.5, -1.0],
+    [6.0, -3.0, -3.0, -0.5, 0.5],
+])
 
 
 class Scheme(enum.Enum):
@@ -95,7 +107,8 @@ class MechanismSpec:
             which the density arithmetic overflows), with a square that does
             not underflow.
         scheme: subsampling scheme, see Scheme.
-        q: sampling fraction in (0, 1] for POISSON / WITHOUT_REPLACEMENT.
+        q: sampling fraction in (0, 1] for POISSON / WITHOUT_REPLACEMENT, a
+            normal float (a subnormal q overflows the densities).
             q = 1 is the non-subsampled limit, in which the Poisson density
             collapses to the plain Gaussian privacy loss. Must be None for
             WITH_REPLACEMENT.
@@ -122,8 +135,9 @@ class MechanismSpec:
         if self.scheme in (Scheme.POISSON, Scheme.WITHOUT_REPLACEMENT):
             if self.q is None:
                 raise DomainError(f"scheme {self.scheme.value} requires a sampling fraction q")
-            if not (0.0 < self.q <= 1.0):
-                raise DomainError(f"q must lie in (0, 1], got {self.q}")
+            # A subnormal q overflows the densities, which divide by it.
+            if not (sys.float_info.min <= self.q <= 1.0):
+                raise DomainError(f"q must lie in (0, 1] and be a normal float, got {self.q}")
             if self.batch_size is not None or self.dataset_size is not None:
                 raise DomainError(
                     "batch_size/dataset_size only apply to the with-replacement scheme"
@@ -389,7 +403,8 @@ def _wr_log_weights(spec: MechanismSpec):
 
 def _shifted_lse(exponents: np.ndarray, ell: np.ndarray):
     """Log-sum-exp of each column of exponents, one row per ell, and the
-    mean of ell under the column's softmax.
+    means of ell and of ell^2 under the column's softmax, as the two rows
+    of one array.
 
     The column maximum is shifted out in place and the shifted exponents
     are floored at _EXP_FLOOR, far below a double's precision relative to
@@ -404,13 +419,20 @@ def _shifted_lse(exponents: np.ndarray, ell: np.ndarray):
     np.maximum(exponents, _EXP_FLOOR, out=exponents)
     np.exp(exponents, out=exponents)
     total = exponents.sum(axis=0)
-    return peak + np.log(total), (ell @ exponents) / total
+    moments = np.stack((ell, ell * ell)) @ exponents
+    moments /= total
+    return peak + np.log(total), moments
 
 
 def _chunks(size: int):
-    """Slices of at most _KERNEL_CHUNK_ROWS rows covering range(size)."""
-    for start in range(0, size, _KERNEL_CHUNK_ROWS):
-        yield slice(start, start + _KERNEL_CHUNK_ROWS)
+    """The fewest slices of at most _KERNEL_CHUNK_ROWS rows covering
+    range(size), all of one length but the last, which is shorter by less
+    than their number: 8193 rows make three chunks of 2731, where chunks of
+    4096 would leave a one-row tail that costs a kernel call of its own."""
+    count = -(-size // _KERNEL_CHUNK_ROWS)
+    step = -(-size // count) if count else 1
+    for start in range(0, size, step):
+        yield slice(start, start + step)
 
 
 def _wr_window(log_coeff: np.ndarray, ell: np.ndarray, x: np.ndarray) -> slice:
@@ -452,33 +474,38 @@ def _windowed_lse(log_coeff: np.ndarray, ell: np.ndarray, x: np.ndarray):
 
 
 def _wr_kernel(spec: MechanismSpec, t: np.ndarray):
-    """Loss, its slope, and the log-sum-exps up and down at each t.
+    """Loss, its slope and curvature, and the log-sum-exps up and down at
+    each t.
 
     up and down are the log-sum-exps of log_coeff +- t ell / sigma^2; the
-    loss is up - down and its slope is the sum of the two softmax means of
-    ell over sigma^2. t is one-dimensional and processed in chunks of
-    _KERNEL_CHUNK_ROWS points. Each chunk sums only the terms ell that its
-    extreme points can see, one window up and one down: the exponents are
-    concave in ell, so the terms within reach of the largest at the
-    chunk's smallest and largest t bound those of every t in between, and
-    the terms left out weigh less than 2^-60 of the largest (see
-    _wr_window). At batch_size 64 and sigma 1 that is at most 20 of the
+    loss is up - down, its slope is the sum of the two softmax means of ell
+    over sigma^2, and its curvature is the difference of the two softmax
+    variances of ell over sigma^4. t is one-dimensional and processed in
+    chunks of at most _KERNEL_CHUNK_ROWS points. Each chunk sums only the
+    terms ell that its extreme points can see, one window up and one down:
+    the exponents are concave in ell, so the terms within reach of the
+    largest at the chunk's smallest and largest t bound those of every t in
+    between, and the terms left out weigh less than 2^-60 of the largest
+    (see _wr_window). At batch_size 64 and sigma 1 that is at most 20 of the
     2 (batch_size + 1) terms on a chunk of nearby t. Negating t swaps the
     two windows along with the two sides, so it swaps up and down, negates
-    the loss and keeps the slope, bit for bit.
+    the loss and the curvature and keeps the slope, bit for bit.
     """
     ell, log_coeff = _wr_log_weights(spec)
     inv_var = 1.0 / (spec.sigma * spec.sigma)
-    loss, slope, lse_up, lse_down = (np.empty_like(t) for _ in range(4))
+    loss, slope, curvature, lse_up, lse_down = (np.empty_like(t) for _ in range(5))
     for rows in _chunks(t.size):
         x = t[rows] * inv_var
-        up, up_mean = _windowed_lse(log_coeff, ell, x)
-        down, down_mean = _windowed_lse(log_coeff, ell, np.negative(x, out=x))
+        up, (up_mean, up_square) = _windowed_lse(log_coeff, ell, x)
+        down, (down_mean, down_square) = _windowed_lse(log_coeff, ell, np.negative(x, out=x))
         loss[rows] = up - down
         slope[rows] = (up_mean + down_mean) * inv_var
+        up_square -= up_mean * up_mean
+        down_square -= down_mean * down_mean
+        curvature[rows] = (up_square - down_square) * (inv_var * inv_var)
         lse_up[rows] = up
         lse_down[rows] = down
-    return loss, slope, lse_up, lse_down
+    return loss, slope, curvature, lse_up, lse_down
 
 
 @_pointwise
@@ -488,22 +515,47 @@ def loss_with_replacement(spec: MechanismSpec, t: np.ndarray) -> np.ndarray:
 
 
 def _wr_loss_table(spec: MechanismSpec, reach: float):
-    """t, loss and slope on a lattice of t >= 0 covering losses in [0, reach].
+    """The loss inverse t(s) on a lattice of t >= 0 covering losses s in
+    [0, reach], as (t, s, quintic).
 
-    _LOSS_TABLE_CELLS equal cells span [0, T], with T doubled from 1 until
-    loss(T) exceeds reach.
+    _LOSS_TABLE_CELLS equal cells span [0, T], where T is the first power of
+    two from 1 up at which the loss exceeds reach (or is not finite, which
+    fails). The powers are tried _TABLE_DOUBLINGS_PER_CALL to a kernel call,
+    whose points beyond T may overflow unseen.
+
+    Column j of quintic holds a_1 .. a_5 of the quintic Hermite interpolant
+    of the inverse over cell j, t(s) = t_j + sum_k a_k u^k with
+    u = (s - s_j) / (s_j+1 - s_j), which matches t, dt/ds = 1 / loss' and
+    d2t/ds2 = -loss'' / loss'^3 at both of its edges; loss' and loss'' are
+    the kernel's slope and curvature.
     """
-    extent = 1.0
-    for _ in range(_TABLE_MAX_DOUBLINGS):
-        edge = _wr_kernel(spec, np.array([extent]))[0][0]
-        if edge > reach or not math.isfinite(edge):
+    edge = math.nan
+    for first in range(0, _TABLE_MAX_DOUBLINGS, _TABLE_DOUBLINGS_PER_CALL):
+        extents = np.ldexp(1.0, np.arange(first, first + _TABLE_DOUBLINGS_PER_CALL))
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = _wr_kernel(spec, extents)[0]
+        beyond = ~(edges <= reach)
+        if beyond.any():
+            extent, edge = extents[beyond][0], edges[beyond][0]
             break
-        extent *= 2.0
     if not (math.isfinite(edge) and edge > reach):
         raise NonConvergenceError(f"could not tabulate the loss out to |s| = {reach:.6g}")
     t = np.linspace(0.0, extent, _LOSS_TABLE_CELLS + 1)
-    loss, slope = _wr_kernel(spec, t)[:2]
-    return t, loss, slope
+    loss, slope, curvature = _wr_kernel(spec, t)[:3]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dt = 1.0 / slope
+        d2t = -curvature * dt * dt * dt
+        # Per cell: the step in t, then the derivatives at its two edges in
+        # u, which scales the k-th derivative in s by the cell's width^k.
+        width = np.diff(loss)
+        data = np.stack((
+            np.diff(t),
+            width * dt[:-1],
+            width * dt[1:],
+            width * width * d2t[:-1],
+            width * width * d2t[1:],
+        ))
+    return t, loss, _HERMITE_QUINTIC @ data
 
 
 def _wr_solve(spec: MechanismSpec, s: np.ndarray):
@@ -512,8 +564,8 @@ def _wr_solve(spec: MechanismSpec, s: np.ndarray):
 
     The loss is odd, so the inverse at -|s| is -t with up and down swapped
     (see _wr_kernel) and each |s| is solved once. One loss table serves all
-    of them, and they are solved in chunks of _KERNEL_CHUNK_ROWS rows, so
-    the root finder's state is bounded too.
+    of them, and they are solved in chunks of at most _KERNEL_CHUNK_ROWS
+    rows, so the root finder's state is bounded too.
     """
     if not np.all(np.isfinite(s)):
         raise DomainError("the loss inverse needs finite privacy losses")
@@ -552,31 +604,27 @@ def _wr_mirror(s: np.ndarray, reach: np.ndarray, at_plus: np.ndarray, at_minus: 
 
 
 def _wr_newton(spec: MechanismSpec, s: np.ndarray, table: tuple[np.ndarray, ...]):
-    """Bracketed Newton on one chunk of s >= 0, from the table's cubic start.
+    """Bracketed Newton on one chunk of s >= 0, from the table's quintic start.
 
-    The start is the cubic Hermite interpolant of the inverse over the
-    table cell holding s, which matches t and dt/ds = 1/slope at both cell
-    edges; where it leaves the cell, the linear interpolant is used.
+    The start is the table's quintic interpolant of the inverse over the
+    cell holding s; where it leaves the cell, the linear interpolant is
+    used. The start depends on s and the table only, and so does t wherever
+    the first kernel evaluation accepts it, as it does at almost every s.
     Returns t with the slope, lse_up and lse_down of the kernel evaluation
     that accepted it. A NaN residual never counts as converged.
     """
-    t_table, loss_table, slope_table = table
-    cell = np.searchsorted(loss_table, s, side="right").clip(1, loss_table.size - 1)
-    lo, hi = t_table[cell - 1], t_table[cell]
-    width = loss_table[cell] - loss_table[cell - 1]
-    step = hi - lo
-    u = (s - loss_table[cell - 1]) / width
-    t = lo + u * step
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cubic = t + u * (1.0 - u) * (
-            (1.0 - u) * (width / slope_table[cell - 1] - step)
-            + u * (step - width / slope_table[cell])
-        )
-    np.copyto(t, cubic, where=(cubic >= lo) & (cubic <= hi))
+    t_table, loss_table, quintic = table
+    cell = np.searchsorted(loss_table, s, side="right").clip(1, loss_table.size - 1) - 1
+    lo, hi = t_table[cell], t_table[cell + 1]
+    u = (s - loss_table[cell]) / (loss_table[cell + 1] - loss_table[cell])
+    a1, a2, a3, a4, a5 = np.take(quintic, cell, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = lo + u * (a1 + u * (a2 + u * (a3 + u * (a4 + u * a5))))
+    t = np.where((start >= lo) & (start <= hi), start, lo + u * (hi - lo))
     slope, lse_up, lse_down = np.empty_like(s), np.empty_like(s), np.empty_like(s)
     active = np.arange(s.size)
     for _ in range(_LOSS_INVERSE_MAX_ITER):
-        loss, slope[active], lse_up[active], lse_down[active] = _wr_kernel(spec, t[active])
+        loss, slope[active], _, lse_up[active], lse_down[active] = _wr_kernel(spec, t[active])
         resid = loss - s[active]
         pending = ~(np.abs(resid) <= _LOSS_INVERSE_TOL)
         active, resid = active[pending], resid[pending]
@@ -604,7 +652,7 @@ def loss_inverse_with_replacement(spec: MechanismSpec, s: np.ndarray) -> np.ndar
     The loss is strictly increasing and odd with image all of R, so each
     distinct |s| is solved once for t >= 0 and t(-s) = -t(s). The loss is
     tabulated once on a lattice of t >= 0; each point starts from the
-    table's cubic interpolation and is refined by Newton steps that fall
+    table's quintic interpolation and is refined by Newton steps that fall
     back to bisection whenever they leave the bracketing lattice cell, on
     the points not yet converged only. Raises DomainError for a non-finite
     s, and NonConvergenceError if the tolerance is not met within the

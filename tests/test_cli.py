@@ -731,6 +731,27 @@ class TestExitCodes:
             assert child.stdout == "" and child.stderr.count("error: ") == 1
             assert "Traceback" not in child.stderr
 
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            ["--sigma", "4", "--q", "5e-324"],
+            ["--mech", "scheme=without-replacement,sigma=4,q=5e-324,count=1"],
+        ],
+        ids=["poisson", "without-replacement"],
+    )
+    def test_subnormal_q_is_three_without_a_warning(self, mechanism):
+        # In a child process with numpy's warnings shown, as a user sees them.
+        script = "import sys; from dpconv.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["delta", *mechanism, "--L", "3", "--n", "1024", "--eps", "1"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        child = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 3 and child.stdout == ""
+        assert child.stderr.count("error: ") == 1 and child.stderr.startswith("error: q must")
+        assert "RuntimeWarning" not in child.stderr
+
     def test_residue_error_from_workers_is_three(self, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "_IMAG_RESIDUE_TOL", -1.0)
         code, out, err = run_cli(["delta", *BASE, "--eps", "1.0"], capsys)
@@ -761,7 +782,10 @@ class TestExitCodes:
         assert "injected" in err
 
     def test_loss_inverse_iteration_cap_is_four(self, capsys, monkeypatch):
+        # The table's quintic start meets the tolerance at once on this grid,
+        # so the cap is reached with a table of one cell.
         monkeypatch.setattr("dpconv.mechanisms._LOSS_INVERSE_MAX_ITER", 1)
+        monkeypatch.setattr("dpconv.mechanisms._LOSS_TABLE_CELLS", 1)
         code, out, err = run_cli(["delta", *WR_FLAT, *WR_GRID, "--eps", "1"], capsys)
         assert code == 4 and out == ""
         assert "did not reach" in err

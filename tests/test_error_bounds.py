@@ -10,6 +10,7 @@ import pytest
 
 from dpconv import (
     CompositionQuery,
+    DomainError,
     Grid,
     MechanismSpec,
     Scheme,
@@ -153,6 +154,12 @@ class TestAnalyticTailBound:
         assert 1.0 < limit < math.inf
         assert _analytic_conditions(sigma, q, limit) == []
         assert _analytic_conditions(sigma, q, math.nextafter(limit, math.inf)) != []
+
+    @pytest.mark.parametrize("q", [5e-324, 1e-310, 0.0, -0.01, math.nan])
+    def test_lambda_limit_rejects_a_q_that_is_not_a_positive_normal_float(self, q):
+        # The caps divide by q (lambda - 1), which a subnormal q underflows.
+        with pytest.raises(DomainError, match="q must be a positive normal float"):
+            analytic_lambda_limit(4.0, q)
 
     def test_lambda_limit_is_zero_outside_the_fixed_gates(self):
         assert analytic_lambda_limit(3.9, 0.01) == 0.0

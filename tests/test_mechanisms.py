@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -33,6 +34,7 @@ from dpconv.mechanisms import (
     pld_density_with_replacement,
     pld_density_without_replacement,
 )
+from dpconv.accountant import CompositionQuery, delta_of_epsilon
 from dpconv.discretization import Grid, discretize
 
 POISSON = MechanismSpec(sigma=1.5, q=0.01)
@@ -67,6 +69,16 @@ class TestSpecValidation:
             MechanismSpec(sigma=1.0, q=0.0)
         with pytest.raises(DomainError):
             MechanismSpec(sigma=1.0, q=1.5)
+
+    @pytest.mark.parametrize("scheme", [Scheme.POISSON, Scheme.WITHOUT_REPLACEMENT])
+    @pytest.mark.parametrize("q", [5e-324, math.nextafter(sys.float_info.min, 0.0)])
+    def test_rejects_a_subnormal_q(self, scheme, q):
+        # The densities divide by q; a subnormal one overflows them.
+        with pytest.raises(DomainError, match="q must lie in"):
+            MechanismSpec(sigma=4.0, scheme=scheme, q=q)
+
+    def test_accepts_the_smallest_normal_q(self):
+        assert MechanismSpec(sigma=4.0, q=sys.float_info.min).q == sys.float_info.min
 
     def test_accepts_q_one(self):
         # q=1 is the degenerate non-subsampled Gaussian, kept for cross-checks.
@@ -339,10 +351,11 @@ class TestWithReplacement:
     @pytest.mark.parametrize("spec", [WR, WR_WIDE], ids=["WR", "WR_WIDE"])
     def test_kernel_is_odd_bit_for_bit(self, spec):
         t = np.linspace(0.0, 60.0, 20_001)
-        loss, slope, lse_up, lse_down = dpconv.mechanisms._wr_kernel(spec, t)
-        loss_m, slope_m, lse_up_m, lse_down_m = dpconv.mechanisms._wr_kernel(spec, -t)
+        loss, slope, curvature, lse_up, lse_down = dpconv.mechanisms._wr_kernel(spec, t)
+        loss_m, slope_m, curvature_m, lse_up_m, lse_down_m = dpconv.mechanisms._wr_kernel(spec, -t)
         np.testing.assert_array_equal(loss_m, -loss)
         np.testing.assert_array_equal(slope_m, slope)
+        np.testing.assert_array_equal(curvature_m, -curvature)
         np.testing.assert_array_equal(lse_up_m, lse_down)
         np.testing.assert_array_equal(lse_down_m, lse_up)
 
@@ -367,25 +380,138 @@ class TestWithReplacement:
                 density[i], rel=1e-12
             )
 
-    def test_each_magnitude_costs_at_most_two_kernel_rows(self, monkeypatch):
-        # On the benchmark grid every |s| but 0 and 12 occurs twice, and the
-        # cubic start lets each converge on its second kernel row. The rows
-        # that build the loss table are counted apart and not charged.
-        s = Grid(half_width=12.0, size=2 ** 14).points()
+    def test_each_magnitude_costs_one_newton_row(self, monkeypatch):
+        # The benchmark's request: on its grid every |s| but 0 and 12 occurs
+        # twice, 8193 magnitudes in all, and the quintic start lets each
+        # converge on its first kernel row. The loss table's rows (its extent
+        # and its 1025 points) are counted apart; with them a request costs
+        # 9234 rows.
         rows = []
         kernel = dpconv.mechanisms._wr_kernel
         monkeypatch.setattr(
             dpconv.mechanisms, "_wr_kernel", lambda spec, t: rows.append(t.size) or kernel(spec, t)
         )
-        dpconv.mechanisms._wr_loss_table(WR_WIDE, float(np.max(np.abs(s))))
+        dpconv.mechanisms._wr_loss_table(WR_WIDE, 12.0)
         table_rows = sum(rows)
         rows.clear()
-        pld_density_with_replacement(WR_WIDE, s)
-        assert sum(rows) - table_rows <= 2 * np.unique(np.abs(s)).size
+        query = CompositionQuery.homogeneous(
+            WR_WIDE, k=1000, grid=Grid(half_width=12.0, size=2 ** 14), epsilon=1.0
+        )
+        delta_of_epsilon(query)
+        assert sum(rows) - table_rows == 8193 == np.unique(np.abs(query.grid.points())).size
+        assert sum(rows) <= 9300
+
+    def test_hermite_coefficients_meet_the_interpolation_conditions(self):
+        # p(u) = sum_k a_k u^k with a = _HERMITE_QUINTIC @ data matches
+        # p(1) - p(0), p'(0), p'(1), p''(0) and p''(1), on each unit datum.
+        for data in np.eye(5):
+            p = np.polynomial.Polynomial(np.r_[0.0, dpconv.mechanisms._HERMITE_QUINTIC @ data])
+            got = [p(1.0), p.deriv()(0.0), p.deriv()(1.0), p.deriv(2)(0.0), p.deriv(2)(1.0)]
+            np.testing.assert_allclose(got, data, atol=1e-14)
+
+    @pytest.mark.parametrize("half_width, size", [(12.0, 2 ** 14), (20.0, 2 ** 16)])
+    @pytest.mark.parametrize("batch_size", [1, 64, 256])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 5.0])
+    def test_start_converges_on_the_first_row_almost_everywhere(
+        self, monkeypatch, sigma, batch_size, half_width, size
+    ):
+        # The quintic start meets the tolerance at about 94% of the
+        # magnitudes or more on each of these grids (1.00-1.06 rows each,
+        # measured). Every accepted t is checked again by a kernel call of
+        # its own.
+        spec = MechanismSpec(
+            sigma=sigma,
+            scheme=Scheme.WITH_REPLACEMENT,
+            batch_size=batch_size,
+            dataset_size=100 * batch_size,
+        )
+        s = Grid(half_width=half_width, size=size).points()
+        rows = []
+        kernel = dpconv.mechanisms._wr_kernel
+        monkeypatch.setattr(
+            dpconv.mechanisms, "_wr_kernel", lambda spec, t: rows.append(t.size) or kernel(spec, t)
+        )
+        dpconv.mechanisms._wr_loss_table(spec, half_width)
+        table_rows = sum(rows)
+        rows.clear()
+        reach, t = dpconv.mechanisms._wr_solve(spec, s)[:2]
+        assert sum(rows) - table_rows <= 1.1 * reach.size
+        assert np.max(np.abs(kernel(spec, t)[0] - reach)) <= 1e-13
+
+
+def exact_with_replacement(spec):
+    """The exact loss of the binomial mixture, its slope and f_X, as one
+    function of an mpmath t, from mpmath's binomial coefficients (no kernel)."""
+    m, sigma = spec.batch_size, mpmath.mpf(spec.sigma)
+    p = mpmath.mpf(1) / spec.dataset_size
+    weights = [mpmath.binomial(m, ell) * p ** ell * (1 - p) ** (m - ell) for ell in range(m + 1)]
+
+    def at(t):
+        sides = []
+        for sign in (1, -1):
+            terms = [w * mpmath.exp(-(t - sign * ell) ** 2 / (2 * sigma ** 2))
+                     for ell, w in enumerate(weights)]
+            value = mpmath.fsum(terms)
+            slope = mpmath.fsum(-(t - sign * ell) * term for ell, term in enumerate(terms))
+            sides.append((value, slope / (sigma ** 2 * value)))
+        (fx, dx), (fy, dy) = sides
+        return mpmath.log(fx / fy), dx - dy, fx / (sigma * mpmath.sqrt(2 * mpmath.pi))
+
+    return at
+
+
+class TestWithReplacementAgainstMpmath:
+    S = np.array([-6.0, -0.75, 0.0, 0.3, 4.5, 11.9])
+
+    @pytest.mark.parametrize(
+        "spec, density_rtol",
+        [
+            (WR_WIDE, 3e-13),
+            (MechanismSpec(
+                sigma=5.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=256, dataset_size=25600
+            ), 5e-11),
+            (MechanismSpec(
+                sigma=0.3, scheme=Scheme.WITH_REPLACEMENT, batch_size=16, dataset_size=1600
+            ), 2e-13),
+        ],
+        ids=["WR_WIDE", "sigma5-batch256", "sigma0.3-batch16"],
+    )
+    def test_inverse_and_density_match_50_digits(self, spec, density_rtol):
+        # Newton stops within 1e-13 of s on the double kernel's loss, so t
+        # lies within (1e-13 + the kernel's own error at t) / slope of the
+        # exact root, plus rounding. The kernel's error comes from its log
+        # binomial weights: 1.7e-14 for WR_WIDE, 4.9e-13 at batch_size 256.
+        # The largest density errors measured are 9.1e-14, 2.1e-11 and
+        # 4.7e-14 in the order of the specs; density_rtol is about twice each.
+        t = loss_inverse_with_replacement(spec, self.S)
+        density = pld_density_with_replacement(spec, self.S)
+        kernel_loss = loss_with_replacement(spec, t)
+        with mpmath.workdps(50):
+            exact = exact_with_replacement(spec)
+            for s, got_t, got_loss, got_density in zip(self.S, t, kernel_loss, density):
+                # Newton's method in 50 digits, from sigma^2 s: the loss is
+                # increasing, so the point where it meets s is the root.
+                root = mpmath.mpf(spec.sigma ** 2 * s)
+                for _ in range(100):
+                    loss, slope, f_x = exact(root)
+                    if abs(loss - s) <= mpmath.mpf(10) ** -45:
+                        break
+                    root -= (loss - s) / slope
+                else:
+                    pytest.fail(f"the 50-digit root at s = {s} did not converge")
+                kernel_error = abs(got_loss - exact(mpmath.mpf(got_t))[0])
+                assert kernel_error <= 1e-12
+                budget = (1e-13 + kernel_error) / slope + 4 * np.spacing(abs(got_t))
+                assert abs(got_t - root) <= budget, s
+                assert abs(got_density / (f_x / slope) - 1) <= density_rtol, s
 
 
 def full_sum_kernel(spec, t):
-    """_wr_kernel's four outputs from plain max-shifted sums over every ell."""
+    """_wr_kernel's five outputs from plain max-shifted sums over every ell,
+    with each variance summed about its mean, and the scale of the kernel's
+    curvature error, (E_up[ell^2] + E_down[ell^2] + 1) / sigma^4: the
+    kernel's E[ell^2] - E[ell]^2 rounds relative to E[ell^2], and the terms
+    its window leaves out move each E[ell^2] by at most batch_size 2^-60."""
     ell, log_coeff = dpconv.mechanisms._wr_log_weights(spec)
     inv_var = 1.0 / (spec.sigma * spec.sigma)
     sides = []
@@ -396,9 +522,14 @@ def full_sum_kernel(spec, t):
             peak[~np.isfinite(peak)] = 0.0
             weights = np.exp(exponents - peak[:, None])
             total = weights.sum(axis=1)
-            sides.append((peak + np.log(total), (weights @ ell) / total))
-    (up, up_mean), (down, down_mean) = sides
-    return up - down, (up_mean + down_mean) * inv_var, up, down
+            mean = (weights @ ell) / total
+            variance = (weights * np.square(ell - mean[:, None])).sum(axis=1) / total
+            square = (weights @ np.square(ell)) / total
+            sides.append((peak + np.log(total), mean, variance, square))
+        (up, up_mean, up_var, up_sq), (down, down_mean, down_var, down_sq) = sides
+        curvature = (up_var - down_var) * inv_var * inv_var
+        scale = (up_sq + down_sq + 1.0) * inv_var * inv_var
+    return (up - down, (up_mean + down_mean) * inv_var, curvature, up, down), scale
 
 
 class TestKernelWindow:
@@ -422,11 +553,18 @@ class TestKernelWindow:
         monkeypatch.setattr(dpconv.mechanisms, "_KERNEL_CHUNK_ROWS", 3)
         with np.errstate(all="ignore"):
             got = dpconv.mechanisms._wr_kernel(spec, self.T)
-        names = ("loss", "slope", "lse_up", "lse_down")
-        for name, have, want in zip(names, got, full_sum_kernel(spec, self.T)):
+        names = ("loss", "slope", "curvature", "lse_up", "lse_down")
+        reference, scale = full_sum_kernel(spec, self.T)
+        for name, have, want in zip(names, got, reference):
             finite = np.isfinite(want)
-            np.testing.assert_array_equal(have[~finite], want[~finite], err_msg=name)
-            ulp = np.finfo(float).eps * np.maximum(1.0, np.abs(want[finite]))
+            if name == "curvature":
+                # Compared on full_sum_kernel's scale, where it is finite.
+                finite &= np.isfinite(scale)
+                assert np.all(~np.isfinite(have[~finite])), name
+                ulp = np.finfo(float).eps * np.maximum(np.abs(want), scale)[finite]
+            else:
+                np.testing.assert_array_equal(have[~finite], want[~finite], err_msg=name)
+                ulp = np.finfo(float).eps * np.maximum(1.0, np.abs(want[finite]))
             assert np.all(np.abs(have[finite] - want[finite]) <= 8 * ulp), name
 
     def test_sums_at_most_a_third_of_the_columns_on_a_benchmark_grid(self, monkeypatch):
