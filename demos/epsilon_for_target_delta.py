@@ -5,12 +5,10 @@ grid cell it has the closed form U - exp(epsilon) * W with suffix sums U and
 W of the convolved density, so epsilon_of_delta finds the cell where delta
 crosses the target and solves for epsilon there exactly, from the single
 convolution. This script inverts a few budgets for a fixed training run and
-then replays one of them through the slow bisection oracle as an
-independent check.
+then feeds one returned epsilon back through delta_of_epsilon as a check.
 """
 
 from dpconv import CompositionQuery, Grid, MechanismSpec, delta_of_epsilon, epsilon_of_delta
-from dpconv.oracle import bisection_epsilon
 
 mechanism = MechanismSpec(sigma=1.5, q=0.01)
 grid = Grid(12.0, 2**17)
@@ -36,6 +34,3 @@ forward = delta_of_epsilon(
 print(f"\nround trip at target {target:.0e}:")
 print(f"  epsilon_of_delta -> {inverted.value:.12f}")
 print(f"  delta_of_epsilon back -> {forward.value:.12e} (residual {abs(forward.value - target):.2e})")
-
-oracle_eps = bisection_epsilon(mechanism, steps, grid, target)
-print(f"  bisection oracle  -> {oracle_eps:.12f} (gap {abs(oracle_eps - inverted.value):.2e})")

@@ -63,5 +63,8 @@ for half_width in (4.0, 8.0, 12.0):
 print("\ndiscretisation estimate 2|I_n - I_2n| for the full query")
 for exponent in (14, 16, 18):
     query = CompositionQuery.homogeneous(spec, K, Grid(12.0, 2**exponent), epsilon=1.0)
-    value = delta_of_epsilon(query).value
+    result = delta_of_epsilon(query)
+    value = result.value
     print(f"  n=2^{exponent}: delta {value:.12e}, estimate {discretization_estimate(query, value=value):.3e}")
+    for warning in result.warnings:
+        print(f"    warning: {warning}")

@@ -4,7 +4,7 @@ The pipeline: build the privacy loss density of one mechanism (mechanisms),
 sample it on a symmetric grid (discretization), convolve k compositions via
 the FFT (spectral), and evaluate tight delta(epsilon) or its exact inverse
 on the grid (accountant), with tail/periodisation/discretisation error
-control (error_bounds) and slow independent cross-checks (oracle).
+control (error_bounds).
 """
 
 from .accountant import (

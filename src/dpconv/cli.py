@@ -318,6 +318,7 @@ def _run_converge(args, parser) -> list[dict]:
                 "value": result.value,
                 "tail_estimate": result.tail_estimate,
                 "tail_estimate_valid": result.tail_estimate_valid,
+                "warnings": list(result.warnings),
             }
             for result in results
         ]
@@ -336,6 +337,7 @@ def _run_converge(args, parser) -> list[dict]:
                 "value": value,
                 "err": err,
                 "err_rel": err / value if value > 0 else math.inf,
+                "warnings": list(result.warnings),
             }
         )
     return rows

@@ -6,14 +6,13 @@ the DFT diagonalises: transform once, raise the spectrum to the k-th power
 elementwise, transform back. The cost is two transforms regardless of k,
 against k-1 direct convolutions.
 
-Scaling conventions. Let y = half_swap(samples) * dx be the cell masses in
-DFT layout, FFT the unnormalised forward transform and IFFT its inverse
-with the 1/n factor. Then
-
-    C_k = half_swap(IFFT(FFT(y) ** k)) / dx
-
-are density samples of the k-fold circular convolution on the original grid,
-and dx * sum(C_k) = mass ** k is preserved exactly up to rounding.
+Scaling conventions. Let y = samples * dx be the cell masses in DFT layout:
+rotated by n/2, origin at index 0. Let FFT be the unnormalised forward
+transform and IFFT its inverse with the 1/n factor. Then IFFT(FFT(y) ** k),
+rotated back by n/2 and divided by dx, gives C_k: density samples of the
+k-fold circular convolution on the original grid, and
+dx * sum(C_k) = mass ** k is preserved exactly up to rounding. That
+composed mass is bin 0 of the product spectrum.
 
 Memory and threads. Each factor, one (density, count) pair, owns one
 complex buffer: its cell masses are written into the real part block by
@@ -38,7 +37,16 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .discretization import ConvolvedPld, Grid, blocks, check_support, over_unity, samples, swapped
+from .discretization import (
+    ConvolvedPld,
+    Grid,
+    blocks,
+    check_support,
+    composed_over_unity,
+    over_unity,
+    samples,
+    swapped,
+)
 from .errors import SpectralResidueError
 from .mechanisms import MechanismSpec
 
@@ -120,8 +128,9 @@ def _map(fn, items: list) -> list:
 
 
 def _factor_spectrum(buffer: np.ndarray, samples, dx: float, count: int) -> tuple[np.ndarray, float]:
-    """FFT(half_swap(samples) * dx) ** count, in place in a zeroed complex
-    buffer, and the factor's sampled mass dx * sum(samples).
+    """FFT(samples * dx) ** count, the samples rotated by n/2 (origin at
+    index 0), in place in a zeroed complex buffer, and the factor's sampled
+    mass dx * sum(samples).
 
     samples yields (block, values) for the slices of blocks(buffer.size).
     The mass is bin 0 of the forward transform, read before the power.
@@ -164,8 +173,8 @@ def _inverse(
     product: np.ndarray, samples: np.ndarray, grid: Grid, warnings: tuple[str, ...] = ()
 ) -> ConvolvedPld:
     """Density samples of an owned product spectrum, inverse transformed in
-    place, written into samples. warnings are its factors' (see
-    over_unity); a non-finite result repeats them in its error."""
+    place, written into samples. warnings are its mass warnings (see
+    convolve_factors); a non-finite result repeats them in its error."""
     from scipy import fft
 
     raw = fft.ifft(product, overwrite_x=True)
@@ -214,7 +223,9 @@ def convolve_factors(
     thread, so a GridTooSmallError (the grid cuts into a support edge) is
     raised there before any buffer is allocated; every density is evaluated
     in its factor's build. Each result's warnings name its factors whose
-    sampled mass exceeds 1 (see over_unity).
+    sampled mass exceeds 1 (see over_unity). If none does, they name the
+    product whose composed mass, bin 0 of its spectrum, still exceeds 1 (see
+    composed_over_unity).
     """
     for spec in dict.fromkeys(spec for factors in factor_lists for spec, _count in factors):
         check_support(spec, grid)
@@ -245,14 +256,13 @@ def convolve_factors(
     notes = {factor: over_unity(factor[0], mass) for factor, (_spectrum, mass) in built.items()}
     # Every product is formed before any inverse transform starts, so a
     # shared factor is freed before the transforms' scratch is allocated.
-    jobs = [
-        (
-            _product([built[f][0] for f in factors], [uses[f] == 1 for f in factors]),
-            np.empty(grid.size),
-            grid,
-            tuple(notes[f] for f in factors if notes[f]),
-        )
-        for factors in ordered
-    ]
+    jobs = []
+    for factors in ordered:
+        product = _product([built[f][0] for f in factors], [uses[f] == 1 for f in factors])
+        named = tuple(notes[f] for f in factors if notes[f])
+        if not named:
+            note = composed_over_unity(factors, float(product[0].real))
+            named = (note,) if note else ()
+        jobs.append((product, np.empty(grid.size), grid, named))
     built.clear()
     return _map(lambda job: _inverse(*job), jobs)

@@ -7,6 +7,9 @@ non-subsampled Gaussian case uses an independent high-precision evaluation
 of its classical closed form. Size guards keep the quadratic paths in
 test-sized territory; callers that knowingly want a large direct convolution
 pass allow_large=True.
+
+This is test code, not part of the package: tests import it as
+`from oracle import ...`, and it uses only dpconv's public names.
 """
 
 from __future__ import annotations
@@ -16,15 +19,34 @@ import math
 import mpmath
 import numpy as np
 
-from .accountant import CompositionQuery, convolutions
-from .discretization import ConvolvedPld, Grid, discretize, half_swap
-from .errors import DomainError, NonConvergenceError
-from .mechanisms import MechanismSpec
+from dpconv import (
+    CompositionQuery,
+    ConvolvedPld,
+    DomainError,
+    Grid,
+    MechanismSpec,
+    NonConvergenceError,
+    discretize,
+)
+from dpconv.accountant import convolutions
 
 _MAX_DIRECT_SIZE = 8192
 _MAX_DIRECT_CONVOLUTIONS = 3
 _BISECTION_TOL = 1e-9
 _BISECTION_MAX_ITER = 200
+
+
+def half_swap(values: np.ndarray) -> np.ndarray:
+    """Rotates a vector by half its length: out[i] = values[(i + n/2) mod n].
+
+    Maps the grid layout (origin at index n/2) to the DFT layout (origin at
+    index 0) and back; applying it twice is the identity.
+    """
+    values = np.asarray(values)
+    n = values.shape[-1]
+    if n % 2:
+        raise DomainError(f"half_swap needs an even length, got {n}")
+    return np.roll(values, -(n // 2), axis=-1)
 
 
 def _direct_sum(values, unit: complex) -> np.ndarray:

@@ -49,7 +49,8 @@ from dpconv.mechanisms import (
     pld_density_with_replacement,
     pld_density_without_replacement,
 )
-from dpconv.oracle import (
+
+from oracle import (
     bisection_epsilon,
     direct_convolution_combine,
     direct_convolution_delta,

@@ -27,7 +27,8 @@ from dpconv import (
 )
 from dpconv.accountant import convolutions
 from dpconv.discretization import _EMPTY_SUM_WARNING, _OVER_UNITY_WARNING
-from dpconv.oracle import bisection_epsilon
+
+from oracle import bisection_epsilon
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
 GRID = Grid(half_width=12.0, size=2 ** 16)
@@ -345,7 +346,7 @@ class TestUnderResolvedDensity:
         assert mass > 1e18
         return (
             f"sampled mass {mass:.6g} of mechanism (sigma=0.1, scheme=without-replacement, "
-            "q=0.01, direction=x-over-y) exceeds 1: the grid under-resolves it"
+            "q=0.01) exceeds 1: the grid under-resolves it"
         )
 
     @pytest.mark.parametrize("size", [8192, 2 ** 16, 2 ** 20])
@@ -371,3 +372,70 @@ class TestUnderResolvedDensity:
         warned = delta_of_epsilon(mixed_query).warnings
         named = [warning for warning in warned if warning.startswith("sampled mass")]
         assert len(named) == 1 and "scheme=without-replacement" in named[0]
+
+    def test_a_substitute_scheme_is_named_without_a_direction(self):
+        # Both directions of a with-replacement mechanism are one density, so
+        # its warning names no direction, whichever the query restricts to.
+        spec = MechanismSpec(sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=64,
+                             dataset_size=6400)
+        grid = Grid(half_width=12.0, size=1024)
+        restricted = dataclasses.replace(
+            CompositionQuery.homogeneous(spec, 10, grid, epsilon=1.0),
+            directions=(Direction.Y_OVER_X,),
+        )
+        mass = discretize(spec, grid).mass
+        assert delta_of_epsilon(restricted).warnings == (
+            f"sampled mass {mass:.6g} of mechanism (sigma=1.0, scheme=with-replacement, "
+            "batch_size=64, dataset_size=6400) exceeds 1: the grid under-resolves it",
+        )
+
+    def test_a_poisson_mechanism_is_named_with_its_direction(self):
+        grid = Grid(half_width=12.0, size=1024)
+        result = delta_of_epsilon(query(epsilon=1.0, k=10, grid=grid))
+        named = [
+            f"sampled mass {discretize(SPEC.with_direction(d), grid).mass:.6g} of mechanism "
+            f"(sigma=1.5, scheme=poisson, q=0.01, direction={d.value}) exceeds 1: "
+            "the grid under-resolves it"
+            for d in Direction
+        ]
+        assert result.warnings == tuple(sorted(named))
+
+
+class TestComposedMass:
+    """Factors within the mass tolerance can compose to a mass beyond it:
+    the default query at n = 2^16, L = 20 samples each direction's density
+    to 1 + 7.9e-6, and its 10^4-th power to 1.08, which puts delta 8% above
+    the converged 0.0496014."""
+
+    def default_query(self, size):
+        return query(epsilon=1.0, k=10_000, grid=Grid(half_width=20.0, size=size))
+
+    def composed_warning(self, direction, mass):
+        return (
+            f"composed mass {mass:.6g} of 10000 x mechanism (sigma=1.5, scheme=poisson, "
+            f"q=0.01, direction={direction.value}) exceeds 1: the grid under-resolves the "
+            "composition"
+        )
+
+    def test_the_default_query_warns_at_two_to_the_sixteen(self):
+        q = self.default_query(2 ** 16)
+        convolved = convolutions(q)
+        for direction, conv in convolved:
+            assert conv.mass > 1.08
+            assert conv.warnings == (self.composed_warning(direction, conv.mass),)
+        result = delta_of_epsilon(q)
+        assert result.value == pytest.approx(0.0535908, rel=1e-6)
+        assert result.warnings == tuple(
+            sorted(self.composed_warning(d, conv.mass) for d, conv in convolved)
+        )
+
+    def test_the_default_query_is_silent_at_two_to_the_twenty(self):
+        result = delta_of_epsilon(self.default_query(2 ** 20))
+        assert result.value == pytest.approx(0.0496014, rel=1e-6)
+        assert result.warnings == ()
+
+    def test_a_named_factor_is_not_named_again_as_a_composition(self):
+        # At n = 4096, L = 12 each direction's factor has mass 1.076, so its
+        # sampled-mass warning stands alone.
+        for _direction, conv in convolutions(query(epsilon=1.0, k=3, grid=Grid(12.0, 4096))):
+            assert len(conv.warnings) == 1 and conv.warnings[0].startswith("sampled mass")

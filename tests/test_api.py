@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dpconv
@@ -124,3 +127,25 @@ def test_the_check_sees_both_forms(tmp_path):
         "from .accountant import _grid_inverse",
         "spectral._map",
     ]
+
+
+def test_the_package_imports_and_runs_without_mpmath():
+    # mpmath is a test dependency only (pyproject.toml): with it blocked,
+    # every module of the package imports and a small query runs.
+    script = """
+import importlib, pkgutil, sys
+sys.modules["mpmath"] = None
+import dpconv
+for module in pkgutil.iter_modules(dpconv.__path__):
+    importlib.import_module("dpconv." + module.name)
+from dpconv.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+    argv = ["delta", "--sigma", "1.5", "--q", "0.01", "--k", "10", "--eps", "1", "--L", "12",
+            "--n", "1024"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert '"kind": "delta"' in child.stdout

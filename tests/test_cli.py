@@ -411,10 +411,13 @@ class TestRowsAreTheirOwnCommands:
         rows = json.loads(out)
         assert [r["n"] for r in rows] == [2048, 4096, 8192]
         for row in rows:
-            i_n = self.delta_report(capsys, "--n", str(row["n"]), "--eps", "1.0")["value"]
+            report = self.delta_report(capsys, "--n", str(row["n"]), "--eps", "1.0")
+            i_n, warnings = report["value"], report["warnings"]
             i_2n = self.delta_report(capsys, "--n", str(2 * row["n"]), "--eps", "1.0")["value"]
-            assert row["value"] == i_n
+            assert (row["value"], row["warnings"]) == (i_n, warnings)
             assert row["err"] == 2.0 * abs(i_n - i_2n)
+        # At n = 4096 each direction's sampled mass exceeds 1 and is named.
+        assert [len(row["warnings"]) for row in rows] == [0, 2, 0]
 
     def test_converge_over_half_width(self, capsys):
         argv = ["converge", *BASE, "--over", "L", "--start", "3", "--doublings", "2",
@@ -425,8 +428,8 @@ class TestRowsAreTheirOwnCommands:
         assert [r["L"] for r in rows] == [3.0, 6.0, 12.0]
         for row in rows:
             report = self.delta_report(capsys, "--L", repr(row["L"]), "--eps", "1.0")
-            assert (row["value"], row["tail_estimate"]) == (
-                report["value"], report["tail_estimate"]
+            assert (row["value"], row["tail_estimate"], row["warnings"]) == (
+                report["value"], report["tail_estimate"], report["warnings"]
             )
 
 

@@ -15,7 +15,7 @@ from dpconv import (
     Scheme,
     discretize,
 )
-from dpconv.discretization import blocks, half_swap, samples
+from dpconv.discretization import blocks, samples
 from dpconv.mechanisms import pld_density_poisson
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
@@ -73,28 +73,6 @@ class TestGrid:
         for x in (-math.inf, -2 * half_width, 2 * half_width, math.inf):
             for side in ("left", "right"):
                 assert grid.index(x, side) == int(np.searchsorted(points, x, side=side))
-
-
-class TestHalfSwap:
-    def test_definition(self):
-        np.testing.assert_array_equal(
-            half_swap(np.array([1.0, 2.0, 3.0, 4.0])), [3.0, 4.0, 1.0, 2.0]
-        )
-
-    def test_involution(self):
-        v = np.random.default_rng(0).normal(size=1024)
-        np.testing.assert_array_equal(half_swap(half_swap(v)), v)
-
-    def test_zeros(self):
-        np.testing.assert_array_equal(half_swap(np.zeros(6)), np.zeros(6))
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(DomainError):
-            half_swap(np.zeros(5))
-
-    def test_permutation(self):
-        v = np.arange(10.0)
-        assert sorted(half_swap(v)) == sorted(v)
 
 
 class TestDiscretize:

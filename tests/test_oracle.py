@@ -17,12 +17,14 @@ from dpconv import (
     delta_of_epsilon,
     epsilon_of_delta,
 )
-from dpconv.oracle import (
+
+from oracle import (
     bisection_epsilon,
     direct_convolution_delta,
     direct_dft,
     direct_inverse_dft,
     gaussian_mechanism_delta,
+    half_swap,
 )
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
@@ -30,6 +32,28 @@ GRID = Grid(half_width=12.0, size=4096)
 # The sharply peaked PLD needs a much denser lattice once k is in the
 # hundreds; mass errors compound as mass**k.
 FINE = Grid(half_width=12.0, size=2 ** 16)
+
+
+class TestHalfSwap:
+    def test_definition(self):
+        np.testing.assert_array_equal(
+            half_swap(np.array([1.0, 2.0, 3.0, 4.0])), [3.0, 4.0, 1.0, 2.0]
+        )
+
+    def test_involution(self):
+        v = np.random.default_rng(0).normal(size=1024)
+        np.testing.assert_array_equal(half_swap(half_swap(v)), v)
+
+    def test_zeros(self):
+        np.testing.assert_array_equal(half_swap(np.zeros(6)), np.zeros(6))
+
+    def test_odd_length_rejected(self):
+        with pytest.raises(DomainError):
+            half_swap(np.zeros(5))
+
+    def test_permutation(self):
+        v = np.arange(10.0)
+        assert sorted(half_swap(v)) == sorted(v)
 
 
 class TestDirectTransforms:

@@ -23,14 +23,20 @@ from dpconv import (
 )
 from dpconv import spectral
 from dpconv.accountant import convolutions
-from dpconv.discretization import blocks, half_swap
-from dpconv.oracle import direct_dft, direct_inverse_dft
+from dpconv.discretization import blocks
 from dpconv.spectral import (
     _factor_spectrum,
     _inverse,
     _product,
     _spectrum_power,
     convolve_factors,
+)
+
+from oracle import (
+    direct_convolution_combine,
+    direct_dft,
+    direct_inverse_dft,
+    half_swap,
 )
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
@@ -198,8 +204,6 @@ class TestConvolutionProduct:
 
 def test_two_fold_poisson_matches_quadratic_oracle():
     """FFT route against the O(n^2) periodic convolution at n=2048."""
-    from dpconv.oracle import direct_convolution_combine
-
     pld = poisson_pld(size=2048)
     fast = power(k=2)
     slow = direct_convolution_combine(pld, pld)
@@ -208,8 +212,6 @@ def test_two_fold_poisson_matches_quadratic_oracle():
 
 
 def test_heterogeneous_pair_matches_quadratic_oracle():
-    from dpconv.oracle import direct_convolution_combine
-
     a = poisson_pld(size=2048, sigma=1.5, q=0.01)
     b = poisson_pld(size=2048, sigma=2.0, q=0.02)
     other = MechanismSpec(sigma=2.0, q=0.02)
