@@ -167,14 +167,8 @@ def _build_query(args, parser, epsilon=None, delta=None) -> CompositionQuery:
     else:
         if args.sigma is None:
             parser.error("--sigma is required (or use --mech groups)")
-        spec = MechanismSpec(
-            sigma=args.sigma,
-            scheme=Scheme(args.scheme),
-            q=args.q,
-            batch_size=args.batch_size,
-            dataset_size=args.dataset_size,
-        )
-        specs, counts = (spec,), (args.k,)
+        numbers = {key: getattr(args, key) for key, _kind in _MECH_NUMBERS}
+        specs, counts = (MechanismSpec(scheme=Scheme(args.scheme), **numbers),), (args.k,)
     return CompositionQuery(
         specs=tuple(specs),
         counts=tuple(counts),
@@ -297,7 +291,7 @@ def _run_sweep(args, parser) -> list[dict]:
     if args.eps is None:
         parser.error("sweep --over k needs a fixed --eps")
     if args.mech:
-        parser.error("sweep --over k applies to the flat mechanism flags only")
+        parser.error("sweep --over k takes the flat mechanism flags, not --mech")
     counts = [_parse_number(text, int, "--values entry", parser) for text in args.values.split(",")]
     query = _build_query(args, parser, epsilon=args.eps)
     queries = [dataclasses.replace(query, counts=(k,)) for k in counts]

@@ -555,7 +555,8 @@ def _wr_loss_table(spec: MechanismSpec, reach: float):
             width * width * d2t[:-1],
             width * width * d2t[1:],
         ))
-    return t, loss, _HERMITE_QUINTIC @ data
+        quintic = _HERMITE_QUINTIC @ data
+    return t, loss, quintic
 
 
 def _wr_solve(spec: MechanismSpec, s: np.ndarray):
@@ -627,6 +628,17 @@ def _wr_newton(spec: MechanismSpec, s: np.ndarray, table: tuple[np.ndarray, ...]
         loss, slope[active], _, lse_up[active], lse_down[active] = _wr_kernel(spec, t[active])
         resid = loss - s[active]
         pending = ~(np.abs(resid) <= _LOSS_INVERSE_TOL)
+        if pending.any():
+            # Far out the loss steps by more than _LOSS_INVERSE_TOL between
+            # adjacent doubles t, so its rounding there is accepted too: a
+            # step of t times the slope, plus a few ulps of the larger
+            # log-sum-exp, of which the loss is a difference.
+            missed = active[pending]
+            lse = np.maximum(np.abs(lse_up[missed]), np.abs(lse_down[missed]))
+            rounding = slope[missed] * np.spacing(t[missed]) + 4.0 * np.spacing(lse)
+            near = np.abs(resid[pending]) <= rounding
+            pending[pending] = ~near
+            tolerance = np.fmax(rounding[~near], _LOSS_INVERSE_TOL)
         active, resid = active[pending], resid[pending]
         if not active.size:
             break
@@ -639,7 +651,7 @@ def _wr_newton(spec: MechanismSpec, s: np.ndarray, table: tuple[np.ndarray, ...]
         t[active] = np.where(inside, proposal, 0.5 * (lo[active] + hi[active]))
     else:
         raise NonConvergenceError(
-            f"loss inverse did not reach |loss(t) - s| <= {_LOSS_INVERSE_TOL} "
+            f"loss inverse did not reach |loss(t) - s| <= {float(np.max(tolerance)):.3g} "
             f"within {_LOSS_INVERSE_MAX_ITER} iterations"
         )
     return t, slope, lse_up, lse_down

@@ -42,7 +42,7 @@ from .discretization import (
     Grid,
     blocks,
     check_support,
-    composed_over_unity,
+    composed_off_unity,
     over_unity,
     samples,
     swapped,
@@ -205,7 +205,7 @@ def _inverse(
 
 
 def convolve_factors(
-    factor_lists: list[list[tuple[MechanismSpec, int]]], grid: Grid
+    factor_lists: list[list[tuple[MechanismSpec, int]]], grid: Grid, tail: float | None
 ) -> list[ConvolvedPld]:
     """The convolution of each list of (spec, count) factors on grid.
 
@@ -224,8 +224,10 @@ def convolve_factors(
     raised there before any buffer is allocated; every density is evaluated
     in its factor's build. Each result's warnings name its factors whose
     sampled mass exceeds 1 (see over_unity). If none does, they name the
-    product whose composed mass, bin 0 of its spectrum, still exceeds 1 (see
-    composed_over_unity).
+    product whose composed mass, bin 0 of its spectrum, still exceeds 1 or,
+    where tail bounds the mass the composition loses beyond the grid, falls
+    short of 1 by more than that (see composed_off_unity); a tail of None
+    leaves the deficit unchecked.
     """
     for spec in dict.fromkeys(spec for factors in factor_lists for spec, _count in factors):
         check_support(spec, grid)
@@ -261,7 +263,7 @@ def convolve_factors(
         product = _product([built[f][0] for f in factors], [uses[f] == 1 for f in factors])
         named = tuple(notes[f] for f in factors if notes[f])
         if not named:
-            note = composed_over_unity(factors, float(product[0].real))
+            note = composed_off_unity(factors, float(product[0].real), tail)
             named = (note,) if note else ()
         jobs.append((product, np.empty(grid.size), grid, named))
     built.clear()

@@ -11,6 +11,7 @@ import pytest
 import dpconv.error_bounds
 from dpconv import (
     CompositionQuery,
+    ConvolvedPld,
     Direction,
     DomainError,
     Grid,
@@ -25,7 +26,7 @@ from dpconv import (
     epsilon_of_delta,
     tail_estimate,
 )
-from dpconv.accountant import convolutions
+from dpconv.accountant import _grid_inverse, convolutions
 from dpconv.discretization import _EMPTY_SUM_WARNING, _OVER_UNITY_WARNING
 
 from oracle import bisection_epsilon
@@ -91,6 +92,14 @@ class TestQueryValidation:
             CompositionQuery(specs=(flipped,), counts=(1,), grid=GRID, epsilon=1.0)
         with pytest.raises(DomainError, match="directions="):
             CompositionQuery(specs=(SPEC, flipped), counts=(1, 1), grid=GRID, epsilon=1.0)
+
+    def test_homogeneous_forwards_keyword_fields_only(self):
+        # Every field past grid goes to the dataclass by name, with its defaults.
+        fields = dict(delta=1e-5, directions=(Direction.Y_OVER_X,))
+        got = CompositionQuery.homogeneous(SPEC, 3, GRID, **fields)
+        assert got == CompositionQuery(specs=(SPEC,), counts=(3,), grid=GRID, **fields)
+        with pytest.raises(TypeError):
+            CompositionQuery.homogeneous(SPEC, 3, GRID, 1.0)
 
 
 class TestDeltaOfEpsilon:
@@ -294,6 +303,14 @@ class TestExactInverse:
         for fraction in (0.9, 0.5, 0.1):
             assert self.bisection_gap(fraction * at_left) <= 1e-8
 
+    def test_a_density_left_of_zero_inverts_to_zero(self):
+        # No mass at or right of 0: delta(0) = 0 already meets any target, in
+        # the first cell.
+        grid = Grid(half_width=4.0, size=8)
+        conv = ConvolvedPld(grid=grid, samples=np.where(grid.points() < 0.0, 0.25, 0.0))
+        assert conv.delta(0.0)[0] == 0.0
+        assert _grid_inverse(conv, 1e-3) == 0.0
+
     def test_tight_epsilon_is_max_over_restricted_directions(self):
         q = query(delta=1e-5, k=self.K)
         per_direction = [
@@ -433,6 +450,42 @@ class TestComposedMass:
         result = delta_of_epsilon(self.default_query(2 ** 20))
         assert result.value == pytest.approx(0.0496014, rel=1e-6)
         assert result.warnings == ()
+
+    def deficit_warning(self, direction, mass, k, tail):
+        return (
+            f"composed mass {mass:.6g} of {k} x mechanism (sigma=1.5, scheme=poisson, "
+            f"q=0.01, direction={direction.value}) falls short of 1 by more than the tail "
+            f"estimate {tail:.3g}: the grid under-resolves the composition"
+        )
+
+    @pytest.mark.parametrize("size", [2048, 8192])
+    def test_a_deficit_beyond_the_tail_estimate_warns_in_both_directions(self, size):
+        # k = 100 at L = 12, where tail_estimate is a valid 6.5e-32: at 2048
+        # the composed masses are about 1.9e-10 and delta is 5.8e-22, at 8192
+        # they are 0.317 and 0.314 and delta is 52% low; 2^16 gives 2.5e-14.
+        q = query(epsilon=1.0, k=100, grid=Grid(half_width=12.0, size=size))
+        tail = tail_estimate(q)
+        assert tail.valid and tail.value < 1e-31
+        convolved = convolutions(q)
+        for direction, conv in convolved:
+            assert conv.mass < 0.32
+            assert conv.warnings == (self.deficit_warning(direction, conv.mass, 100, tail.value),)
+        result = delta_of_epsilon(q)
+        assert result.warnings == tuple(
+            sorted(self.deficit_warning(d, conv.mass, 100, tail.value) for d, conv in convolved)
+        )
+
+    def test_a_deficit_within_the_tolerance_or_without_a_valid_tail_is_silent(self):
+        # k = 100 at 2^16 composes to 1 - 3.0e-6. The default query at L = 12
+        # and 2^16 composes to 1 - 3.04e-4, within the mass tolerance, though
+        # its delta is 3e-4 low. At sigma = 0.9 the tail estimate is out of its
+        # envelope, so a composed mass of 0.42 at n = 16384 cannot be told
+        # from mass lost beyond L.
+        for k, spec, size in ((100, SPEC, 2 ** 16), (10_000, SPEC, 2 ** 16),
+                              (100, MechanismSpec(sigma=0.9, q=0.01), 16384)):
+            q = query(epsilon=1.0, k=k, spec=spec, grid=Grid(half_width=12.0, size=size))
+            assert delta_of_epsilon(q).warnings == ()
+        assert min(conv.mass for _direction, conv in convolutions(q)) < 0.42
 
     def test_a_named_factor_is_not_named_again_as_a_composition(self):
         # At n = 4096, L = 12 each direction's factor has mass 1.076, so its

@@ -89,7 +89,10 @@ class TestDeltaSubcommand:
         assert report["L"] == 12.0 and report["n"] == 16384 and report["k"] == 100
         assert report["scheme"] == "poisson"
         assert report["directions"] == ["x-over-y", "y-over-x"]
-        assert report["warnings"] == []
+        # BASE's grid composes each direction to mass 0.98, which is named.
+        assert report["warnings"] == list(library_delta().warnings)
+        assert len(report["warnings"]) == 2
+        assert all("falls short of 1" in warning for warning in report["warnings"])
         assert report["tail_estimate_valid"] is True
         assert report["discretization_estimate"] >= 0.0
 
@@ -137,7 +140,8 @@ class TestDeltaSubcommand:
         assert code == 0
         report = json.loads(out)
         assert report["value"] == 0.0
-        assert report["warnings"] == ["epsilon exceeds truncation radius"]
+        composed = list(library_delta().warnings)
+        assert report["warnings"] == sorted([*composed, "epsilon exceeds truncation radius"])
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -416,8 +420,10 @@ class TestRowsAreTheirOwnCommands:
             i_2n = self.delta_report(capsys, "--n", str(2 * row["n"]), "--eps", "1.0")["value"]
             assert (row["value"], row["warnings"]) == (i_n, warnings)
             assert row["err"] == 2.0 * abs(i_n - i_2n)
-        # At n = 4096 each direction's sampled mass exceeds 1 and is named.
-        assert [len(row["warnings"]) for row in rows] == [0, 2, 0]
+        # At n = 4096 each direction's sampled mass exceeds 1 and is named; at
+        # 2048 and 8192 each direction's composed mass falls short of 1.
+        kinds = [[w.split(" ")[0] for w in row["warnings"]] for row in rows]
+        assert kinds == [["composed"] * 2, ["sampled"] * 2, ["composed"] * 2]
 
     def test_converge_over_half_width(self, capsys):
         argv = ["converge", *BASE, "--over", "L", "--start", "3", "--doublings", "2",
@@ -550,6 +556,34 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["delta", "--q", "0.01", "--eps", "1.0"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["delta", "--mech", "sigma1.5", "--eps", "1"], "--mech"),
+            (["delta", "--mech", "q=0.01", "--eps", "1"], "--mech"),
+            (["delta", "--mech", "scheme=gaussian,sigma=1", "--eps", "1"], "--mech"),
+            (["delta", "--mech", "sigma=1,q=0.01,noise=2", "--eps", "1"], "--mech"),
+            (["sweep", *BASE, "--over", "eps", "--start", "0"], "--stop"),
+            (["sweep", *BASE, "--over", "k", "--eps", "1"], "--values"),
+            (["sweep", *BASE, "--over", "k", "--values", "1,2"], "--eps"),
+            (["sweep", "--mech", "sigma=1.5,q=0.01", "--over", "k", "--values", "1,2",
+              "--eps", "1"], "--mech"),
+            (["converge", *BASE, "--start", "2048", "--doublings", "-1", "--eps", "1"],
+             "--doublings"),
+        ],
+        ids=["mech-no-equals", "mech-no-sigma", "mech-unknown-scheme", "mech-unknown-key",
+             "sweep-eps-no-stop", "sweep-k-no-values", "sweep-k-no-eps", "sweep-k-mech",
+             "converge-negative-doublings"],
+    )
+    def test_flag_error_names_its_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert len(errors) == 1 and flag in errors[0]
 
     def test_domain_error_is_three(self, capsys):
         code, out, err = run_cli(["delta", *BASE, "--eps", "-1.0"], capsys)

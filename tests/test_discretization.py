@@ -57,7 +57,11 @@ class TestGrid:
         assert fine.size == 128
         np.testing.assert_array_equal(fine.points()[::2], grid.points())
 
-    @pytest.mark.parametrize("half_width, size", [(4.0, 8), (12.0, 2 ** 16), (0.3, 50_000)])
+    @pytest.mark.parametrize(
+        "half_width, size",
+        [(4.0, 8), (12.0, 2 ** 16), (0.3, 50_000), (12.3456, 1000), (0.1, 6), (700.0, 2 ** 20),
+         (3.3, 2 ** 16 + 2)],
+    )
     def test_index_and_tail_points_match_the_full_grid(self, half_width, size):
         grid = Grid(half_width=half_width, size=size)
         points = grid.points()
@@ -70,7 +74,8 @@ class TestGrid:
             for x in (p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)):
                 for side in ("left", "right"):
                     assert grid.index(x, side) == int(np.searchsorted(points, x, side=side))
-        for x in (-math.inf, -2 * half_width, 2 * half_width, math.inf):
+        for x in (-math.inf, -2 * half_width, -half_width, -0.0, 0.0, half_width, 2 * half_width,
+                  math.inf):
             for side in ("left", "right"):
                 assert grid.index(x, side) == int(np.searchsorted(points, x, side=side))
 

@@ -77,6 +77,11 @@ class TestAlphaBound:
         assert not alpha_bound(2.0, 0.01, 0.5).valid
         assert not alpha_bound(2.0, 0.01, 100.0).valid
 
+    @pytest.mark.parametrize("sigma, q", [(0.0, 0.01), (1.5, 1.5)])
+    def test_rejects_a_sigma_or_q_outside_its_domain(self, sigma, q):
+        with pytest.raises(DomainError, match="alpha_bound needs"):
+            alpha_bound(sigma, q, 2.0)
+
     def test_q_one_collapses(self):
         got = alpha_bound(1.5, 1.0, 2.0)
         assert math.isinf(got.value)
@@ -135,6 +140,13 @@ class TestAnalyticTailBound:
 
     def test_q_gate(self):
         assert not analytic_tail_bound(composition(4.0, 0.25, 1, 20.0)).valid
+
+    def test_lambda_gate_at_radius_two(self):
+        # lambda = L/2 = 1 fails lambda > 1, and the caps, which divide by
+        # lambda - 1, are not evaluated.
+        got = analytic_tail_bound(composition(4.0, 0.01, 1, 2.0))
+        assert math.isnan(got.value)
+        assert got.violated == ("lambda > 1 fails (lambda = 1)",)
 
     def test_value_inside_envelope(self):
         got = analytic_tail_bound(composition(4.0, 0.01, 1, 20.0))
@@ -290,6 +302,13 @@ class TestDiscretizationEstimate:
             spec, 100, Grid(half_width=12.0, size=2 ** 14), epsilon=1.0
         )
         assert discretization_estimate(finer) < discretization_estimate(query)
+
+    def test_needs_an_epsilon_target(self):
+        query = CompositionQuery.homogeneous(
+            MechanismSpec(sigma=1.5, q=0.01), 8, Grid(half_width=12.0, size=4096), delta=1e-5
+        )
+        with pytest.raises(DomainError, match="needs a query with an epsilon target"):
+            discretization_estimate(query, value=0.1, refined=0.1)
 
     def test_given_values_run_no_pipeline(self, monkeypatch):
         spec = MechanismSpec(sigma=1.5, q=0.01)

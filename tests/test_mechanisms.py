@@ -20,6 +20,7 @@ from dpconv import (
     Direction,
     DomainError,
     MechanismSpec,
+    NonConvergenceError,
     Scheme,
 )
 import dpconv.mechanisms
@@ -69,6 +70,8 @@ class TestSpecValidation:
             MechanismSpec(sigma=1.0, q=0.0)
         with pytest.raises(DomainError):
             MechanismSpec(sigma=1.0, q=1.5)
+        with pytest.raises(DomainError, match="requires a sampling fraction"):
+            MechanismSpec(sigma=1.0)
 
     @pytest.mark.parametrize("scheme", [Scheme.POISSON, Scheme.WITHOUT_REPLACEMENT])
     @pytest.mark.parametrize("q", [5e-324, math.nextafter(sys.float_info.min, 0.0)])
@@ -89,6 +92,12 @@ class TestSpecValidation:
             MechanismSpec(sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, q=0.1)
         with pytest.raises(DomainError):
             MechanismSpec(sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=5)
+        with pytest.raises(DomainError, match="batch_size must be a positive integer"):
+            MechanismSpec(
+                sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=0, dataset_size=10
+            )
+        with pytest.raises(DomainError, match="only apply to the with-replacement scheme"):
+            MechanismSpec(sigma=1.0, q=0.1, batch_size=5)
         with pytest.raises(DomainError):
             MechanismSpec(
                 sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=11, dataset_size=10
@@ -128,6 +137,12 @@ class TestPoissonLossInverse:
         # rounds to 0 below s of about -37).
         s = np.array([-40.0, -30.0, -1.0])
         assert np.array_equal(loss_inverse_poisson(spec, s), 2.25 * s + 0.5)
+        # The forward losses collapse to the plain Gaussian ones, Poisson's
+        # (2t - 1) / (2 sigma^2) and the substitute relation's 2t / sigma^2.
+        t = np.array([-3.0, 0.0, 0.7, 5.0])
+        assert np.array_equal(loss_poisson(spec, t), (2.0 * t - 1.0) / 4.5)
+        wor = dataclasses.replace(spec, scheme=Scheme.WITHOUT_REPLACEMENT)
+        np.testing.assert_allclose(loss_without_replacement(wor, t), t / 1.125, rtol=1e-15)
 
     def test_forward_evaluation_round_trip(self):
         t = loss_inverse_poisson(POISSON, 1.0)
@@ -328,6 +343,41 @@ class TestWithReplacement:
             8.317649566218769e-13,
         ])
         np.testing.assert_allclose(pld_density_with_replacement(WR_WIDE, s), want, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "sigma, batch_size",
+        [(0.3, 1), (0.3, 16), (1.0, 1), (1.0, 64), (1.0, 256), (5.0, 64), (5.0, 256),
+         (10.0, 64), (10.0, 1024)],
+    )
+    def test_wide_grids_converge_within_the_rounding_of_s(self, sigma, batch_size):
+        # Far out the loss can step over s between adjacent doubles t: at
+        # sigma 10, batch 1024 and s = 147.876 it gives s - 1.99e-13 and
+        # s + 1.14e-13, so no t meets 1e-13 and the root finder also accepts
+        # the loss's own rounding there. Each grid here failed with 1e-13 alone
+        # from L = 150 or 400 on.
+        spec = MechanismSpec(
+            sigma=sigma,
+            scheme=Scheme.WITH_REPLACEMENT,
+            batch_size=batch_size,
+            dataset_size=100 * batch_size,
+        )
+        for half_width in (12.0, 150.0, 300.0, 400.0, 600.0, 700.0):
+            for size in (4096, 4098, 10_000):
+                s = Grid(half_width=half_width, size=size).points()
+                t = loss_inverse_with_replacement(spec, s)
+                resid = np.abs(loss_with_replacement(spec, t) - s)
+                assert np.all(resid <= 1e-13 + 16.0 * np.spacing(np.abs(s)))
+                assert np.all(np.isfinite(pld_density_with_replacement(spec, s)))
+
+    def test_far_losses_invert_without_a_warning_or_fail_cleanly(self):
+        # At |s| = 1e300 the loss is about 64 |t|; its table's extent is a
+        # huge power of two, where the interpolant's data overflow.
+        assert loss_inverse_with_replacement(WR_WIDE, 1e300) == pytest.approx(1e300 / 64)
+        assert loss_inverse_with_replacement(WR_WIDE, -1e300) == pytest.approx(-1e300 / 64)
+        # At sigma = 1e50 the loss stays below 1e300 up to t = 2^1023.
+        flat = dataclasses.replace(WR_WIDE, sigma=1e50)
+        with pytest.raises(NonConvergenceError, match="could not tabulate the loss"):
+            loss_inverse_with_replacement(flat, 1e300)
 
     def test_loss_saturates_where_its_exponents_overflow(self):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -47,8 +47,9 @@ def poisson_pld(size=2048, half_width=12.0, sigma=1.5, q=0.01):
 
 
 def power(size=2048, k=1, half_width=12.0):
-    """The k-fold convolution of SPEC's density on one grid."""
-    return convolve_factors([[(SPEC, k)]], Grid(half_width=half_width, size=size))[0]
+    """The k-fold convolution of SPEC's density on one grid, with no tail
+    bound, so its composed mass is checked only for an excess."""
+    return convolve_factors([[(SPEC, k)]], Grid(half_width=half_width, size=size), None)[0]
 
 
 def convolve_samples(samples, grid, k):
@@ -193,12 +194,12 @@ class TestConvolutionPower:
 class TestConvolutionProduct:
     def test_pair_equals_power(self):
         grid = Grid(half_width=12.0, size=2048)
-        prod = convolve_factors([[(SPEC, 1), (SPEC, 1)]], grid)[0]
+        prod = convolve_factors([[(SPEC, 1), (SPEC, 1)]], grid, None)[0]
         np.testing.assert_allclose(prod.samples, power(k=2).samples, atol=1e-12)
 
     def test_counts_expand_to_repetition(self):
         grid = Grid(half_width=12.0, size=512)
-        split = convolve_factors([[(SPEC, 2), (SPEC, 1)]], grid)[0]
+        split = convolve_factors([[(SPEC, 2), (SPEC, 1)]], grid, None)[0]
         np.testing.assert_allclose(split.samples, power(size=512, k=3).samples, atol=1e-13)
 
 
@@ -215,7 +216,7 @@ def test_heterogeneous_pair_matches_quadratic_oracle():
     a = poisson_pld(size=2048, sigma=1.5, q=0.01)
     b = poisson_pld(size=2048, sigma=2.0, q=0.02)
     other = MechanismSpec(sigma=2.0, q=0.02)
-    fast = convolve_factors([[(SPEC, 1), (other, 1)]], a.grid)[0]
+    fast = convolve_factors([[(SPEC, 1), (other, 1)]], a.grid, None)[0]
     slow = direct_convolution_combine(a, b)
     scale = np.max(np.abs(slow.samples))
     np.testing.assert_allclose(fast.samples / scale, slow.samples / scale, atol=1e-10)
@@ -380,6 +381,13 @@ class TestWorkerThreads:
         oriented = {SPEC, WOR, WR, SPEC.with_direction(Direction.Y_OVER_X)}
         assert {spec for spec, _thread in sampled} == oriented
         assert threading.current_thread().name not in {thread for _spec, thread in sampled}
+
+    @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch, count, usable):
+        # Platforms without CPU affinity count every CPU, and at least one.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert spectral._usable_cpus() == usable
 
     def test_item_i_of_every_wave_runs_on_slot_i(self, monkeypatch):
         monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
