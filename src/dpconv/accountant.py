@@ -151,19 +151,9 @@ class DeltaResult:
 def convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld]]:
     """C for every evaluated direction, grouping repeated specs into powers.
 
-    A self-dual factor, the same in both directions, is built once. Where
-    error_bounds.tail_estimate(query) is valid, a composed mass short of 1
-    by more than the mass tolerance plus its value is warned about (see
-    spectral.convolve_factors).
+    A self-dual factor, the same in both directions, is built once. A
+    composed mass off 1 is warned about (see spectral.convolve_factors).
     """
-    return _convolutions(query, error_bounds.tail_estimate(query))
-
-
-def _convolutions(
-    query: CompositionQuery, tail: error_bounds.BoundResult
-) -> list[tuple[Direction, ConvolvedPld]]:
-    """convolutions(query) given its tail estimate, which the solvers also
-    report, so that it is computed once per call."""
     directions = query.evaluated_directions
     factor_lists = []
     for direction in directions:
@@ -172,8 +162,7 @@ def _convolutions(
             oriented = spec.with_direction(direction)
             groups[oriented] = groups.get(oriented, 0) + int(count)
         factor_lists.append(list(groups.items()))
-    convolved = convolve_factors(factor_lists, query.grid, tail.value if tail.valid else None)
-    return list(zip(directions, convolved))
+    return list(zip(directions, convolve_factors(factor_lists, query.grid)))
 
 
 def _grid_inverse(conv: ConvolvedPld, target: float) -> float:
@@ -247,8 +236,8 @@ def delta_of_epsilons(query: CompositionQuery, epsilons) -> tuple[DeltaResult, .
             raise DomainError("delta_of_epsilon needs an epsilon target")
         if not eps >= 0.0:
             raise DomainError(f"epsilon must be >= 0, got {eps}")
+    convolved = convolutions(query)
     tail = error_bounds.tail_estimate(query)
-    convolved = _convolutions(query, tail)
     columns = [
         [(direction.value, *conv.delta(eps)) for eps in epsilons] for direction, conv in convolved
     ]
@@ -279,8 +268,7 @@ def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
         raise DomainError("epsilon_of_delta needs a delta target")
     tol = query.newton_tolerance
 
-    tail = error_bounds.tail_estimate(query)
-    convolved = _convolutions(query, tail)
+    convolved = convolutions(query)
     at_zero = max(conv.delta(0.0)[0] for _direction, conv in convolved)
     if target - at_zero > tol:
         raise TargetDeltaTooLarge(
@@ -299,4 +287,5 @@ def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
             f"{eps:.6g} (delta there {achieved:.6g}); enlarge the truncation radius or "
             "raise the tolerance"
         )
+    tail = error_bounds.tail_estimate(query)
     return _build_result(query, "epsilon", eps, per_direction, tail, convolved)

@@ -35,8 +35,7 @@ _BLOCK = 2 ** 14
 # exp(s) at grid points, and it overflows beyond s = 709.
 _MAX_HALF_WIDTH = 700.0
 # A mechanism's sampled mass above 1 + _MASS_TOL names it in a warning, and
-# so does a composed mass off 1 by more than _MASS_TOL (plus the tail
-# estimate below 1).
+# so does a composed mass off 1 by more than _MASS_TOL.
 # Resolved densities sampled up to 1 + 5e-5 over the test suite (1 +- 1e-15
 # on the benchmark's queries); 2^12-point grids at L = 12 give 1.0023 and
 # 1.076, and a spike no grid resolves 1e18 and more.
@@ -105,12 +104,12 @@ class ConvolvedPld:
     """Density samples of a privacy loss density or of a convolution of them.
 
     samples live on grid in the natural layout (index 0 at -half_width) and
-    are nonnegative. mass is the discrete integral dx * sum(samples): it
-    falls short of one by the probability outside [-L, L), and approximates
-    the product of the constituent masses. warnings name the mechanisms
-    whose sampled mass exceeded 1 (see over_unity), or else a composed mass
-    off 1 (see composed_off_unity), which only a grid that under-resolves
-    a density gives.
+    are nonnegative. mass is the discrete integral dx * sum(samples): one
+    mechanism's sampled mass or, for a convolution, the product of its
+    factors' sampled masses, which the circular convolution keeps up to
+    rounding (see composed_off_unity). warnings name the mechanisms whose
+    sampled mass exceeded 1 (see over_unity), or else a composed mass off 1
+    (see composed_off_unity).
     """
 
     grid: Grid
@@ -184,8 +183,10 @@ def samples(spec: MechanismSpec, grid: Grid):
 def check_support(spec: MechanismSpec, grid: Grid) -> None:
     """Raises GridTooSmallError if the density has a finite support edge at
     or outside the grid boundary, since then the grid cannot see where the
-    density actually lives. Densities supported on all of R merely lose
-    tail mass, which the periodisation bound accounts for.
+    density actually lives. A density supported on all of R keeps no sample
+    of its mass beyond the boundary. No bound accounts for that loss; a
+    composed mass short of 1 by more than _MASS_TOL reports it (see
+    composed_off_unity).
     """
     lo, hi = spec.support
     if math.isfinite(lo) and lo <= -grid.half_width:
@@ -216,29 +217,29 @@ def over_unity(spec: MechanismSpec, mass: float) -> str | None:
     return f"sampled mass {mass:.6g} of mechanism ({name}) exceeds 1: the grid under-resolves it"
 
 
-def composed_off_unity(
-    factors: list[tuple[MechanismSpec, int]], mass: float, tail: float | None
-) -> str | None:
+def composed_off_unity(factors: list[tuple[MechanismSpec, int]], mass: float) -> str | None:
     """A warning naming the (spec, count) factors of a convolution if its
-    composed mass, prod mass_i ** count_i, exceeds 1 + _MASS_TOL or, where
-    tail bounds the mass lost beyond the grid (None: no bound, no deficit
-    check), falls short of 1 by more than _MASS_TOL + tail; else None.
+    composed mass lies off 1 by more than _MASS_TOL, else None.
+
+    The convolution is circular, so it keeps mass: bin 0 of the product
+    spectrum is exactly prod mass_i ** count_i of the sampled factors. What
+    the composition carries beyond +-L wraps around as periodisation error
+    and does not lower the mass, so a composed mass off 1 means only that
+    the factors were sampled off 1: under-resolved, or cut at +-L.
 
     Each mass_i may lie within the tolerance while the product does not: at
     n = 2^16, L = 20 the default query's factor has 1 + 7.9e-6, raised to
     10^4 it gives 1.082, and delta comes out 8% high. At k = 100, L = 12 and
     n = 8192 factors of 0.989 compose to 0.317, and delta comes out 52% low.
     """
-    if mass > 1.0 + _MASS_TOL:
-        verdict = "exceeds 1"
-    elif tail is not None and mass < 1.0 - _MASS_TOL - tail:
-        verdict = f"falls short of 1 by more than the tail estimate {tail:.3g}"
-    else:
+    if not abs(mass - 1.0) > _MASS_TOL:
         return None
+    if mass > 1.0:
+        verdict = "exceeds 1: the grid under-resolves"
+    else:
+        verdict = "falls short of 1: the grid under-resolves or truncates"
     names = " + ".join(f"{count} x mechanism ({_name(spec)})" for spec, count in factors)
-    return (
-        f"composed mass {mass:.6g} of {names} {verdict}: the grid under-resolves the composition"
-    )
+    return f"composed mass {mass:.6g} of {names} {verdict} the composition"
 
 
 def discretize(spec: MechanismSpec, grid: Grid) -> ConvolvedPld:

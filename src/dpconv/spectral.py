@@ -205,7 +205,7 @@ def _inverse(
 
 
 def convolve_factors(
-    factor_lists: list[list[tuple[MechanismSpec, int]]], grid: Grid, tail: float | None
+    factor_lists: list[list[tuple[MechanismSpec, int]]], grid: Grid
 ) -> list[ConvolvedPld]:
     """The convolution of each list of (spec, count) factors on grid.
 
@@ -224,10 +224,9 @@ def convolve_factors(
     raised there before any buffer is allocated; every density is evaluated
     in its factor's build. Each result's warnings name its factors whose
     sampled mass exceeds 1 (see over_unity). If none does, they name the
-    product whose composed mass, bin 0 of its spectrum, still exceeds 1 or,
-    where tail bounds the mass the composition loses beyond the grid, falls
-    short of 1 by more than that (see composed_off_unity); a tail of None
-    leaves the deficit unchecked.
+    product whose composed mass, bin 0 of its spectrum, lies off 1 (see
+    composed_off_unity, which says why that mass is exactly the product of
+    the factors' masses).
     """
     for spec in dict.fromkeys(spec for factors in factor_lists for spec, _count in factors):
         check_support(spec, grid)
@@ -263,7 +262,7 @@ def convolve_factors(
         product = _product([built[f][0] for f in factors], [uses[f] == 1 for f in factors])
         named = tuple(notes[f] for f in factors if notes[f])
         if not named:
-            note = composed_off_unity(factors, float(product[0].real), tail)
+            note = composed_off_unity(factors, float(product[0].real))
             named = (note,) if note else ()
         jobs.append((product, np.empty(grid.size), grid, named))
     built.clear()

@@ -451,41 +451,78 @@ class TestComposedMass:
         assert result.value == pytest.approx(0.0496014, rel=1e-6)
         assert result.warnings == ()
 
-    def deficit_warning(self, direction, mass, k, tail):
+    def deficit_warning(self, direction, conv, q):
         return (
-            f"composed mass {mass:.6g} of {k} x mechanism (sigma=1.5, scheme=poisson, "
-            f"q=0.01, direction={direction.value}) falls short of 1 by more than the tail "
-            f"estimate {tail:.3g}: the grid under-resolves the composition"
+            f"composed mass {conv.mass:.6g} of {q.k} x mechanism (sigma={q.specs[0].sigma}, "
+            f"scheme=poisson, q=0.01, direction={direction.value}) falls short of 1: the grid "
+            "under-resolves or truncates the composition"
         )
 
-    @pytest.mark.parametrize("size", [2048, 8192])
-    def test_a_deficit_beyond_the_tail_estimate_warns_in_both_directions(self, size):
-        # k = 100 at L = 12, where tail_estimate is a valid 6.5e-32: at 2048
-        # the composed masses are about 1.9e-10 and delta is 5.8e-22, at 8192
-        # they are 0.317 and 0.314 and delta is 52% low; 2^16 gives 2.5e-14.
-        q = query(epsilon=1.0, k=100, grid=Grid(half_width=12.0, size=size))
-        tail = tail_estimate(q)
-        assert tail.valid and tail.value < 1e-31
+    def assert_deficit_warns(self, q, below):
         convolved = convolutions(q)
         for direction, conv in convolved:
-            assert conv.mass < 0.32
-            assert conv.warnings == (self.deficit_warning(direction, conv.mass, 100, tail.value),)
+            assert conv.mass < below
+            assert conv.warnings == (self.deficit_warning(direction, conv, q),)
         result = delta_of_epsilon(q)
         assert result.warnings == tuple(
-            sorted(self.deficit_warning(d, conv.mass, 100, tail.value) for d, conv in convolved)
+            sorted(self.deficit_warning(d, conv, q) for d, conv in convolved)
         )
+        return result
 
-    def test_a_deficit_within_the_tolerance_or_without_a_valid_tail_is_silent(self):
+    @pytest.mark.parametrize(
+        "sigma, size, below, value",
+        [
+            # k = 100 at L = 12. sigma = 1.5: at 2048 the composed masses are
+            # about 1.9e-10 and delta is 5.8e-22, at 8192 they are 0.317 and
+            # 0.314 and delta is 52% low; 2^16 gives 2.5e-14. sigma = 0.9,
+            # where tail_estimate is out of its envelope: 0.420 and 0.416 at
+            # 16384 (delta 54% low), 0.9906 and 0.9905 at 2^16 (0.9% low),
+            # against 1.05499e-5 at 2^18.
+            (1.5, 2048, 2e-10, 5.80028e-22),
+            (1.5, 8192, 0.32, 1.21674e-14),
+            (0.9, 16384, 0.42, 4.79865e-6),
+            (0.9, 2 ** 16, 0.991, 1.04552e-5),
+        ],
+    )
+    def test_a_deficit_warns_in_both_directions(self, sigma, size, below, value):
+        q = query(epsilon=1.0, k=100, spec=MechanismSpec(sigma=sigma, q=0.01),
+                  grid=Grid(half_width=12.0, size=size))
+        result = self.assert_deficit_warns(q, below)
+        assert result.value == pytest.approx(value, rel=1e-5)
+
+    def test_a_factor_the_grid_cannot_hold_warns_at_k_one(self):
+        # At sigma = 0.1 the bulk of each direction's density is a spike near
+        # log(1 - q) that 2^16 points at L = 12 do not resolve, so the masses
+        # are 8.1e-6 and 3.9e-6 and delta is 4.13e-6, about 2,400 times below
+        # the 0.0099999 of L = 100, n = 2^20.
+        q = query(epsilon=1.0, k=1, spec=MechanismSpec(sigma=0.1, q=0.01))
+        result = self.assert_deficit_warns(q, 1e-5)
+        assert result.value == pytest.approx(4.12987e-6, rel=1e-5)
+
+    def test_a_deficit_within_the_tolerance_is_silent(self):
         # k = 100 at 2^16 composes to 1 - 3.0e-6. The default query at L = 12
         # and 2^16 composes to 1 - 3.04e-4, within the mass tolerance, though
-        # its delta is 3e-4 low. At sigma = 0.9 the tail estimate is out of its
-        # envelope, so a composed mass of 0.42 at n = 16384 cannot be told
-        # from mass lost beyond L.
+        # its delta is 3e-4 low. At sigma = 0.9, 2^18 gives 1 + 3.5e-4.
         for k, spec, size in ((100, SPEC, 2 ** 16), (10_000, SPEC, 2 ** 16),
-                              (100, MechanismSpec(sigma=0.9, q=0.01), 16384)):
+                              (100, MechanismSpec(sigma=0.9, q=0.01), 2 ** 18)):
             q = query(epsilon=1.0, k=k, spec=spec, grid=Grid(half_width=12.0, size=size))
             assert delta_of_epsilon(q).warnings == ()
-        assert min(conv.mass for _direction, conv in convolutions(q)) < 0.42
+
+    def test_a_composition_that_wraps_around_keeps_its_mass(self):
+        # At L = 2 the default query's composition reaches far beyond the
+        # grid, and tail_estimate is a valid 0.332. The circular convolution
+        # wraps that tail around, so the composed mass stays 1 and nothing
+        # warns, though delta is 15% low. The samples sum to 1 + 5.4e-10
+        # once _inverse has clamped their negative rounding.
+        q = query(epsilon=1.0, k=10_000, grid=Grid(half_width=2.0, size=2 ** 16))
+        tail = tail_estimate(q)
+        assert tail.valid and tail.value == pytest.approx(0.332, abs=1e-3)
+        for _direction, conv in convolutions(q):
+            assert conv.mass == pytest.approx(1.0, abs=1e-9)
+            assert conv.warnings == ()
+        result = delta_of_epsilon(q)
+        assert result.warnings == ()
+        assert result.value == pytest.approx(0.0422152, rel=1e-5)
 
     def test_a_named_factor_is_not_named_again_as_a_composition(self):
         # At n = 4096, L = 12 each direction's factor has mass 1.076, so its

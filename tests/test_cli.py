@@ -215,6 +215,16 @@ class TestDeltaSubcommand:
         _, csv_out, _ = run_cli([*argv, "--format", "csv"], capsys)
         row = next(csv.DictReader(io.StringIO(csv_out)))
         assert (row["q"], row["batch_size"], row["dataset_size"]) == ("0.01;", ";64", ";6400")
+        # The doubled grid behind discretization_estimate, n = 8192, names no
+        # factor but composes to 0.944 in both directions.
+        _, out, _ = run_cli(["delta", *groups, "--L", "12", "--n", "8192", "--eps", "1"], capsys)
+        wr = "5 x mechanism (sigma=1.0, scheme=with-replacement, batch_size=64, dataset_size=6400)"
+        assert json.loads(out)["warnings"] == [
+            f"composed mass {mass} of {wr} + 5 x mechanism (sigma=1.5, scheme=poisson, q=0.01, "
+            f"direction={direction}) falls short of 1: the grid under-resolves or truncates the "
+            "composition"
+            for mass, direction in (("0.943754", "y-over-x"), ("0.944228", "x-over-y"))
+        ]
 
 
 class TestAnalyticBound:

@@ -47,9 +47,8 @@ def poisson_pld(size=2048, half_width=12.0, sigma=1.5, q=0.01):
 
 
 def power(size=2048, k=1, half_width=12.0):
-    """The k-fold convolution of SPEC's density on one grid, with no tail
-    bound, so its composed mass is checked only for an excess."""
-    return convolve_factors([[(SPEC, k)]], Grid(half_width=half_width, size=size), None)[0]
+    """The k-fold convolution of SPEC's density on one grid."""
+    return convolve_factors([[(SPEC, k)]], Grid(half_width=half_width, size=size))[0]
 
 
 def convolve_samples(samples, grid, k):
@@ -194,12 +193,12 @@ class TestConvolutionPower:
 class TestConvolutionProduct:
     def test_pair_equals_power(self):
         grid = Grid(half_width=12.0, size=2048)
-        prod = convolve_factors([[(SPEC, 1), (SPEC, 1)]], grid, None)[0]
+        prod = convolve_factors([[(SPEC, 1), (SPEC, 1)]], grid)[0]
         np.testing.assert_allclose(prod.samples, power(k=2).samples, atol=1e-12)
 
     def test_counts_expand_to_repetition(self):
         grid = Grid(half_width=12.0, size=512)
-        split = convolve_factors([[(SPEC, 2), (SPEC, 1)]], grid, None)[0]
+        split = convolve_factors([[(SPEC, 2), (SPEC, 1)]], grid)[0]
         np.testing.assert_allclose(split.samples, power(size=512, k=3).samples, atol=1e-13)
 
 
@@ -216,7 +215,7 @@ def test_heterogeneous_pair_matches_quadratic_oracle():
     a = poisson_pld(size=2048, sigma=1.5, q=0.01)
     b = poisson_pld(size=2048, sigma=2.0, q=0.02)
     other = MechanismSpec(sigma=2.0, q=0.02)
-    fast = convolve_factors([[(SPEC, 1), (other, 1)]], a.grid, None)[0]
+    fast = convolve_factors([[(SPEC, 1), (other, 1)]], a.grid)[0]
     slow = direct_convolution_combine(a, b)
     scale = np.max(np.abs(slow.samples))
     np.testing.assert_allclose(fast.samples / scale, slow.samples / scale, atol=1e-10)
