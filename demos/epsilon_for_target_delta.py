@@ -23,8 +23,8 @@ for target in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
         f"{result.ell_eps:>10}"
     )
 
-# Round trip: the delta at the returned epsilon should hit the target to
-# within newton_tolerance (1e-10 by default), which epsilon_of_delta checks.
+# Round trip: the delta at the returned epsilon hits the target to within
+# an absolute 1e-10, which epsilon_of_delta checks.
 target = 1e-5
 query = CompositionQuery.homogeneous(mechanism, k=steps, grid=grid, delta=target)
 inverted = epsilon_of_delta(query)

@@ -42,6 +42,11 @@ from .errors import (
 from .mechanisms import Direction, MechanismSpec
 from .spectral import convolve_factors
 
+# The largest |delta(epsilon) - target| epsilon_of_delta accepts at the epsilon
+# it returns. It is absolute: near a tiny target the rounding of the transform
+# is a large share of the target itself.
+_DELTA_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CompositionQuery:
@@ -53,8 +58,6 @@ class CompositionQuery:
     restricts the likelihood-ratio directions evaluated; None takes the
     tight max over both where the relation is asymmetric. Each spec keeps
     the default direction and is oriented to every evaluated one.
-    newton_tolerance is epsilon_of_delta's bound on |delta(epsilon) - target|
-    at the returned epsilon; a target that close to delta(0) gives epsilon 0.
     """
 
     specs: tuple[MechanismSpec, ...]
@@ -62,7 +65,6 @@ class CompositionQuery:
     grid: Grid
     epsilon: float | None = None
     delta: float | None = None
-    newton_tolerance: float = 1e-10
     directions: tuple[Direction, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -85,10 +87,6 @@ class CompositionQuery:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise DomainError(f"target delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 < self.newton_tolerance < math.inf:
-            raise DomainError(
-                f"newton_tolerance must be positive and finite, got {self.newton_tolerance}"
-            )
         if self.directions is not None and (
             not self.directions
             or len(set(self.directions)) != len(self.directions)
@@ -101,7 +99,7 @@ class CompositionQuery:
     @classmethod
     def homogeneous(cls, spec: MechanismSpec, k: int, grid: Grid, **fields) -> "CompositionQuery":
         """k repetitions of a single mechanism; fields are the query's other
-        fields, keyword-only (epsilon, delta, newton_tolerance, directions)."""
+        fields, keyword-only (epsilon, delta, directions)."""
         return cls(specs=(spec,), counts=(k,), grid=grid, **fields)
 
     @property
@@ -251,41 +249,38 @@ def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
     """Smallest epsilon whose tight delta meets the query's delta target,
     solved exactly on the grid.
 
-    The convolved density for each direction is built once. A target within
-    newton_tolerance of delta(0) returns epsilon = 0. Otherwise each
-    direction's crossing comes from _grid_inverse, and the tight epsilon is
-    the largest of them, where every direction's delta is at most the
-    target. The forward sum at that epsilon must then lie within
-    newton_tolerance of the target.
+    The convolved density for each direction is built once. A target equal
+    to delta(0) returns epsilon = 0. Otherwise each direction's crossing
+    comes from _grid_inverse, and the tight epsilon is the largest of them,
+    where every direction's delta is at most the target. The forward sum at
+    that epsilon must then lie within 1e-10 of the target.
 
-    Raises TargetDeltaTooLarge when even epsilon = 0 gives less than the
-    target (beyond tolerance), and TargetDeltaBelowFloor when the forward
-    sum misses the target by more than the tolerance, which happens for
+    Raises TargetDeltaTooLarge when the target exceeds delta(0), so that
+    every epsilon >= 0 already meets it, and TargetDeltaBelowFloor when the
+    forward sum misses the target by more than 1e-10, which happens for
     targets below what the truncated grid and its rounding resolve.
     """
     target = query.delta
     if target is None:
         raise DomainError("epsilon_of_delta needs a delta target")
-    tol = query.newton_tolerance
 
     convolved = convolutions(query)
     at_zero = max(conv.delta(0.0)[0] for _direction, conv in convolved)
-    if target - at_zero > tol:
+    if target > at_zero:
         raise TargetDeltaTooLarge(
             f"target delta {target:.6g} exceeds delta(0) = {at_zero:.6g}; "
             "every epsilon >= 0 already satisfies a stronger guarantee"
         )
     eps = 0.0
-    if abs(at_zero - target) > tol:
+    if target < at_zero:
         eps = max(_grid_inverse(conv, target) for _direction, conv in convolved)
 
     per_direction = [(direction.value, *conv.delta(eps)) for direction, conv in convolved]
     achieved = max(value for _name, value, _ell, _warning in per_direction)
-    if not abs(achieved - target) <= tol:
+    if not abs(achieved - target) <= _DELTA_TOL:
         raise TargetDeltaBelowFloor(
             f"target delta {target:.6g} is below what the grid resolves near epsilon = "
-            f"{eps:.6g} (delta there {achieved:.6g}); enlarge the truncation radius or "
-            "raise the tolerance"
+            f"{eps:.6g} (delta there {achieved:.6g}); enlarge the truncation radius"
         )
     tail = error_bounds.tail_estimate(query)
     return _build_result(query, "epsilon", eps, per_direction, tail, convolved)

@@ -87,14 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--L", type=float, default=_DEFAULT_HALF_WIDTH, help="truncation radius, at most 700"
     )
     num.add_argument("--n", type=int, default=_DEFAULT_SIZE, help="grid size (even)")
-    num.add_argument(
-        "--newton-tol",
-        type=float,
-        default=1e-10,
-        help="absolute delta tolerance of the epsilon inversion: a target this close to"
-        " delta(0) gives epsilon 0, and the delta at the returned epsilon must lie this"
-        " close to the target",
-    )
     out = common.add_argument_group("output")
     out.add_argument("--format", choices=["json", "csv", "table"], default="json")
     out.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
@@ -175,9 +167,24 @@ def _build_query(args, parser, epsilon=None, delta=None) -> CompositionQuery:
         grid=grid,
         epsilon=epsilon,
         delta=delta,
-        newton_tolerance=args.newton_tol,
         directions=(Direction(args.direction),) if args.direction else None,
     )
+
+
+def _doubled_grid_columns(
+    result: DeltaResult, refined: DeltaResult | None = None
+) -> tuple[float, list[str]]:
+    """result's discretization_estimate and its warnings, followed by each
+    warning of the doubled-grid run the estimate rests on that result lacks,
+    as "n=<2n>: <warning>". refined, when given, is that run: result's
+    epsilon on the doubled grid."""
+    at_result = dataclasses.replace(result.query, epsilon=result.epsilon, delta=None)
+    if refined is None:
+        refined = delta_of_epsilon(dataclasses.replace(at_result, grid=at_result.grid.refine()))
+    err = error_bounds.discretization_estimate(at_result, value=result.delta, refined=refined.value)
+    size = refined.query.grid.size
+    lacking = [w for w in refined.warnings if w not in result.warnings]
+    return err, [*result.warnings, *(f"n={size}: {w}" for w in lacking)]
 
 
 def _report_dict(result: DeltaResult) -> dict:
@@ -197,10 +204,7 @@ def _report_dict(result: DeltaResult) -> dict:
     analytic = error_bounds.analytic_tail_bound(query)
     if analytic.valid:
         report["analytic_tail_bound"] = analytic.value
-    at_result = dataclasses.replace(query, epsilon=result.epsilon, delta=None)
-    report["discretization_estimate"] = error_bounds.discretization_estimate(
-        at_result, value=result.delta
-    )
+    report["discretization_estimate"], warnings = _doubled_grid_columns(result)
     report.update(
         {
             "L": query.grid.half_width,
@@ -208,7 +212,7 @@ def _report_dict(result: DeltaResult) -> dict:
             "k": query.k,
             **fields,
             "directions": [name for name, _value in result.per_direction],
-            "warnings": list(result.warnings),
+            "warnings": warnings,
         }
     )
     if not single:
@@ -324,14 +328,14 @@ def _run_converge(args, parser) -> list[dict]:
     rows = []
     for result, refined in zip(results, results[1:]):
         value = result.value
-        err = error_bounds.discretization_estimate(result.query, value=value, refined=refined.value)
+        err, warnings = _doubled_grid_columns(result, refined)
         rows.append(
             {
                 "n": result.query.grid.size,
                 "value": value,
                 "err": err,
                 "err_rel": err / value if value > 0 else math.inf,
-                "warnings": list(result.warnings),
+                "warnings": warnings,
             }
         )
     return rows

@@ -38,16 +38,19 @@ _WR_OUTSIDE = "the moment lemma does not cover with-replacement sampling"
 class BoundResult:
     """A bound value plus the verdict on its preconditions.
 
-    violated lists human-readable descriptions of the failed conditions;
-    valid is True exactly when it is empty. details carries named
-    intermediate quantities (for the periodisation bound: the individual
-    terms and the series length).
+    violated lists human-readable descriptions of the failed conditions,
+    and the property valid is True exactly when it is empty. details
+    carries named intermediate quantities (for the periodisation bound: the
+    individual terms and the series length).
     """
 
     value: float
-    valid: bool
     violated: tuple[str, ...] = ()
     details: tuple[tuple[str, float], ...] = ()
+
+    @property
+    def valid(self) -> bool:
+        return not self.violated
 
 
 def _exp(exponent: float) -> float:
@@ -80,12 +83,12 @@ def alpha_bound(sigma: float, q: float, lam: float) -> BoundResult:
         # The (1-q) denominator degenerates at the non-subsampled limit; an
         # infinite moment value keeps downstream tolerances conservative.
         violated.append("q < 1 fails (q = 1 collapses the mixture)")
-        return BoundResult(value=math.inf, valid=False, violated=tuple(violated))
+        return BoundResult(value=math.inf, violated=tuple(violated))
     limit = alpha_lambda_limit(sigma, q)
     if not (1.0 <= lam <= limit):
         violated.append(f"1 <= lambda <= {limit:.4g} fails (lambda = {lam:g})")
     value = q * q * lam * (lam + 1.0) / ((1.0 - q) * sigma * sigma)
-    return BoundResult(value=value, valid=not violated, violated=tuple(violated))
+    return BoundResult(value=value, violated=tuple(violated))
 
 
 def tail_estimate(query) -> BoundResult:
@@ -110,7 +113,7 @@ def tail_estimate(query) -> BoundResult:
         exponent += count * alpha.value
         violated.update(dict.fromkeys(alpha.violated))
     value = _exp(exponent - half_width * half_width / 2.0)
-    return BoundResult(value=value, valid=not violated, violated=tuple(violated))
+    return BoundResult(value=value, violated=tuple(violated))
 
 
 def _analytic_conditions(sigma: float, q: float, lam: float) -> list[str]:
@@ -162,8 +165,8 @@ def analytic_tail_bound(query) -> BoundResult:
         violated.update(dict.fromkeys(_analytic_conditions(sigma, q, lam)))
         log_total += count * math.log1p(2.0 * q * q * (lam + 1.0) * lam / (sigma * sigma))
     if violated:
-        return BoundResult(value=math.nan, valid=False, violated=tuple(violated))
-    return BoundResult(value=_exp(log_total - half_width * half_width / 2.0), valid=True)
+        return BoundResult(value=math.nan, violated=tuple(violated))
+    return BoundResult(value=_exp(log_total - half_width * half_width / 2.0))
 
 
 def analytic_lambda_limit(sigma: float, q: float) -> float:
@@ -235,7 +238,6 @@ def periodisation_bound(sigma: float, q: float, k: int, half_width: float) -> Bo
     violated.extend(sorted(alpha_violations))
     return BoundResult(
         value=boundary + moment_term + series,
-        valid=not violated,
         violated=tuple(violated),
         details=(
             ("boundary_term", boundary),

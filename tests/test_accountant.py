@@ -35,10 +35,8 @@ SPEC = MechanismSpec(sigma=1.5, q=0.01)
 GRID = Grid(half_width=12.0, size=2 ** 16)
 
 
-def query(epsilon=None, delta=None, k=1000, grid=GRID, spec=SPEC, tol=1e-10):
-    return CompositionQuery.homogeneous(
-        spec, k, grid, epsilon=epsilon, delta=delta, newton_tolerance=tol
-    )
+def query(epsilon=None, delta=None, k=1000, grid=GRID, spec=SPEC):
+    return CompositionQuery.homogeneous(spec, k, grid, epsilon=epsilon, delta=delta)
 
 
 class TestQueryValidation:
@@ -59,10 +57,9 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             delta_of_epsilons(query(), (1.0, math.nan))
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
-    def test_newton_tolerance_must_be_positive_and_finite(self, tol):
-        with pytest.raises(DomainError):
-            query(delta=1e-5, tol=tol)
+    def test_inversion_takes_no_tolerance_field(self):
+        with pytest.raises(TypeError):
+            CompositionQuery.homogeneous(SPEC, 10, GRID, delta=1e-5, newton_tolerance=1e-10)
 
     def test_delta_target_domain(self):
         with pytest.raises(DomainError):
@@ -170,6 +167,11 @@ class TestEpsilonOfDelta:
         with pytest.raises(TargetDeltaTooLarge):
             epsilon_of_delta(query(delta=0.9999, k=100))
 
+    def test_target_one_ulp_above_delta_zero_rejected(self):
+        d0 = delta_of_epsilon(query(epsilon=0.0, k=100)).value
+        with pytest.raises(TargetDeltaTooLarge):
+            epsilon_of_delta(query(delta=math.nextafter(d0, 1.0), k=100))
+
     def test_tiny_target_satisfiable_under_absolute_tolerance(self):
         # With the default absolute tolerance 1e-10 a 1e-300 target is met by
         # any epsilon where delta has decayed below the tolerance itself.
@@ -178,12 +180,23 @@ class TestEpsilonOfDelta:
         achieved = delta_of_epsilon(query(epsilon=result.value, k=2, grid=small)).value
         assert abs(achieved - 1e-300) <= 1e-10
 
-    def test_target_below_truncation_floor_rejected(self):
-        # A tolerance tighter than the attainable-delta gap near the floor
-        # makes the same target unattainable, reported distinctly.
-        small = Grid(half_width=4.0, size=512)
-        with pytest.raises(TargetDeltaBelowFloor):
-            epsilon_of_delta(query(delta=1e-300, k=2, grid=small, tol=1e-315))
+    def test_target_far_below_a_tiny_delta_zero_gets_its_own_epsilon(self):
+        # delta(0) is 3.83e-11 here, within 1e-10 of every smaller target,
+        # and the grid resolves the composition without a warning.
+        spec = MechanismSpec(sigma=1.0, q=1e-10)
+        grid = Grid(half_width=2e-8, size=2 ** 16)
+        d0 = delta_of_epsilon(query(epsilon=0.0, k=1, grid=grid, spec=spec))
+        assert d0.value == pytest.approx(3.829e-11, rel=1e-3) and d0.warnings == ()
+        result = epsilon_of_delta(query(delta=d0.value / 10, k=1, grid=grid, spec=spec))
+        assert result.value == pytest.approx(4.5227e-10, rel=1e-4)
+        assert result.delta == pytest.approx(d0.value / 10, rel=1e-5)
+
+    def test_target_between_grid_deltas_rejected(self):
+        # This grid under-resolves q = 1e-5, so delta drops from 1 straight
+        # to 0 at epsilon 12 and no epsilon gives a delta near 0.5.
+        spec = MechanismSpec(sigma=2.0, q=1e-5)
+        with pytest.raises(TargetDeltaBelowFloor, match="enlarge the truncation radius$"):
+            epsilon_of_delta(query(delta=0.5, k=100, spec=spec))
 
     def test_residual_invariant_across_targets(self):
         d0 = delta_of_epsilon(query(epsilon=0.0, k=10 ** 3)).value

@@ -219,12 +219,17 @@ class TestDeltaSubcommand:
         # factor but composes to 0.944 in both directions.
         _, out, _ = run_cli(["delta", *groups, "--L", "12", "--n", "8192", "--eps", "1"], capsys)
         wr = "5 x mechanism (sigma=1.0, scheme=with-replacement, batch_size=64, dataset_size=6400)"
-        assert json.loads(out)["warnings"] == [
+        doubled = json.loads(out)["warnings"]
+        assert doubled == [
             f"composed mass {mass} of {wr} + 5 x mechanism (sigma=1.5, scheme=poisson, q=0.01, "
             f"direction={direction}) falls short of 1: the grid under-resolves or truncates the "
             "composition"
             for mass, direction in (("0.943754", "y-over-x"), ("0.944228", "x-over-y"))
         ]
+        # The n = 4096 report, whose estimate rests on that run, names them
+        # after its own two sampled-mass warnings.
+        assert report["warnings"][2:] == [f"n=8192: {w}" for w in doubled]
+        assert all(w.startswith("sampled mass") for w in report["warnings"][:2])
 
 
 class TestAnalyticBound:
@@ -431,9 +436,14 @@ class TestRowsAreTheirOwnCommands:
             assert (row["value"], row["warnings"]) == (i_n, warnings)
             assert row["err"] == 2.0 * abs(i_n - i_2n)
         # At n = 4096 each direction's sampled mass exceeds 1 and is named; at
-        # 2048 and 8192 each direction's composed mass falls short of 1.
-        kinds = [[w.split(" ")[0] for w in row["warnings"]] for row in rows]
-        assert kinds == [["composed"] * 2, ["sampled"] * 2, ["composed"] * 2]
+        # 2048, 8192 and 16384 each direction's composed mass falls short of 1.
+        # A row names its doubled grid's warnings after its own.
+        kinds = [[w.split(" mass ")[0] for w in row["warnings"]] for row in rows]
+        assert kinds == [
+            ["composed"] * 2 + ["n=4096: sampled"] * 2,
+            ["sampled"] * 2 + ["n=8192: composed"] * 2,
+            ["composed"] * 2 + ["n=16384: composed"] * 2,
+        ]
 
     def test_converge_over_half_width(self, capsys):
         argv = ["converge", *BASE, "--over", "L", "--start", "3", "--doublings", "2",
@@ -581,10 +591,11 @@ class TestExitCodes:
               "--eps", "1"], "--mech"),
             (["converge", *BASE, "--start", "2048", "--doublings", "-1", "--eps", "1"],
              "--doublings"),
+            (["epsilon", *BASE, "--delta", "1e-5", "--newton-tol", "1e-10"], "--newton-tol"),
         ],
         ids=["mech-no-equals", "mech-no-sigma", "mech-unknown-scheme", "mech-unknown-key",
              "sweep-eps-no-stop", "sweep-k-no-values", "sweep-k-no-eps", "sweep-k-mech",
-             "converge-negative-doublings"],
+             "converge-negative-doublings", "newton-tol-unknown"],
     )
     def test_flag_error_names_its_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as excinfo:
@@ -624,12 +635,6 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "--start" in err and "--stop" in err and "epsilon" in err
         assert "nan" not in err
-
-    def test_infinite_newton_tolerance_is_three(self, capsys):
-        argv = ["epsilon", *BASE, "--delta", "1e-5", "--newton-tol", "inf"]
-        code, out, err = run_cli(argv, capsys)
-        assert code == 3
-        assert out == "" and "newton_tolerance" in err
 
     def test_overflowing_grid_spacing_is_three(self, capsys):
         flags = ["--sigma", "1.5", "--q", "0.01", "--k", "10", "--n", "1024", "--L", "1e308"]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dpconv import (
+    BoundResult,
     CompositionQuery,
     DomainError,
     Grid,
@@ -45,6 +46,13 @@ TAIL_COLUMN = {
     10.0: 1.36e-16,
     12.0: 8.30e-24,
 }
+
+
+def test_bound_result_is_valid_exactly_without_violations():
+    assert BoundResult(value=1.0).valid
+    assert not BoundResult(value=1.0, violated=("q < 1 fails",)).valid
+    with pytest.raises(TypeError):
+        BoundResult(value=1.0, valid=True)
 
 
 class TestAlphaBound:
