@@ -41,8 +41,9 @@ for direction, value in result.per_direction:
 print(f"truncation tail estimate: {result.tail_estimate:.3e} (valid: {result.tail_estimate_valid})")
 # The Richardson gap needs a second solve on the doubled grid, so it is an
 # explicit call rather than a field the accountant always fills in.
-disc = discretization_estimate(query, value=result.value)
-print(f"discretisation estimate: {disc:.3e}")
+# It also lists each warning of that run, which the estimate rests on.
+disc = discretization_estimate(result)
+print(f"discretisation estimate: {disc.value:.3e} (valid: {disc.valid})")
 
 # The same quantity from the pieces, for anyone who wants to hold the
 # intermediate objects: one convolved density per likelihood-ratio direction,

@@ -64,7 +64,7 @@ print("\ndiscretisation estimate 2|I_n - I_2n| for the full query")
 for exponent in (14, 16, 18):
     query = CompositionQuery.homogeneous(spec, K, Grid(12.0, 2**exponent), epsilon=1.0)
     result = delta_of_epsilon(query)
-    value = result.value
-    print(f"  n=2^{exponent}: delta {value:.12e}, estimate {discretization_estimate(query, value=value):.3e}")
-    for warning in result.warnings:
+    estimate = discretization_estimate(result)
+    print(f"  n=2^{exponent}: delta {result.value:.12e}, estimate {estimate.value:.3e}")
+    for warning in (*result.warnings, *estimate.violated):
         print(f"    warning: {warning}")

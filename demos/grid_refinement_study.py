@@ -2,9 +2,10 @@
 
 Two sweeps at sigma=1.5, q=0.01, k=10^4, epsilon=1. The first doubles the
 number of grid points at fixed half-width and watches the Richardson-style
-discretisation estimate 2|I_n - I_2n| collapse. The second widens the
-truncation radius at (roughly) fixed spacing and watches the tail estimate
-take over as the dominant error term.
+discretisation estimate 2|I_n - I_2n| collapse; it prints the warnings of
+each coarse row and of the doubled grid its estimate rests on. The second
+widens the truncation radius at (roughly) fixed spacing and watches the tail
+estimate take over as the dominant error term.
 """
 
 from dpconv import CompositionQuery, Grid, MechanismSpec, delta_of_epsilon
@@ -17,14 +18,18 @@ STEPS = 10_000
 def sweep_size() -> None:
     print("refining the spacing (half_width fixed at 12)")
     print(f"{'n':>10}  {'delta(1)':>22}  {'2|I_n - I_2n|':>14}")
-    for exponent in range(14, 21):
-        n = 2**exponent
-        query = CompositionQuery.homogeneous(
-            MECHANISM, k=STEPS, grid=Grid(12.0, n), epsilon=1.0
+    # Each row's doubled grid is the next row's grid, so one run serves both.
+    results = [
+        delta_of_epsilon(
+            CompositionQuery.homogeneous(MECHANISM, k=STEPS, grid=Grid(12.0, 2**e), epsilon=1.0)
         )
-        value = delta_of_epsilon(query).value
-        estimate = discretization_estimate(query, value=value)
-        print(f"{n:>10}  {value:>22.15e}  {estimate:>14.3e}")
+        for e in range(14, 22)
+    ]
+    for result, refined in zip(results, results[1:]):
+        estimate = discretization_estimate(result, refined)
+        print(f"{result.query.grid.size:>10}  {result.value:>22.15e}  {estimate.value:>14.3e}")
+        for warning in (*result.warnings, *estimate.violated):
+            print(f"    warning: {warning}")
     print()
 
 

@@ -258,18 +258,21 @@ def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
     Raises TargetDeltaTooLarge when the target exceeds delta(0), so that
     every epsilon >= 0 already meets it, and TargetDeltaBelowFloor when the
     forward sum misses the target by more than 1e-10, which happens for
-    targets below what the truncated grid and its rounding resolve.
+    targets below what the truncated grid and its rounding resolve. Either
+    message ends with the convolutions' warnings, as "; <warning>" each.
     """
     target = query.delta
     if target is None:
         raise DomainError("epsilon_of_delta needs a delta target")
 
     convolved = convolutions(query)
+    warnings = dict.fromkeys(w for _direction, conv in convolved for w in conv.warnings)
+    notes = "".join(f"; {warning}" for warning in warnings)
     at_zero = max(conv.delta(0.0)[0] for _direction, conv in convolved)
     if target > at_zero:
         raise TargetDeltaTooLarge(
             f"target delta {target:.6g} exceeds delta(0) = {at_zero:.6g}; "
-            "every epsilon >= 0 already satisfies a stronger guarantee"
+            "every epsilon >= 0 already satisfies a stronger guarantee" + notes
         )
     eps = 0.0
     if target < at_zero:
@@ -280,7 +283,8 @@ def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
     if not abs(achieved - target) <= _DELTA_TOL:
         raise TargetDeltaBelowFloor(
             f"target delta {target:.6g} is below what the grid resolves near epsilon = "
-            f"{eps:.6g} (delta there {achieved:.6g}); enlarge the truncation radius"
+            f"{eps:.6g} (delta there {achieved:.6g}); enlarge the truncation radius, or refine "
+            "the grid where a warning says it under-resolves" + notes
         )
     tail = error_bounds.tail_estimate(query)
     return _build_result(query, "epsilon", eps, per_direction, tail, convolved)

@@ -171,22 +171,6 @@ def _build_query(args, parser, epsilon=None, delta=None) -> CompositionQuery:
     )
 
 
-def _doubled_grid_columns(
-    result: DeltaResult, refined: DeltaResult | None = None
-) -> tuple[float, list[str]]:
-    """result's discretization_estimate and its warnings, followed by each
-    warning of the doubled-grid run the estimate rests on that result lacks,
-    as "n=<2n>: <warning>". refined, when given, is that run: result's
-    epsilon on the doubled grid."""
-    at_result = dataclasses.replace(result.query, epsilon=result.epsilon, delta=None)
-    if refined is None:
-        refined = delta_of_epsilon(dataclasses.replace(at_result, grid=at_result.grid.refine()))
-    err = error_bounds.discretization_estimate(at_result, value=result.delta, refined=refined.value)
-    size = refined.query.grid.size
-    lacking = [w for w in refined.warnings if w not in result.warnings]
-    return err, [*result.warnings, *(f"n={size}: {w}" for w in lacking)]
-
-
 def _report_dict(result: DeltaResult) -> dict:
     query = result.query
     specs, counts = query.specs, query.counts
@@ -204,7 +188,8 @@ def _report_dict(result: DeltaResult) -> dict:
     analytic = error_bounds.analytic_tail_bound(query)
     if analytic.valid:
         report["analytic_tail_bound"] = analytic.value
-    report["discretization_estimate"], warnings = _doubled_grid_columns(result)
+    estimate = error_bounds.discretization_estimate(result)
+    report["discretization_estimate"] = estimate.value
     report.update(
         {
             "L": query.grid.half_width,
@@ -212,7 +197,7 @@ def _report_dict(result: DeltaResult) -> dict:
             "k": query.k,
             **fields,
             "directions": [name for name, _value in result.per_direction],
-            "warnings": warnings,
+            "warnings": [*result.warnings, *estimate.violated],
         }
     )
     if not single:
@@ -328,14 +313,14 @@ def _run_converge(args, parser) -> list[dict]:
     rows = []
     for result, refined in zip(results, results[1:]):
         value = result.value
-        err, warnings = _doubled_grid_columns(result, refined)
+        err = error_bounds.discretization_estimate(result, refined)
         rows.append(
             {
                 "n": result.query.grid.size,
                 "value": value,
-                "err": err,
-                "err_rel": err / value if value > 0 else math.inf,
-                "warnings": warnings,
+                "err": err.value,
+                "err_rel": err.value / value if value > 0 else math.inf,
+                "warnings": [*result.warnings, *err.violated],
             }
         )
     return rows

@@ -8,7 +8,8 @@ Three sources of error separate the computed delta from the exact one:
 * periodisation: the circular convolution wraps tail mass back into the
   window (periodisation_bound);
 * discretisation: the left-Riemann sum against the exact integral, estimated
-  to first order by comparing two grid resolutions (discretization_estimate).
+  to first order by comparing a result with the same epsilon on the doubled
+  grid (discretization_estimate), whose warnings the estimate names.
 
 Every closed-form bound carries explicit preconditions inherited from the
 moment lemmas it rests on. Rather than raising, each function returns a
@@ -248,22 +249,24 @@ def periodisation_bound(sigma: float, q: float, k: int, half_width: float) -> Bo
     )
 
 
-def discretization_estimate(
-    query, value: float | None = None, refined: float | None = None
-) -> float:
-    """First-order discretisation error estimate 2 |I_n - I_2n|.
+def discretization_estimate(result, refined=None) -> BoundResult:
+    """First-order discretisation error estimate 2 |I_n - I_2n| of a result.
 
-    I_m is the tight delta the accountant computes at m grid points; the
+    I_n is result.delta, the tight delta at result.epsilon on the result's
+    grid, and I_2n the tight delta at that epsilon on the doubled grid; the
     factor 2 turns the difference of two first-order approximations into an
-    estimate of the error of the coarser one. value and refined, when given,
-    are taken as the already computed I_n and I_2n; each one missing costs a
-    full pipeline run, I_2n on the doubled grid.
+    estimate of the error of the coarser one. refined, when given, is that
+    doubled-grid delta result; otherwise it costs a full pipeline run. The
+    estimate rests on that run, so violated lists each of its warnings the
+    result lacks, as "n=<2n>: <warning>".
     """
     from .accountant import delta_of_epsilon
 
-    if query.epsilon is None:
-        raise DomainError("discretization_estimate needs a query with an epsilon target")
-    base = delta_of_epsilon(query).value if value is None else value
     if refined is None:
-        refined = delta_of_epsilon(dataclasses.replace(query, grid=query.grid.refine())).value
-    return 2.0 * abs(base - refined)
+        query = dataclasses.replace(result.query, epsilon=result.epsilon, delta=None)
+        refined = delta_of_epsilon(dataclasses.replace(query, grid=query.grid.refine()))
+    size = refined.query.grid.size
+    return BoundResult(
+        value=2.0 * abs(result.delta - refined.delta),
+        violated=tuple(f"n={size}: {w}" for w in refined.warnings if w not in result.warnings),
+    )

@@ -102,17 +102,18 @@ def reference_delta(size: int, half_width: float = 12.0) -> float:
 
 @pytest.fixture(scope="module")
 def size_sweep():
-    """Delta at every reference size, and the time the sweep took."""
-    values = {}
+    """The delta result at every reference size, and the time the sweep took."""
+    results = {}
     start = time.perf_counter()
     for size in sorted(REFERENCE_DELTAS_BY_SIZE):
-        values[size] = reference_delta(size)
+        results[size] = delta_of_epsilon(reference_query(size))
     elapsed = time.perf_counter() - start
-    return values, elapsed
+    return results, elapsed
 
 
 def test_acceptance_1_reference_deltas(size_sweep):
-    values, elapsed = size_sweep
+    results, elapsed = size_sweep
+    values = {size: result.value for size, result in results.items()}
     failures = []
     for size, reference in REFERENCE_DELTAS_BY_SIZE.items():
         tolerance = 5e-10 if size >= 400_000 else 5e-7
@@ -198,7 +199,7 @@ def test_acceptance_3_err_column(size_sweep):
     I_2n comes from the size sweep wherever it holds the doubled size, which
     is every row but the last.
     """
-    values, _ = size_sweep
+    results, _ = size_sweep
     conventions = reference_err_conventions()
     row_results = []
     failures = []
@@ -207,10 +208,8 @@ def test_acceptance_3_err_column(size_sweep):
             failures.append(f"n={size}: reference digits fit no single convention")
             continue
         relative, derived = conventions[size]
-        base = values[size]
-        estimate = discretization_estimate(
-            reference_query(size), value=base, refined=values.get(2 * size)
-        )
+        base = results[size].value
+        estimate = discretization_estimate(results[size], results.get(2 * size)).value
         if relative:
             estimate = estimate / base if base > 0.0 else (math.inf if estimate > 0.0 else 0.0)
         ratio = estimate / reference
@@ -269,7 +268,7 @@ def test_acceptance_5_gaussian_cross_check():
             result = delta_of_epsilon(query)
             exact = gaussian_mechanism_delta(sigma, k, eps)
             diff = abs(result.value - exact)
-            disc = discretization_estimate(query, value=result.value)
+            disc = discretization_estimate(result).value
             stated_bound = result.tail_estimate + disc + 1e-9
             if not diff <= stated_bound:
                 failures.append(f"k={k} eps={eps}: diff {diff:.3e} above stated bound")

@@ -172,6 +172,13 @@ class TestEpsilonOfDelta:
         with pytest.raises(TargetDeltaTooLarge):
             epsilon_of_delta(query(delta=math.nextafter(d0, 1.0), k=100))
 
+    def test_target_above_delta_zero_names_the_grid_warnings(self):
+        # k = 100 factors of mass 0.989 compose to 0.317 at L = 12, n = 8192,
+        # so delta(0) is far too low and the message says why.
+        coarse = Grid(half_width=12.0, size=8192)
+        with pytest.raises(TargetDeltaTooLarge, match=r"guarantee; composed mass 0\.317347 of "):
+            epsilon_of_delta(query(delta=0.9, k=100, grid=coarse))
+
     def test_tiny_target_satisfiable_under_absolute_tolerance(self):
         # With the default absolute tolerance 1e-10 a 1e-300 target is met by
         # any epsilon where delta has decayed below the tolerance itself.
@@ -193,9 +200,11 @@ class TestEpsilonOfDelta:
 
     def test_target_between_grid_deltas_rejected(self):
         # This grid under-resolves q = 1e-5, so delta drops from 1 straight
-        # to 0 at epsilon 12 and no epsilon gives a delta near 0.5.
+        # to 0 at epsilon 12 and no epsilon gives a delta near 0.5; the
+        # message names both cures and the warning that picks the second.
         spec = MechanismSpec(sigma=2.0, q=1e-5)
-        with pytest.raises(TargetDeltaBelowFloor, match="enlarge the truncation radius$"):
+        cause = r"radius, or refine the grid .*; sampled mass 28\.3204 of "
+        with pytest.raises(TargetDeltaBelowFloor, match=cause):
             epsilon_of_delta(query(delta=0.5, k=100, spec=spec))
 
     def test_residual_invariant_across_targets(self):

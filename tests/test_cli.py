@@ -298,8 +298,9 @@ class TestEpsilonSubcommand:
             MechanismSpec(sigma=1.5, q=0.01), 100, Grid(half_width=12.0, size=16384),
             epsilon=report["value"],
         )
-        # The recomputing path runs the pipeline again for I_n.
-        assert report["discretization_estimate"] == discretization_estimate(query)
+        # The forward pipeline, run again at that epsilon, gives the same I_n.
+        estimate = discretization_estimate(delta_of_epsilon(query))
+        assert report["discretization_estimate"] == estimate.value
 
 
 class TestSweepSubcommand:

@@ -265,71 +265,72 @@ class TestPeriodisationBound:
 
 
 class TestDiscretizationEstimate:
+    SPEC = MechanismSpec(sigma=1.5, q=0.01)
+    GRID = Grid(half_width=12.0, size=4096)
+
+    def results(self, grid=GRID, k=8):
+        """delta_of_epsilon at epsilon 1 on grid and on its refinement."""
+        return tuple(
+            delta_of_epsilon(CompositionQuery.homogeneous(self.SPEC, k, g, epsilon=1.0))
+            for g in (grid, grid.refine())
+        )
+
     def test_zero_when_values_coincide(self):
-        # Passing the refined-grid value as the base reproduces the trivial
-        # I_n = I_2n case: the estimate is exactly zero.
-        spec = MechanismSpec(sigma=1.5, q=0.01)
-        grid = Grid(half_width=12.0, size=4096)
-        query = CompositionQuery.homogeneous(spec, 8, grid, epsilon=1.0)
-        refined = CompositionQuery.homogeneous(spec, 8, grid.refine(), epsilon=1.0)
-        at_2n = delta_of_epsilon(refined).value
-        assert discretization_estimate(query, value=at_2n) == 0.0
+        # Passing the refined-grid result as its own refinement reproduces the
+        # trivial I_n = I_2n case: the estimate is exactly zero.
+        _coarse, fine = self.results()
+        assert discretization_estimate(fine, fine) == BoundResult(value=0.0)
 
     def test_definition(self):
-        spec = MechanismSpec(sigma=1.5, q=0.01)
-        grid = Grid(half_width=12.0, size=4096)
-        query = CompositionQuery.homogeneous(spec, 8, grid, epsilon=1.0)
-        coarse = delta_of_epsilon(query).value
-        fine = delta_of_epsilon(
-            CompositionQuery.homogeneous(spec, 8, grid.refine(), epsilon=1.0)
-        ).value
-        assert discretization_estimate(query) == pytest.approx(
-            2.0 * abs(coarse - fine), rel=1e-12
-        )
+        coarse, fine = self.results()
+        estimate = discretization_estimate(coarse)
+        assert estimate.value == 2.0 * abs(coarse.value - fine.value)
 
     def test_relative_form(self):
         # The relative form reference tables quote, 2 |I_n - I_2n| / I_n,
         # is the estimate divided by I_n, which the caller has at hand.
-        spec = MechanismSpec(sigma=1.5, q=0.01)
-        grid = Grid(half_width=12.0, size=4096)
-        query = CompositionQuery.homogeneous(spec, 8, grid, epsilon=1.0)
-        base = delta_of_epsilon(query).value
-        fine = delta_of_epsilon(
-            CompositionQuery.homogeneous(spec, 8, grid.refine(), epsilon=1.0)
-        ).value
-        estimate = discretization_estimate(query, value=base)
+        coarse, fine = self.results()
+        base = coarse.value
+        estimate = discretization_estimate(coarse).value
         relative = estimate / base if base > 0.0 else (math.inf if estimate > 0.0 else 0.0)
-        assert relative == pytest.approx(2.0 * abs(base - fine) / base, rel=1e-12)
+        assert relative == pytest.approx(2.0 * abs(base - fine.value) / base, rel=1e-12)
 
     def test_shrinks_with_refinement(self):
-        spec = MechanismSpec(sigma=1.5, q=0.01)
-        query = CompositionQuery.homogeneous(
-            spec, 100, Grid(half_width=12.0, size=2 ** 12), epsilon=1.0
-        )
-        finer = CompositionQuery.homogeneous(
-            spec, 100, Grid(half_width=12.0, size=2 ** 14), epsilon=1.0
-        )
-        assert discretization_estimate(finer) < discretization_estimate(query)
-
-    def test_needs_an_epsilon_target(self):
-        query = CompositionQuery.homogeneous(
-            MechanismSpec(sigma=1.5, q=0.01), 8, Grid(half_width=12.0, size=4096), delta=1e-5
-        )
-        with pytest.raises(DomainError, match="needs a query with an epsilon target"):
-            discretization_estimate(query, value=0.1, refined=0.1)
+        coarse, _ = self.results(Grid(half_width=12.0, size=2 ** 12), k=100)
+        finer, _ = self.results(Grid(half_width=12.0, size=2 ** 14), k=100)
+        assert discretization_estimate(finer).value < discretization_estimate(coarse).value
 
     def test_given_values_run_no_pipeline(self, monkeypatch):
-        spec = MechanismSpec(sigma=1.5, q=0.01)
-        grid = Grid(half_width=12.0, size=4096)
-        query = CompositionQuery.homogeneous(spec, 8, grid, epsilon=1.0)
-        coarse = delta_of_epsilon(query).value
-        fine = delta_of_epsilon(
-            CompositionQuery.homogeneous(spec, 8, grid.refine(), epsilon=1.0)
-        ).value
-        computed = discretization_estimate(query)
+        coarse, fine = self.results()
+        computed = discretization_estimate(coarse)
 
         def refuse(*_args, **_kwargs):
-            raise AssertionError("the pipeline ran although I_n and I_2n were given")
+            raise AssertionError("the pipeline ran although I_2n was given")
 
         monkeypatch.setattr("dpconv.accountant.delta_of_epsilon", refuse)
-        assert discretization_estimate(query, value=coarse, refined=fine) == computed
+        assert discretization_estimate(coarse, fine) == computed
+
+    def test_names_the_doubled_grid_warnings(self):
+        # At n = 4096 the mixed query warns of its two sampled masses; the
+        # doubled grid names no factor but composes to 0.944 in each
+        # direction, and the estimate rests on that run.
+        query = CompositionQuery(
+            specs=(self.SPEC, WR),
+            counts=(5, 5),
+            grid=Grid(half_width=12.0, size=4096),
+            epsilon=1.0,
+        )
+        result = delta_of_epsilon(query)
+        estimate = discretization_estimate(result)
+        assert estimate.value == 8.023205748287693e-08
+        assert not estimate.valid
+        assert [w[:30] for w in estimate.violated] == [
+            "n=8192: composed mass 0.943754", "n=8192: composed mass 0.944228"
+        ]
+        assert not set(estimate.violated) & set(result.warnings)
+
+    def test_clean_query_violates_nothing(self):
+        coarse, _ = self.results(Grid(half_width=12.0, size=2 ** 14), k=100)
+        estimate = discretization_estimate(coarse)
+        assert estimate.value == 7.244156321288638e-15
+        assert estimate.violated == ()
