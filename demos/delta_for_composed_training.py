@@ -17,7 +17,7 @@ from dpconv import (
     delta_of_epsilon,
 )
 from dpconv.accountant import convolutions
-from dpconv.error_bounds import discretization_estimate
+from dpconv.error_bounds import discretization_estimate, tail_estimate
 
 # One step of noisy SGD with Poisson sampling: each record enters the batch
 # independently with probability q, and the clipped gradient sum gets
@@ -38,10 +38,12 @@ print(f"composed steps: {steps}")
 print(f"delta at epsilon=1: {result.value:.12e}")
 for direction, value in result.per_direction:
     print(f"  {direction}: {value:.12e}")
-print(f"truncation tail estimate: {result.tail_estimate:.3e} (valid: {result.tail_estimate_valid})")
-# The Richardson gap needs a second solve on the doubled grid, so it is an
-# explicit call rather than a field the accountant always fills in.
-# It also lists each warning of that run, which the estimate rests on.
+# The accountant returns the answer only; both error figures are explicit
+# calls. The tail estimate depends on the query alone. The Richardson gap
+# needs a second solve on the doubled grid, and lists each warning of that
+# run, which the estimate rests on.
+tail = tail_estimate(query)
+print(f"truncation tail estimate: {tail.value:.3e} (valid: {tail.valid})")
 disc = discretization_estimate(result)
 print(f"discretisation estimate: {disc.value:.3e} (valid: {disc.valid})")
 
@@ -49,8 +51,8 @@ print(f"discretisation estimate: {disc.value:.3e} (valid: {disc.valid})")
 # intermediate objects: one convolved density per likelihood-ratio direction,
 # and its weighted tail sum dx * sum_{x > eps} (1 - exp(eps - x)) C(x).
 x = grid.points()
-tail = x > 1.0
+beyond = x > 1.0
 for direction, conv in convolutions(query):
-    by_hand = grid.dx * float(np.sum(-np.expm1(1.0 - x[tail]) * conv.samples[tail]))
+    by_hand = grid.dx * float(np.sum(-np.expm1(1.0 - x[beyond]) * conv.samples[beyond]))
     print(f"{direction.value}: by hand {by_hand:.12e}, conv.delta {conv.delta(1.0)[0]:.12e}")
     print(f"  probability mass after composition: {conv.mass:.6f}")

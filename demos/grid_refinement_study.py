@@ -9,7 +9,7 @@ estimate take over as the dominant error term.
 """
 
 from dpconv import CompositionQuery, Grid, MechanismSpec, delta_of_epsilon
-from dpconv.error_bounds import discretization_estimate
+from dpconv.error_bounds import discretization_estimate, tail_estimate
 
 MECHANISM = MechanismSpec(sigma=1.5, q=0.01)
 STEPS = 10_000
@@ -46,7 +46,7 @@ def sweep_radius() -> None:
         result = delta_of_epsilon(query)
         print(
             f"{half_width:>4.0f}  {n:>9}  {result.value:>22.15e}  "
-            f"{result.tail_estimate:>14.3e}"
+            f"{tail_estimate(query).value:>14.3e}"
         )
 
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import error_bounds
 from .discretization import ConvolvedPld, Grid
 from .errors import (
     DomainError,
@@ -126,15 +125,14 @@ class CompositionQuery:
 class DeltaResult:
     """Outcome of one accounting computation.
 
-    For kind "delta", value is delta at the queried epsilon. For kind
-    "epsilon", value is the epsilon returned by the inversion and delta is
-    the delta actually achieved there. per_direction maps each
-    evaluated likelihood-ratio direction to its delta; value is their max
-    for kind "delta". ell_eps is the first grid index entering the weighted
-    sum in the direction that attains the max.
+    For kind "delta", epsilon is the queried epsilon; for kind "epsilon", it
+    is the epsilon returned by the inversion. delta is the tight delta there:
+    the max over per_direction, which maps each evaluated likelihood-ratio
+    direction to its delta. ell_eps is the first grid index entering the
+    weighted sum in the direction that attains the max. The result carries
+    no error figure: the error analysis qualifies it afterwards.
     """
 
-    value: float
     kind: str
     epsilon: float
     delta: float
@@ -142,8 +140,11 @@ class DeltaResult:
     per_direction: tuple[tuple[str, float], ...]
     warnings: tuple[str, ...]
     query: CompositionQuery
-    tail_estimate: float
-    tail_estimate_valid: bool
+
+    @property
+    def value(self) -> float:
+        """The answer: delta for kind "delta", epsilon for kind "epsilon"."""
+        return self.delta if self.kind == "delta" else self.epsilon
 
 
 def convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld]]:
@@ -191,18 +192,15 @@ def _build_result(
     query: CompositionQuery,
     kind: str,
     epsilon: float,
-    per_direction: list[tuple[str, float, int, str | None]],
-    tail: error_bounds.BoundResult,
     convolved: list[tuple[Direction, ConvolvedPld]],
 ) -> DeltaResult:
-    """The result at one epsilon; tail is error_bounds.tail_estimate(query),
-    which does not depend on epsilon, and convolved the query's convolutions,
-    whose warnings the result repeats."""
+    """The result at one epsilon from the query's convolutions: the max of
+    their deltas there, with their warnings and those of the sums."""
+    per_direction = [(direction.value, *conv.delta(epsilon)) for direction, conv in convolved]
     best = max(per_direction, key=lambda item: item[1])
     warnings = {w for *_rest, w in per_direction if w is not None}
     warnings |= {w for _direction, conv in convolved for w in conv.warnings}
     return DeltaResult(
-        value=best[1] if kind == "delta" else epsilon,
         kind=kind,
         epsilon=epsilon,
         delta=best[1],
@@ -210,8 +208,6 @@ def _build_result(
         per_direction=tuple((name, value) for name, value, _ell, _w in per_direction),
         warnings=tuple(sorted(warnings)),
         query=query,
-        tail_estimate=tail.value,
-        tail_estimate_valid=tail.valid,
     )
 
 
@@ -235,14 +231,7 @@ def delta_of_epsilons(query: CompositionQuery, epsilons) -> tuple[DeltaResult, .
         if not eps >= 0.0:
             raise DomainError(f"epsilon must be >= 0, got {eps}")
     convolved = convolutions(query)
-    tail = error_bounds.tail_estimate(query)
-    columns = [
-        [(direction.value, *conv.delta(eps)) for eps in epsilons] for direction, conv in convolved
-    ]
-    return tuple(
-        _build_result(query, "delta", eps, list(row), tail, convolved)
-        for eps, row in zip(epsilons, zip(*columns))
-    )
+    return tuple(_build_result(query, "delta", eps, convolved) for eps in epsilons)
 
 
 def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
@@ -278,13 +267,11 @@ def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
     if target < at_zero:
         eps = max(_grid_inverse(conv, target) for _direction, conv in convolved)
 
-    per_direction = [(direction.value, *conv.delta(eps)) for direction, conv in convolved]
-    achieved = max(value for _name, value, _ell, _warning in per_direction)
-    if not abs(achieved - target) <= _DELTA_TOL:
+    result = _build_result(query, "epsilon", eps, convolved)
+    if not abs(result.delta - target) <= _DELTA_TOL:
         raise TargetDeltaBelowFloor(
             f"target delta {target:.6g} is below what the grid resolves near epsilon = "
-            f"{eps:.6g} (delta there {achieved:.6g}); enlarge the truncation radius, or refine "
-            "the grid where a warning says it under-resolves" + notes
+            f"{eps:.6g} (delta there {result.delta:.6g}); enlarge the truncation radius, or "
+            "refine the grid where a warning says it under-resolves" + notes
         )
-    tail = error_bounds.tail_estimate(query)
-    return _build_result(query, "epsilon", eps, per_direction, tail, convolved)
+    return result

@@ -179,11 +179,12 @@ def _report_dict(result: DeltaResult) -> dict:
     fields = {"scheme": [spec.scheme.value for spec in specs]}
     fields.update({key: [getattr(spec, key) for spec in specs] for key, _kind in _MECH_NUMBERS})
     fields = {key: v[0] if single else v for key, v in fields.items() if set(v) != {None}}
+    tail = error_bounds.tail_estimate(query)
     report = {
         "value": result.value,
         "kind": result.kind,
-        "tail_estimate": result.tail_estimate,
-        "tail_estimate_valid": result.tail_estimate_valid,
+        "tail_estimate": tail.value,
+        "tail_estimate_valid": tail.valid,
     }
     analytic = error_bounds.analytic_tail_bound(query)
     if analytic.valid:
@@ -295,15 +296,16 @@ def _run_converge(args, parser) -> list[dict]:
         # ldexp doubles exactly; Grid rejects L > 700 before ldexp could overflow.
         grids = [Grid(math.ldexp(args.start, i), args.n) for i in range(args.doublings + 1)]
         results = [delta_of_epsilon(dataclasses.replace(query, grid=grid)) for grid in grids]
+        tails = [error_bounds.tail_estimate(result.query) for result in results]
         return [
             {
                 "L": result.query.grid.half_width,
                 "value": result.value,
-                "tail_estimate": result.tail_estimate,
-                "tail_estimate_valid": result.tail_estimate_valid,
+                "tail_estimate": tail.value,
+                "tail_estimate_valid": tail.valid,
                 "warnings": list(result.warnings),
             }
-            for result in results
+            for result, tail in zip(results, tails)
         ]
     if not args.start.is_integer() or args.start % 2:
         parser.error(f"converge --over n needs an even integer --start, got {args.start!r}")

@@ -1,5 +1,8 @@
 """Tail, periodisation, and discretisation error control for the accountant.
 
+The accountant's results carry answers only; every error figure comes from
+here, from the query alone or, for the discretisation estimate, from a result.
+
 Three sources of error separate the computed delta from the exact one:
 
 * truncation: mass of the convolved loss density beyond the grid radius,
@@ -25,6 +28,8 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
+
+from . import accountant
 from .errors import DomainError
 from .mechanisms import Scheme
 
@@ -260,11 +265,11 @@ def discretization_estimate(result, refined=None) -> BoundResult:
     estimate rests on that run, so violated lists each of its warnings the
     result lacks, as "n=<2n>: <warning>".
     """
-    from .accountant import delta_of_epsilon
-
     if refined is None:
-        query = dataclasses.replace(result.query, epsilon=result.epsilon, delta=None)
-        refined = delta_of_epsilon(dataclasses.replace(query, grid=query.grid.refine()))
+        query = result.query
+        refined = accountant.delta_of_epsilon(
+            dataclasses.replace(query, epsilon=result.epsilon, delta=None, grid=query.grid.refine())
+        )
     size = refined.query.grid.size
     return BoundResult(
         value=2.0 * abs(result.delta - refined.delta),

@@ -55,16 +55,12 @@ from .errors import DomainError, NonConvergenceError
 _SIGMA_MAX = 1e50
 _LOSS_INVERSE_TOL = 1e-13
 _LOSS_INVERSE_MAX_ITER = 100
-# With-replacement root finder: cells of the loss table on [0, T], the cap
-# on doublings of T (2^1024 overflows) and the doublings tried per kernel
-# call, points per kernel chunk (its two temporaries are window terms x
-# points: at batch_size 64 and sigma 1 a Newton chunk's windows hold at most
-# 14 terms up and 6 down, 0.4 and 0.2 MiB, where all 65 terms took 2 MiB
-# each), and the floor of the max-shifted exponents (exp(-700) is still a
-# normal double).
+# With-replacement root finder: cells of the loss table on [0, T], points
+# per kernel chunk (its two temporaries are window terms x points: at
+# batch_size 64 and sigma 1 a Newton chunk's windows hold at most 14 terms
+# up and 6 down, 0.4 and 0.2 MiB, where all 65 terms took 2 MiB each), and
+# the floor of the max-shifted exponents (exp(-700) is still a normal double).
 _LOSS_TABLE_CELLS = 1024
-_TABLE_MAX_DOUBLINGS = 1024
-_TABLE_DOUBLINGS_PER_CALL = 16
 _KERNEL_CHUNK_ROWS = 4096
 _EXP_FLOOR = -700.0
 # The quintic Hermite interpolant on u in [0, 1] is p(u) = p(0) + sum_k a_k u^k,
@@ -520,8 +516,12 @@ def _wr_loss_table(spec: MechanismSpec, reach: float):
 
     _LOSS_TABLE_CELLS equal cells span [0, T], where T is the first power of
     two from 1 up at which the loss exceeds reach (or is not finite, which
-    fails). The powers are tried _TABLE_DOUBLINGS_PER_CALL to a kernel call,
-    whose points beyond T may overflow unseen.
+    fails). For t >= 0 the log-sum-exp down is at most log sum pmf = 0 and
+    the one up at least its ell = m term, -m log N - m^2 / (2 sigma^2)
+    + t m / sigma^2 (m = batch_size, N = dataset_size), so the loss exceeds
+    reach beyond sigma^2 (reach + m log N) / m + m / 2. One kernel call
+    tries every power up to twice the first one past that bound; its points
+    beyond T may overflow unseen.
 
     Column j of quintic holds a_1 .. a_5 of the quintic Hermite interpolant
     of the inverse over cell j, t(s) = t_j + sum_k a_k u^k with
@@ -529,15 +529,14 @@ def _wr_loss_table(spec: MechanismSpec, reach: float):
     d2t/ds2 = -loss'' / loss'^3 at both of its edges; loss' and loss'' are
     the kernel's slope and curvature.
     """
-    edge = math.nan
-    for first in range(0, _TABLE_MAX_DOUBLINGS, _TABLE_DOUBLINGS_PER_CALL):
-        extents = np.ldexp(1.0, np.arange(first, first + _TABLE_DOUBLINGS_PER_CALL))
-        with np.errstate(over="ignore", invalid="ignore"):
-            edges = _wr_kernel(spec, extents)[0]
-        beyond = ~(edges <= reach)
-        if beyond.any():
-            extent, edge = extents[beyond][0], edges[beyond][0]
-            break
+    m, sigma = spec.batch_size, spec.sigma
+    bound = sigma * sigma * (reach + m * math.log(spec.dataset_size)) / m + m / 2.0
+    extents = np.ldexp(1.0, np.arange(max(math.frexp(bound)[1], 0) + 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = _wr_kernel(spec, extents)[0]
+    # With no edge beyond reach, argmax picks edges[0] <= reach, which fails.
+    first = int(np.argmax(~(edges <= reach)))
+    extent, edge = extents[first], edges[first]
     if not (math.isfinite(edge) and edge > reach):
         raise NonConvergenceError(f"could not tabulate the loss out to |s| = {reach:.6g}")
     t = np.linspace(0.0, extent, _LOSS_TABLE_CELLS + 1)
@@ -692,5 +691,9 @@ def pld_density_with_replacement(spec: MechanismSpec, s: np.ndarray) -> np.ndarr
         omega -= square
         omega -= 0.5 * math.log(math.pi * two_var)
         np.exp(omega, out=omega)
-        omega /= slope
+        # Where the loss is flat to rounding (s near 0 at a tiny sigma) the
+        # slope can underflow to 0 and omega to 0/0. The convolution reports
+        # that sample as not finite (spectral._inverse), so numpy need not.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            omega /= slope
     return _wr_mirror(s, reach, lse_up, lse_down)

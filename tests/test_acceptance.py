@@ -269,7 +269,7 @@ def test_acceptance_5_gaussian_cross_check():
             exact = gaussian_mechanism_delta(sigma, k, eps)
             diff = abs(result.value - exact)
             disc = discretization_estimate(result).value
-            stated_bound = result.tail_estimate + disc + 1e-9
+            stated_bound = tail_estimate(query).value + disc + 1e-9
             if not diff <= stated_bound:
                 failures.append(f"k={k} eps={eps}: diff {diff:.3e} above stated bound")
             exact_tail = stats.norm.sf(

@@ -8,10 +8,10 @@ import math
 import numpy as np
 import pytest
 
-import dpconv.error_bounds
 from dpconv import (
     CompositionQuery,
     ConvolvedPld,
+    DeltaResult,
     Direction,
     DomainError,
     Grid,
@@ -148,6 +148,18 @@ class TestDeltaOfEpsilon:
         assert result.kind == "delta"
         assert result.epsilon == 1.0
 
+    def test_result_holds_answers_only_and_derives_value(self):
+        # The error figures come from error_bounds; value is delta or
+        # epsilon by kind, not a field of its own.
+        names = [field.name for field in dataclasses.fields(DeltaResult)]
+        assert names == [
+            "kind", "epsilon", "delta", "ell_eps", "per_direction", "warnings", "query"
+        ]
+        forward = delta_of_epsilon(query(epsilon=1.0))
+        assert forward.value == forward.delta and forward.value != forward.epsilon
+        inverse = epsilon_of_delta(query(delta=1e-3))
+        assert inverse.value == inverse.epsilon and inverse.value != inverse.delta
+
 
 class TestEpsilonOfDelta:
     def test_round_trip_at_unit_epsilon(self):
@@ -234,21 +246,6 @@ class TestDeltaOfEpsilons:
             assert row.ell_eps == single.ell_eps
             assert row.warnings == single.warnings
         assert _EMPTY_SUM_WARNING in rows[-1].warnings
-
-    def test_tail_estimate_runs_once_per_call(self, monkeypatch):
-        q = query(k=500)
-        want = tail_estimate(q)
-        calls = []
-        monkeypatch.setattr(
-            dpconv.error_bounds, "tail_estimate", lambda arg: calls.append(arg) or want
-        )
-        rows = delta_of_epsilons(q, np.linspace(0.0, 5.0, 1000))
-        assert calls == [q]
-        assert {(row.tail_estimate, row.tail_estimate_valid) for row in rows} == {
-            (want.value, want.valid)
-        }
-        epsilon_of_delta(dataclasses.replace(q, delta=1e-3))
-        assert len(calls) == 2
 
     def test_tail_sum_at_and_next_to_grid_points_matches_full_grid(self):
         # The sum builds only the points from ell_eps on; the full grid and

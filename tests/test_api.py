@@ -129,6 +129,71 @@ def test_the_check_sees_both_forms(tmp_path):
     ]
 
 
+# The package's modules, each above every module it may import. __init__
+# re-exports the public names of the modules below cli.
+LAYERS = (
+    "errors",
+    "mechanisms",
+    "discretization",
+    "spectral",
+    "accountant",
+    "error_bounds",
+    "cli",
+    "__init__",
+)
+
+
+def layering_violations(path: Path) -> list[str]:
+    """Each import of a sibling module at or above path's own layer, and
+    each one made inside a function or class rather than at the top."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = set(map(id, tree.body))
+    rank = LAYERS.index(path.stem)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module != "dpconv" and not module.startswith("dpconv."):
+                    continue
+                module = module.removeprefix("dpconv").lstrip(".")
+            names = [module] if module else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.removeprefix("dpconv.") for alias in node.names
+                     if alias.name.startswith("dpconv.")]
+        else:
+            continue
+        for name in (name.split(".")[0] for name in names):
+            if name not in LAYERS:
+                continue
+            if LAYERS.index(name) >= rank:
+                found.append(f"{path.stem} imports {name}")
+            if id(node) not in top:
+                found.append(f"{path.stem} imports {name} inside a function or class")
+    return found
+
+
+def test_every_module_imports_only_modules_below_it_at_its_top():
+    assert sorted(LAYERS) == sorted(source.stem for source in SOURCES)
+    found = {path.name: layering_violations(path) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_layering_check_sees_upward_and_nested_imports(tmp_path):
+    probe = tmp_path / "accountant.py"
+    probe.write_text(
+        "from . import error_bounds, spectral\n"
+        "import dpconv.cli\n"
+        "def late():\n"
+        "    from .errors import DomainError\n"
+    )
+    assert layering_violations(probe) == [
+        "accountant imports error_bounds",
+        "accountant imports cli",
+        "accountant imports errors inside a function or class",
+    ]
+
+
 def test_the_package_imports_and_runs_without_mpmath():
     # mpmath is a test dependency only (pyproject.toml): with it blocked,
     # every module of the package imports and a small query runs.

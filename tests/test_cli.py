@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -816,6 +817,19 @@ class TestExitCodes:
         # power overflows in the spectral layer.
         flags = ["--sigma", "1.5", "--q", "0.01", "--k", "10000", "--L", "12", "--n", "4096"]
         code, out, err = run_cli(["delta", *flags, "--eps", "1"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: the convolved density is not finite")
+        assert err.count("\n") == 1
+
+    def test_flat_with_replacement_loss_is_three_without_a_warning(self, capsys):
+        # At sigma 0.001 the loss is flat to rounding near s = 0: the root
+        # finder's slope there underflows to 0 and the density is 0/0, which
+        # the spectral layer reports as its one error line.
+        flags = ["--scheme", "with-replacement", "--sigma", "0.001", "--batch-size", "2",
+                 "--dataset-size", "4", "--k", "1", "--L", "0.5", "--n", "10000"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["delta", *flags, "--eps", "0.1"], capsys)
         assert code == 3 and out == ""
         assert err.startswith("error: the convolved density is not finite")
         assert err.count("\n") == 1
