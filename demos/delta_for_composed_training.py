@@ -54,5 +54,5 @@ x = grid.points()
 beyond = x > 1.0
 for direction, conv in convolutions(query):
     by_hand = grid.dx * float(np.sum(-np.expm1(1.0 - x[beyond]) * conv.samples[beyond]))
-    print(f"{direction.value}: by hand {by_hand:.12e}, conv.delta {conv.delta(1.0)[0]:.12e}")
+    print(f"{direction.value}: by hand {by_hand:.12e}, conv.delta {conv.delta(1.0):.12e}")
     print(f"  probability mass after composition: {conv.mass:.6f}")

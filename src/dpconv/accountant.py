@@ -1,36 +1,24 @@
 """Tight (epsilon, delta) guarantees for composed subsampled Gaussian mechanisms.
 
-The forward direction evaluates, for a composition described by a
-CompositionQuery, the truncated and discretised integral
-
-    delta(eps) = dx * sum_{l >= l_eps} (1 - exp(eps - x_l)) * C_l,
-
-where C is the convolved privacy loss density from module spectral and l_eps
-is the first grid index strictly to the right of eps; ConvolvedPld.delta
-evaluates it. C does not depend on eps, so delta_of_epsilons answers any
-number of epsilons from one convolution per direction.
-
-The reverse direction inverts delta(eps) exactly on the grid, from the same
-convolution. With the suffix sums U[l] = dx * sum_{j >= l} C_j and
-W[l] = dx * sum_{j >= l} exp(-x_j) C_j, the sum above equals
-U[l] - exp(eps) W[l] for every eps in the cell [x_{l-1}, x_l). delta is
-therefore continuous and decreasing, the first grid point where it falls to
-the target closes the cell holding the crossing, and inside that cell
-epsilon = log((U[l] - target) / W[l]) in closed form.
+A CompositionQuery names a composition, a grid and a target. The
+composition is convolved once per likelihood-ratio direction (module
+spectral); each ConvolvedPld is read at an epsilon or inverted at a delta
+target. The convolutions do not depend on the target, so delta_of_epsilons
+answers any number of epsilons from them.
 
 The remove/add relation is asymmetric: the tight delta is the larger of the
 two likelihood-ratio directions, so Poisson queries convolve once per
 direction and report both. The two convolutions run concurrently and share
 the spectra of self-dual factors (see spectral.convolve_factors). The
 substitute schemes alone are self-dual and convolve once.
+
+_build_result alone decides what a result reports (a sum above 1 as 1).
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .discretization import ConvolvedPld, Grid
 from .errors import (
@@ -46,17 +34,20 @@ from .spectral import convolve_factors
 # is a large share of the target itself.
 _DELTA_TOL = 1e-10
 
+_EMPTY_SUM_WARNING = "epsilon exceeds truncation radius"
+_OVER_UNITY_WARNING = "computed delta exceeded 1; the grid under-resolves this composition"
+
 
 @dataclass(frozen=True)
 class CompositionQuery:
     """One accounting question: a composition, a grid, and a target.
 
     specs and counts describe the composition: counts[i] invocations of
-    specs[i], convolved together. At most one of epsilon (for
-    delta_of_epsilon) or delta (for epsilon_of_delta) may be set. directions
-    restricts the likelihood-ratio directions evaluated; None takes the
-    tight max over both where the relation is asymmetric. Each spec keeps
-    the default direction and is oriented to every evaluated one.
+    specs[i], an integer each, convolved together. At most one of epsilon
+    (for delta_of_epsilon) or delta (for epsilon_of_delta) may be set.
+    directions restricts the likelihood-ratio directions evaluated; None
+    takes the tight max over both where the relation is asymmetric. Each
+    spec keeps the default direction and is oriented to every evaluated one.
     """
 
     specs: tuple[MechanismSpec, ...]
@@ -73,6 +64,8 @@ class CompositionQuery:
             raise DomainError(
                 f"got {len(self.specs)} specs but {len(self.counts)} repetition counts"
             )
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in self.counts):
+            raise DomainError(f"repetition counts must be integers, got {self.counts}")
         if any(c < 1 for c in self.counts):
             raise DomainError(f"all repetition counts must be >= 1, got {self.counts}")
         if self.epsilon is not None and self.delta is not None:
@@ -126,20 +119,27 @@ class DeltaResult:
     """Outcome of one accounting computation.
 
     For kind "delta", epsilon is the queried epsilon; for kind "epsilon", it
-    is the epsilon returned by the inversion. delta is the tight delta there:
-    the max over per_direction, which maps each evaluated likelihood-ratio
-    direction to its delta. ell_eps is the first grid index entering the
-    weighted sum in the direction that attains the max. The result carries
-    no error figure: the error analysis qualifies it afterwards.
+    is the epsilon returned by the inversion. per_direction maps each
+    evaluated likelihood-ratio direction to its delta at epsilon. The result
+    carries no error figure: the error analysis qualifies it afterwards.
     """
 
     kind: str
     epsilon: float
-    delta: float
-    ell_eps: int
     per_direction: tuple[tuple[str, float], ...]
     warnings: tuple[str, ...]
     query: CompositionQuery
+
+    @property
+    def delta(self) -> float:
+        """The tight delta at epsilon: the max over per_direction."""
+        return max(value for _name, value in self.per_direction)
+
+    @property
+    def ell_eps(self) -> int:
+        """The first grid index entering the weighted sum, the same in every
+        direction: the first strictly right of epsilon."""
+        return self.query.grid.index(self.epsilon, side="right")
 
     @property
     def value(self) -> float:
@@ -164,48 +164,25 @@ def convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld]
     return list(zip(directions, convolve_factors(factor_lists, query.grid)))
 
 
-def _grid_inverse(conv: ConvolvedPld, target: float) -> float:
-    """Smallest eps >= 0 with delta(eps) <= target for one direction.
-
-    Over the grid points x_m >= 0, delta(x_m) = U[m+1] - exp(x_m) W[m+1]
-    (see the module docstring). The first point at or below the target
-    closes the cell [x_{m-1}, x_m] holding the crossing, where
-    delta(eps) = U[m] - exp(eps) W[m] is solved for eps.
-    """
-    grid = conv.grid
-    start = grid.index(0.0)
-    points = grid.points(start)
-    tail = conv.samples[start:]
-    upper = grid.dx * np.cumsum(tail[::-1])[::-1]
-    weighted = grid.dx * np.cumsum((np.exp(-points) * tail)[::-1])[::-1]
-    at_points = np.append(upper[1:] - np.exp(points[:-1]) * weighted[1:], 0.0)
-    m = int(np.argmax(at_points <= target))
-    lo = float(points[m - 1]) if m else 0.0
-    if upper[m] <= target:
-        # Only in the first cell: delta(0) of this direction meets the target.
-        return lo
-    eps = math.log((upper[m] - target) / weighted[m]) if weighted[m] > 0.0 else math.inf
-    return min(max(eps, lo), float(points[m]))
-
-
 def _build_result(
     query: CompositionQuery,
     kind: str,
     epsilon: float,
     convolved: list[tuple[Direction, ConvolvedPld]],
 ) -> DeltaResult:
-    """The result at one epsilon from the query's convolutions: the max of
-    their deltas there, with their warnings and those of the sums."""
-    per_direction = [(direction.value, *conv.delta(epsilon)) for direction, conv in convolved]
-    best = max(per_direction, key=lambda item: item[1])
-    warnings = {w for *_rest, w in per_direction if w is not None}
-    warnings |= {w for _direction, conv in convolved for w in conv.warnings}
+    """The result at one epsilon from the query's convolutions, with their
+    warnings. A direction's sum above 1 (quadrature error compounding as
+    mass**k) is reported as 1; it and an epsilon past the grid are warned about."""
+    sums = [(direction.value, conv.delta(epsilon)) for direction, conv in convolved]
+    warnings = {w for _direction, conv in convolved for w in conv.warnings}
+    if any(value > 1.0 for _name, value in sums):
+        warnings.add(_OVER_UNITY_WARNING)
+    if query.grid.index(epsilon, side="right") >= query.grid.size:
+        warnings.add(_EMPTY_SUM_WARNING)
     return DeltaResult(
         kind=kind,
         epsilon=epsilon,
-        delta=best[1],
-        ell_eps=best[2],
-        per_direction=tuple((name, value) for name, value, _ell, _w in per_direction),
+        per_direction=tuple((name, min(value, 1.0)) for name, value in sums),
         warnings=tuple(sorted(warnings)),
         query=query,
     )
@@ -239,10 +216,10 @@ def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
     solved exactly on the grid.
 
     The convolved density for each direction is built once. A target equal
-    to delta(0) returns epsilon = 0. Otherwise each direction's crossing
-    comes from _grid_inverse, and the tight epsilon is the largest of them,
-    where every direction's delta is at most the target. The forward sum at
-    that epsilon must then lie within 1e-10 of the target.
+    to delta(0) returns epsilon = 0. Otherwise the tight epsilon is the
+    largest of the directions' ConvolvedPld.epsilon, where every direction's
+    delta is at most the target; the forward sum there must lie within 1e-10
+    of the target.
 
     Raises TargetDeltaTooLarge when the target exceeds delta(0), so that
     every epsilon >= 0 already meets it, and TargetDeltaBelowFloor when the
@@ -257,16 +234,15 @@ def epsilon_of_delta(query: CompositionQuery) -> DeltaResult:
     convolved = convolutions(query)
     warnings = dict.fromkeys(w for _direction, conv in convolved for w in conv.warnings)
     notes = "".join(f"; {warning}" for warning in warnings)
-    at_zero = max(conv.delta(0.0)[0] for _direction, conv in convolved)
-    if target > at_zero:
+    zero = _build_result(query, "epsilon", 0.0, convolved)
+    if target > zero.delta:
         raise TargetDeltaTooLarge(
-            f"target delta {target:.6g} exceeds delta(0) = {at_zero:.6g}; "
+            f"target delta {target:.6g} exceeds delta(0) = {zero.delta:.6g}; "
             "every epsilon >= 0 already satisfies a stronger guarantee" + notes
         )
-    eps = 0.0
-    if target < at_zero:
-        eps = max(_grid_inverse(conv, target) for _direction, conv in convolved)
-
+    if target == zero.delta:
+        return zero
+    eps = max(conv.epsilon(target) for _direction, conv in convolved)
     result = _build_result(query, "epsilon", eps, convolved)
     if not abs(result.delta - target) <= _DELTA_TOL:
         raise TargetDeltaBelowFloor(

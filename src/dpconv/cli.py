@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--over", choices=["eps", "k"], default="eps")
     p_sweep.add_argument("--start", type=float, help="first epsilon (eps sweeps)")
     p_sweep.add_argument("--stop", type=float, help="last epsilon (eps sweeps)")
-    p_sweep.add_argument("--count", type=int, default=10, help=f"eps rows, 2 to {_MAX_SWEEP_COUNT}")
+    p_sweep.add_argument("--count", type=int, help=f"eps rows, 2 to {_MAX_SWEEP_COUNT}; default 10")
     p_sweep.add_argument("--values", help="comma-separated composition counts (k sweeps)")
     p_sweep.add_argument("--eps", type=float, help="fixed epsilon (k sweeps)")
 
@@ -132,6 +132,8 @@ def _parse_mech_group(text: str, parser: argparse.ArgumentParser) -> tuple[Mecha
         if "=" not in item:
             parser.error(f"--mech entries are KEY=VAL pairs, got {item!r}")
         key, _, val = item.partition("=")
+        if key.strip() in fields:
+            parser.error(f"--mech group repeats key {key.strip()!r}")
         fields[key.strip()] = val.strip()
     count = _parse_number(fields.pop("count", "1"), int, "--mech count", parser)
     if "sigma" not in fields:
@@ -262,18 +264,24 @@ def _sweep_row(key: str, x, result: DeltaResult) -> dict:
 
 
 def _run_sweep(args, parser) -> list[dict]:
+    # The flags of the other mode would be ignored.
+    foreign = ("eps", "values") if args.over == "eps" else ("start", "stop", "count")
+    given = [f"--{name}" for name in foreign if getattr(args, name) is not None]
+    if given:
+        parser.error(f"sweep --over {args.over} does not take {', '.join(given)}")
     if args.over == "eps":
         if args.start is None or args.stop is None:
             parser.error("sweep --over eps needs --start and --stop")
-        if not 2 <= args.count <= _MAX_SWEEP_COUNT:
-            parser.error(f"sweep --count must be from 2 to {_MAX_SWEEP_COUNT}, got {args.count}")
-        step = (args.stop - args.start) / (args.count - 1)
+        count = 10 if args.count is None else args.count
+        if not 2 <= count <= _MAX_SWEEP_COUNT:
+            parser.error(f"sweep --count must be from 2 to {_MAX_SWEEP_COUNT}, got {count}")
+        step = (args.stop - args.start) / (count - 1)
         if not math.isfinite(step):
             raise DomainError(
                 f"sweep --start {args.start!r} and --stop {args.stop!r} must be finite epsilons"
                 f" a finite distance apart, got the step {step!r}"
             )
-        epsilons = [args.start + i * step for i in range(args.count)]
+        epsilons = [args.start + i * step for i in range(count)]
         results = delta_of_epsilons(_build_query(args, parser), epsilons)
         return [_sweep_row("eps", eps, result) for eps, result in zip(epsilons, results)]
     if not args.values:

@@ -10,7 +10,8 @@ each cell carries. Rotated by n/2, the samples have the origin at index 0:
 the natural left-to-right layout becomes the wrap-around layout the
 discrete Fourier transform expects for a function on a circle. A
 ConvolvedPld holds such samples: one mechanism's (from discretize) or a
-convolution's, and evaluates the tight delta on them.
+convolution's. It reads delta(eps) off them as a weighted tail sum and
+inverts that sum exactly on the grid.
 
 Sampling runs in blocks of at most 2^14 points (see blocks), so the
 temporaries a density evaluation makes stay cache-sized at any grid size,
@@ -40,9 +41,6 @@ _MAX_HALF_WIDTH = 700.0
 # on the benchmark's queries); 2^12-point grids at L = 12 give 1.0023 and
 # 1.076, and a spike no grid resolves 1e18 and more.
 _MASS_TOL = 1e-3
-
-_EMPTY_SUM_WARNING = "epsilon exceeds truncation radius"
-_OVER_UNITY_WARNING = "computed delta exceeded 1; the grid under-resolves this composition"
 
 
 @dataclass(frozen=True)
@@ -120,24 +118,43 @@ class ConvolvedPld:
     def mass(self) -> float:
         return float(self.grid.dx * self.samples.sum())
 
-    def delta(self, epsilon: float) -> tuple[float, int, str | None]:
-        """(delta, ell_eps, warning) at epsilon, for this one density.
+    def delta(self, epsilon: float) -> float:
+        """This density's discretised delta at eps = epsilon, not clamped:
 
-        delta = dx * sum_{l >= ell_eps} (1 - exp(eps - x_l)) * samples[l],
-        where ell_eps is the first grid index strictly right of epsilon.
-        warning says why the value was set rather than summed, or is None.
+            dx * sum_{l >= l_eps} (1 - exp(eps - x_l)) * samples[l],
+
+        where l_eps is the first grid index strictly right of eps. Past the
+        last grid point the sum is empty and 0.
         """
         grid = self.grid
-        ell_eps = grid.index(epsilon, side="right")
-        if ell_eps >= grid.size:
-            return 0.0, ell_eps, _EMPTY_SUM_WARNING
-        weights = -np.expm1(epsilon - grid.points(ell_eps))
-        value = grid.dx * float(weights @ self.samples[ell_eps:])
-        if value > 1.0:
-            # A tight delta never exceeds 1; quadrature error compounding as
-            # mass**k can. Report 1 and say so rather than returning garbage.
-            return 1.0, ell_eps, _OVER_UNITY_WARNING
-        return max(value, 0.0), ell_eps, None
+        start = grid.index(epsilon, side="right")
+        return grid.dx * float(-np.expm1(epsilon - grid.points(start)) @ self.samples[start:])
+
+    def epsilon(self, target: float) -> float:
+        """Smallest eps >= 0 with delta(eps) <= target, solved exactly on the grid.
+
+        With the suffix sums U[l] = dx * sum_{j >= l} samples[j] and
+        W[l] = dx * sum_{j >= l} exp(-x_j) samples[j], delta(eps) equals
+        U[l] - exp(eps) W[l] for every eps in the cell [x_{l-1}, x_l). delta is
+        therefore continuous and decreasing, and over the grid points
+        x_m >= 0, delta(x_m) = U[m+1] - exp(x_m) W[m+1]. The first point at or
+        below the target closes the cell [x_{m-1}, x_m] holding the crossing,
+        where eps = log((U[m] - target) / W[m]) in closed form.
+        """
+        grid = self.grid
+        start = grid.index(0.0)
+        points = grid.points(start)
+        tail = self.samples[start:]
+        upper = grid.dx * np.cumsum(tail[::-1])[::-1]
+        weighted = grid.dx * np.cumsum((np.exp(-points) * tail)[::-1])[::-1]
+        at_points = np.append(upper[1:] - np.exp(points[:-1]) * weighted[1:], 0.0)
+        m = int(np.argmax(at_points <= target))
+        lo = float(points[m - 1]) if m else 0.0
+        if upper[m] <= target:
+            # Only in the first cell: delta(0) meets the target.
+            return lo
+        eps = math.log((upper[m] - target) / weighted[m]) if weighted[m] > 0.0 else math.inf
+        return min(max(eps, lo), float(points[m]))
 
 
 def blocks(size: int):

@@ -40,6 +40,7 @@ import dataclasses
 import enum
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -108,9 +109,9 @@ class MechanismSpec:
             q = 1 is the non-subsampled limit, in which the Poisson density
             collapses to the plain Gaussian privacy loss. Must be None for
             WITH_REPLACEMENT.
-        batch_size: number of independent draws (WITH_REPLACEMENT only).
-        dataset_size: number of records; the per-draw probability of hitting
-            the substituted record is 1 / dataset_size (WITH_REPLACEMENT only).
+        batch_size: integer number of independent draws (WITH_REPLACEMENT only).
+        dataset_size: integer number of records, each hit by a draw with
+            probability 1 / dataset_size (WITH_REPLACEMENT only).
         direction: likelihood-ratio direction; X_OVER_Y for substitute schemes.
     """
 
@@ -141,6 +142,10 @@ class MechanismSpec:
         else:
             if self.q is not None:
                 raise DomainError("the with-replacement scheme derives q from dataset_size")
+            for name in ("batch_size", "dataset_size"):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, (numbers.Integral, type(None))):
+                    raise DomainError(f"{name} must be an integer, got {value!r}")
             if self.batch_size is None or self.batch_size < 1:
                 raise DomainError(f"batch_size must be a positive integer, got {self.batch_size}")
             if self.dataset_size is None or self.dataset_size < 2:

@@ -151,7 +151,7 @@ def direct_convolution_delta(
             for _ in range(k - 1):
                 acc = _direct_circular(acc, masses)
             conv = _clamped(half_swap(acc) / grid.dx, grid)
-        best = max(best, conv.delta(epsilon)[0])
+        best = max(best, conv.delta(epsilon))
     return best
 
 
@@ -200,7 +200,7 @@ def bisection_epsilon(
     convs = [conv for _direction, conv in convolutions(query)]
 
     def tight_delta(eps: float) -> float:
-        return max(conv.delta(eps)[0] for conv in convs)
+        return max(conv.delta(eps) for conv in convs)
 
     at_zero = tight_delta(0.0)
     if abs(at_zero - delta_target) <= tolerance:

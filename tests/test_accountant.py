@@ -26,8 +26,7 @@ from dpconv import (
     epsilon_of_delta,
     tail_estimate,
 )
-from dpconv.accountant import _grid_inverse, convolutions
-from dpconv.discretization import _EMPTY_SUM_WARNING, _OVER_UNITY_WARNING
+from dpconv.accountant import _EMPTY_SUM_WARNING, _OVER_UNITY_WARNING, convolutions
 
 from oracle import bisection_epsilon
 
@@ -75,6 +74,21 @@ class TestQueryValidation:
     def test_empty_composition_rejected(self, specs, counts):
         with pytest.raises(DomainError):
             CompositionQuery(specs=specs, counts=counts, grid=GRID)
+
+    @pytest.mark.parametrize("counts", [(2.5,), (2.9,), (1, 2.0), (True,), ("3",)])
+    def test_non_integer_counts_rejected(self, counts):
+        # 2.5 would run k = 2 and report query.k == 2.
+        with pytest.raises(DomainError, match="repetition counts must be integers"):
+            CompositionQuery(specs=(SPEC,) * len(counts), counts=counts, grid=GRID)
+        if len(counts) == 1:
+            with pytest.raises(DomainError, match=rf"got \({counts[0]!r},\)"):
+                CompositionQuery.homogeneous(SPEC, counts[0], GRID, epsilon=0.5)
+
+    def test_numpy_integer_counts_accepted(self):
+        small = Grid(half_width=12.0, size=2 ** 12)
+        plain = delta_of_epsilon(CompositionQuery.homogeneous(SPEC, 7, small, epsilon=0.5))
+        wide = delta_of_epsilon(CompositionQuery.homogeneous(SPEC, np.int64(7), small, epsilon=0.5))
+        assert wide.value == plain.value and wide.query.k == 7
 
     def test_at_most_one_target(self):
         # Each solver would silently ignore the other target.
@@ -139,7 +153,23 @@ class TestDeltaOfEpsilon:
     def test_value_bounded_by_convolution_mass(self):
         result = delta_of_epsilon(query(epsilon=0.2, k=100))
         assert 0.0 <= result.value <= 1.0
-        assert result.ell_eps is not None
+
+    @pytest.mark.parametrize("kind", ["delta", "epsilon"])
+    def test_ell_eps_is_where_every_direction_starts_its_sum(self, kind):
+        target = {"epsilon": 0.2} if kind == "delta" else {"delta": 1e-3}
+        full = (delta_of_epsilon if kind == "delta" else epsilon_of_delta)(query(k=100, **target))
+        start = GRID.index(full.epsilon, side="right")
+        assert full.ell_eps == start and len(full.per_direction) == 2
+        points = GRID.points(start)
+        for direction, conv in convolutions(query(k=100)):
+            restricted = delta_of_epsilon(
+                dataclasses.replace(full.query, epsilon=full.epsilon, delta=None,
+                                    directions=(direction,))
+            )
+            assert restricted.ell_eps == start
+            weights = -np.expm1(full.epsilon - points)
+            summed = GRID.dx * float(weights @ conv.samples[start:])
+            assert dict(full.per_direction)[direction.value] == summed
 
     def test_params_echo(self):
         q = query(epsilon=1.0)
@@ -149,14 +179,13 @@ class TestDeltaOfEpsilon:
         assert result.epsilon == 1.0
 
     def test_result_holds_answers_only_and_derives_value(self):
-        # The error figures come from error_bounds; value is delta or
-        # epsilon by kind, not a field of its own.
+        # The error figures come from error_bounds; value, delta and ell_eps
+        # derive from the fields, not fields of their own.
         names = [field.name for field in dataclasses.fields(DeltaResult)]
-        assert names == [
-            "kind", "epsilon", "delta", "ell_eps", "per_direction", "warnings", "query"
-        ]
+        assert names == ["kind", "epsilon", "per_direction", "warnings", "query"]
         forward = delta_of_epsilon(query(epsilon=1.0))
         assert forward.value == forward.delta and forward.value != forward.epsilon
+        assert forward.delta == max(value for _name, value in forward.per_direction)
         inverse = epsilon_of_delta(query(delta=1e-3))
         assert inverse.value == inverse.epsilon and inverse.value != inverse.delta
 
@@ -170,10 +199,12 @@ class TestEpsilonOfDelta:
         assert abs(achieved - target) <= 1e-10
 
     def test_target_at_delta_zero_returns_zero_immediately(self):
-        d0 = delta_of_epsilon(query(epsilon=0.0, k=100)).value
-        result = epsilon_of_delta(query(delta=d0, k=100))
+        at_zero = delta_of_epsilon(query(epsilon=0.0, k=100))
+        result = epsilon_of_delta(query(delta=at_zero.value, k=100))
         assert result.value == 0.0
-        assert result.delta == d0
+        assert result.per_direction == at_zero.per_direction
+        assert result.warnings == at_zero.warnings
+        assert result.delta == at_zero.value
 
     def test_target_above_delta_zero_rejected(self):
         with pytest.raises(TargetDeltaTooLarge):
@@ -257,9 +288,15 @@ class TestDeltaOfEpsilons:
             for eps in (p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)):
                 ell = int(np.searchsorted(points, eps, side="right"))
                 want = GRID.dx * float(-np.expm1(eps - points[ell:]) @ conv.samples[ell:])
-                value, ell_eps, _warning = conv.delta(eps)
-                assert ell_eps == ell
-                assert value == max(want, 0.0)
+                value = conv.delta(eps)
+                assert type(value) is float
+                assert GRID.index(eps, side="right") == ell
+                assert value == want
+        # Past the last grid point the sum is empty.
+        last = float(points[-1])
+        for eps in (last, math.nextafter(last, math.inf), 1e3):
+            value = conv.delta(eps)
+            assert value == 0.0 and type(value) is float
 
     def test_rejects_missing_or_negative_epsilon(self):
         with pytest.raises(DomainError):
@@ -327,8 +364,8 @@ class TestExactInverse:
         # the first cell.
         grid = Grid(half_width=4.0, size=8)
         conv = ConvolvedPld(grid=grid, samples=np.where(grid.points() < 0.0, 0.25, 0.0))
-        assert conv.delta(0.0)[0] == 0.0
-        assert _grid_inverse(conv, 1e-3) == 0.0
+        assert conv.delta(0.0) == 0.0
+        assert conv.epsilon(1e-3) == 0.0
 
     def test_tight_epsilon_is_max_over_restricted_directions(self):
         q = query(delta=1e-5, k=self.K)

@@ -120,11 +120,11 @@ def test_the_check_sees_both_forms(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
         "from . import spectral\n"
-        "from .accountant import _grid_inverse, convolutions\n"
+        "from .accountant import _build_result, convolutions\n"
         "spectral._map(len, [])\n"
     )
     assert private_uses_across_modules(probe) == [
-        "from .accountant import _grid_inverse",
+        "from .accountant import _build_result",
         "spectral._map",
     ]
 

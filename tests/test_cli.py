@@ -316,6 +316,11 @@ class TestSweepSubcommand:
         values = [r["value"] for r in rows]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    def test_eps_sweep_defaults_to_ten_rows(self, capsys):
+        code, out, _ = run_cli(["sweep", *BASE, "--start", "0", "--stop", "0.9"], capsys)
+        assert code == 0
+        assert [row["eps"] for row in json.loads(out)] == [i * 0.1 for i in range(10)]
+
     def test_eps_sweep_convolves_once_per_direction(self, capsys, monkeypatch):
         # One forward transform per distinct factor (the Poisson density in
         # each direction) and one inverse per direction, for all four rows.
@@ -594,10 +599,26 @@ class TestExitCodes:
             (["converge", *BASE, "--start", "2048", "--doublings", "-1", "--eps", "1"],
              "--doublings"),
             (["epsilon", *BASE, "--delta", "1e-5", "--newton-tol", "1e-10"], "--newton-tol"),
+            # Each of these was once dropped silently: the last repeated key
+            # won, and a sweep ignored the other mode's flags.
+            (["delta", "--mech", "sigma=1.5,q=0.01,count=5,count=9", "--eps", "1"],
+             "--mech group repeats key 'count'"),
+            (["delta", "--mech", "sigma=1.5, sigma =2,q=0.01", "--eps", "1"],
+             "--mech group repeats key 'sigma'"),
+            (["sweep", *BASE, "--over", "eps", "--start", "0", "--stop", "1", "--eps", "9",
+              "--values", "3"], "sweep --over eps does not take --eps, --values"),
+            (["sweep", *BASE, "--start", "0", "--stop", "1", "--values", "3"],
+             "sweep --over eps does not take --values"),
+            (["sweep", *BASE, "--over", "k", "--values", "1,2", "--eps", "1", "--start", "4",
+              "--stop", "5", "--count", "3"], "sweep --over k does not take --start, --stop, --count"),
+            (["sweep", *BASE, "--over", "k", "--values", "1,2", "--eps", "1", "--count", "10"],
+             "sweep --over k does not take --count"),
         ],
         ids=["mech-no-equals", "mech-no-sigma", "mech-unknown-scheme", "mech-unknown-key",
              "sweep-eps-no-stop", "sweep-k-no-values", "sweep-k-no-eps", "sweep-k-mech",
-             "converge-negative-doublings", "newton-tol-unknown"],
+             "converge-negative-doublings", "newton-tol-unknown", "mech-repeated-key",
+             "mech-repeated-spaced-key", "sweep-eps-with-k-flags", "sweep-default-with-values",
+             "sweep-k-with-eps-flags", "sweep-k-with-default-count"],
     )
     def test_flag_error_names_its_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as excinfo:

@@ -134,7 +134,7 @@ class TestDiscretize:
         assert warning.startswith(f"sampled mass {pld.mass:.6g} of mechanism (sigma=0.1,")
         if size == 8192:
             # The warning changes no value: this is the quadrature value.
-            assert pld.delta(1.0)[0] == pytest.approx(0.0099999339, rel=1e-8)
+            assert pld.delta(1.0) == pytest.approx(0.0099999339, rel=1e-8)
 
     def test_resolved_density_does_not_warn(self):
         assert discretize(SPEC, Grid(half_width=12.0, size=2 ** 14)).warnings == ()

@@ -103,6 +103,26 @@ class TestSpecValidation:
                 sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=11, dataset_size=10
             )
 
+    @pytest.mark.parametrize(
+        "sizes, named",
+        [((2.5, 10), "batch_size 2.5"), ((2, 10.0), "dataset_size 10.0"),
+         ((True, 10), "batch_size True"), ((2, "10"), "dataset_size '10'")],
+        ids=["float-batch", "float-dataset", "bool-batch", "str-dataset"],
+    )
+    def test_with_replacement_sizes_must_be_integers(self, sizes, named):
+        # A binomial mixture over 2.5 draws would be evaluated silently.
+        name, value = named.split(" ")
+        with pytest.raises(DomainError, match=f"{name} must be an integer, got {value}"):
+            MechanismSpec(sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=sizes[0],
+                          dataset_size=sizes[1])
+
+    def test_with_replacement_sizes_take_numpy_integers(self):
+        spec = MechanismSpec(sigma=1.0, scheme=Scheme.WITH_REPLACEMENT,
+                             batch_size=np.int64(2), dataset_size=np.int32(10))
+        assert spec.density(0.5) == MechanismSpec(
+            sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=2, dataset_size=10
+        ).density(0.5)
+
     def test_with_direction(self):
         flipped = POISSON.with_direction(Direction.Y_OVER_X)
         assert flipped.direction is Direction.Y_OVER_X and flipped.q == POISSON.q
