@@ -261,14 +261,21 @@ def discretization_estimate(result, refined=None) -> BoundResult:
     grid, and I_2n the tight delta at that epsilon on the doubled grid; the
     factor 2 turns the difference of two first-order approximations into an
     estimate of the error of the coarser one. refined, when given, is that
-    doubled-grid delta result; otherwise it costs a full pipeline run. The
-    estimate rests on that run, so violated lists each of its warnings the
-    result lacks, as "n=<2n>: <warning>".
+    doubled-grid delta result, and DomainError is raised unless its query is
+    the result's at result.epsilon on the doubled grid; otherwise it costs a
+    full pipeline run. The estimate rests on that run, so violated lists each
+    of its warnings the result lacks, as "n=<2n>: <warning>".
     """
+    query = result.query
+    doubled = dataclasses.replace(
+        query, epsilon=result.epsilon, delta=None, grid=query.grid.refine()
+    )
     if refined is None:
-        query = result.query
-        refined = accountant.delta_of_epsilon(
-            dataclasses.replace(query, epsilon=result.epsilon, delta=None, grid=query.grid.refine())
+        refined = accountant.delta_of_epsilon(doubled)
+    elif refined.kind != "delta" or refined.query != doubled:
+        raise DomainError(
+            "refined must be the delta result of the result's query at its epsilon on the "
+            "doubled grid"
         )
     size = refined.query.grid.size
     return BoundResult(

@@ -64,6 +64,11 @@ _LOSS_INVERSE_MAX_ITER = 100
 _LOSS_TABLE_CELLS = 1024
 _KERNEL_CHUNK_ROWS = 4096
 _EXP_FLOOR = -700.0
+# With-replacement log weights and loss tables kept per process, the most
+# recently used of each: the calls of a CLI command, of a sweep or of a
+# training loop share one mechanism and one grid radius, and so one table
+# (about 57 KB at 1024 cells).
+_WR_CACHE_SIZE = 8
 # The quintic Hermite interpolant on u in [0, 1] is p(u) = p(0) + sum_k a_k u^k,
 # with a_1 .. a_5 (the rows) this matrix times the data (the columns)
 # p(1) - p(0), p'(0), p'(1), p''(0) and p''(1).
@@ -381,8 +386,16 @@ def pld_density_without_replacement(spec: MechanismSpec, s: np.ndarray) -> np.nd
 # Sampling with replacement, substitute relation
 # ---------------------------------------------------------------------------
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only, as a cache may hand them to many callers."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=_WR_CACHE_SIZE)
 def _wr_log_weights(spec: MechanismSpec):
-    """Binomial mixture weights, in log space.
+    """Binomial mixture weights, in log space, read-only and kept per process.
 
     Returns (centres, log_coeff) where log_coeff are the log probabilities
     of hitting the substituted record ell times in batch_size draws plus the
@@ -399,7 +412,7 @@ def _wr_log_weights(spec: MechanismSpec):
         + (m - ell) * math.log1p(-p)
     )
     log_coeff = log_binom - np.square(ell) / (2.0 * spec.sigma * spec.sigma)
-    return ell, log_coeff
+    return _read_only(ell, log_coeff)
 
 
 def _shifted_lse(exponents: np.ndarray, ell: np.ndarray):
@@ -515,9 +528,11 @@ def loss_with_replacement(spec: MechanismSpec, t: np.ndarray) -> np.ndarray:
     return _wr_kernel(spec, t)[0]
 
 
+@functools.lru_cache(maxsize=_WR_CACHE_SIZE)
 def _wr_loss_table(spec: MechanismSpec, reach: float):
     """The loss inverse t(s) on a lattice of t >= 0 covering losses s in
-    [0, reach], as (t, s, quintic).
+    [0, reach], as read-only (t, s, quintic), kept per process. Every grid of
+    radius L starts at -L, so its reach is L at any size n.
 
     _LOSS_TABLE_CELLS equal cells span [0, T], where T is the first power of
     two from 1 up at which the loss exceeds reach (or is not finite, which
@@ -560,31 +575,42 @@ def _wr_loss_table(spec: MechanismSpec, reach: float):
             width * width * d2t[1:],
         ))
         quintic = _HERMITE_QUINTIC @ data
-    return t, loss, quintic
+    return _read_only(t, loss, quintic)
 
 
 def _wr_solve(spec: MechanismSpec, s: np.ndarray):
-    """The distinct |s| of a 1-d s, ascending, and (t, slope, lse_up, lse_down)
-    at the loss inverse t >= 0 of each.
+    """The rank of each |s| of a 1-d s among its distinct values, as an index
+    array (int32 unless s is too long for it), and (t, slope, lse_up,
+    lse_down) at the loss inverse t >= 0 of each distinct |s|, ascending.
 
     The loss is odd, so the inverse at -|s| is -t with up and down swapped
-    (see _wr_kernel) and each |s| is solved once. One loss table serves all
-    of them, and they are solved in chunks of at most _KERNEL_CHUNK_ROWS
-    rows, so the root finder's state is bounded too.
+    (see _wr_kernel) and each |s| is solved once. One stable argsort of |s|
+    (a pass per monotone run, two on a grid) gives both the distinct |s| and
+    the ranks; it is freed before the solve. One loss table serves all of
+    them, and they are solved in chunks of at most _KERNEL_CHUNK_ROWS rows,
+    so the root finder's state is bounded too.
     """
     if not np.all(np.isfinite(s)):
         raise DomainError("the loss inverse needs finite privacy losses")
-    magnitude = np.abs(s)
-    magnitude.sort()
+    order = np.argsort(np.abs(s), kind="stable")
+    magnitude = s[order]
+    np.abs(magnitude, out=magnitude)
     new = np.empty(magnitude.size, dtype=bool)
     new[:1] = True
     np.not_equal(magnitude[1:], magnitude[:-1], out=new[1:])
-    # The distinct |s| and the four results share one block, filled chunk
-    # by chunk with no temporary of their size: glibc raises its mmap
-    # threshold to the size of a freed mmapped array, and later arrays up to
-    # that size then come from the heap, where they can stay resident.
-    block = np.empty((5, np.count_nonzero(new)))
-    reach, *solved = block
+    index = np.empty(s.size, dtype=np.int32 if s.size <= np.iinfo(np.int32).max else np.intp)
+    rank = np.cumsum(new, dtype=index.dtype)
+    rank -= 1
+    index[order] = rank
+    del order, rank
+    # The distinct |s| and the four results live in two blocks, (|s|, t,
+    # slope) and (lse_up, lse_down), filled chunk by chunk with no temporary
+    # of their size: glibc raises its mmap threshold to the size of a freed
+    # mmapped array, and later arrays up to that size then come from the
+    # heap, where they can stay resident. The density frees the first block
+    # before its mirror allocates the output.
+    reach, *solved = np.empty((3, np.count_nonzero(new)))
+    solved.extend(np.empty((2, reach.size)))
     filled = 0
     for rows in _chunks(s.size):
         part = magnitude[rows][new[rows]]
@@ -595,17 +621,39 @@ def _wr_solve(spec: MechanismSpec, s: np.ndarray):
     for rows in _chunks(reach.size):
         for out, part in zip(solved, _wr_newton(spec, reach[rows], table)):
             out[rows] = part
-    return reach, *solved
+    return index, *solved
 
 
-def _wr_mirror(s: np.ndarray, reach: np.ndarray, at_plus: np.ndarray, at_minus: np.ndarray):
+def _wr_mirror(s: np.ndarray, index: np.ndarray, at_plus: np.ndarray, at_minus: np.ndarray):
     """Per entry of s, at_plus or (where s has its sign bit set) at_minus at
-    the position of |s| in reach, in chunks, with no full-size index array."""
+    the rank index holds for it (see _wr_solve), in chunks, so that no
+    temporary grows with s."""
     out = np.empty_like(s)
     for rows in _chunks(s.size):
-        at = np.searchsorted(reach, np.abs(s[rows]))
+        at = index[rows]
         out[rows] = np.where(np.signbit(s[rows]), at_minus[at], at_plus[at])
     return out
+
+
+def _wr_missed(resid: np.ndarray, t: np.ndarray, slope: np.ndarray, lse_up: np.ndarray,
+               lse_down: np.ndarray):
+    """Which rows of a kernel evaluation at t still miss their root, as a
+    mask, and the tolerance each of those rows missed.
+
+    A row converges once |resid| <= _LOSS_INVERSE_TOL. Far out the loss
+    steps by more than that between adjacent doubles t, so its rounding
+    there is accepted too: a step of t times the slope, plus a few ulps of
+    the larger log-sum-exp, of which the loss is a difference. A NaN
+    residual never counts as converged.
+    """
+    pending = ~(np.abs(resid) <= _LOSS_INVERSE_TOL)
+    if not pending.any():
+        return pending, None
+    lse = np.maximum(np.abs(lse_up[pending]), np.abs(lse_down[pending]))
+    rounding = slope[pending] * np.spacing(t[pending]) + 4.0 * np.spacing(lse)
+    near = np.abs(resid[pending]) <= rounding
+    pending[pending] = ~near
+    return pending, np.fmax(rounding[~near], _LOSS_INVERSE_TOL)
 
 
 def _wr_newton(spec: MechanismSpec, s: np.ndarray, table: tuple[np.ndarray, ...]):
@@ -615,8 +663,9 @@ def _wr_newton(spec: MechanismSpec, s: np.ndarray, table: tuple[np.ndarray, ...]
     cell holding s; where it leaves the cell, the linear interpolant is
     used. The start depends on s and the table only, and so does t wherever
     the first kernel evaluation accepts it, as it does at almost every s.
-    Returns t with the slope, lse_up and lse_down of the kernel evaluation
-    that accepted it. A NaN residual never counts as converged.
+    That evaluation covers the whole chunk; later ones only the rows still
+    pending. Returns t with the slope, lse_up and lse_down of the kernel
+    evaluation that accepted it (see _wr_missed).
     """
     t_table, loss_table, quintic = table
     cell = np.searchsorted(loss_table, s, side="right").clip(1, loss_table.size - 1) - 1
@@ -626,24 +675,11 @@ def _wr_newton(spec: MechanismSpec, s: np.ndarray, table: tuple[np.ndarray, ...]
     with np.errstate(over="ignore", invalid="ignore"):
         start = lo + u * (a1 + u * (a2 + u * (a3 + u * (a4 + u * a5))))
     t = np.where((start >= lo) & (start <= hi), start, lo + u * (hi - lo))
-    slope, lse_up, lse_down = np.empty_like(s), np.empty_like(s), np.empty_like(s)
-    active = np.arange(s.size)
-    for _ in range(_LOSS_INVERSE_MAX_ITER):
-        loss, slope[active], _, lse_up[active], lse_down[active] = _wr_kernel(spec, t[active])
-        resid = loss - s[active]
-        pending = ~(np.abs(resid) <= _LOSS_INVERSE_TOL)
-        if pending.any():
-            # Far out the loss steps by more than _LOSS_INVERSE_TOL between
-            # adjacent doubles t, so its rounding there is accepted too: a
-            # step of t times the slope, plus a few ulps of the larger
-            # log-sum-exp, of which the loss is a difference.
-            missed = active[pending]
-            lse = np.maximum(np.abs(lse_up[missed]), np.abs(lse_down[missed]))
-            rounding = slope[missed] * np.spacing(t[missed]) + 4.0 * np.spacing(lse)
-            near = np.abs(resid[pending]) <= rounding
-            pending[pending] = ~near
-            tolerance = np.fmax(rounding[~near], _LOSS_INVERSE_TOL)
-        active, resid = active[pending], resid[pending]
+    loss, slope, _, lse_up, lse_down = _wr_kernel(spec, t)
+    resid = loss - s
+    pending, tolerance = _wr_missed(resid, t, slope, lse_up, lse_down)
+    active, resid = np.flatnonzero(pending), resid[pending]
+    for _ in range(_LOSS_INVERSE_MAX_ITER - 1):
         if not active.size:
             break
         now = t[active]
@@ -652,8 +688,14 @@ def _wr_newton(spec: MechanismSpec, s: np.ndarray, table: tuple[np.ndarray, ...]
         with np.errstate(divide="ignore", invalid="ignore"):
             proposal = now - resid / slope[active]
         inside = (proposal > lo[active]) & (proposal < hi[active])
-        t[active] = np.where(inside, proposal, 0.5 * (lo[active] + hi[active]))
-    else:
+        now = np.where(inside, proposal, 0.5 * (lo[active] + hi[active]))
+        loss, now_slope, _, now_up, now_down = _wr_kernel(spec, now)
+        t[active], slope[active] = now, now_slope
+        lse_up[active], lse_down[active] = now_up, now_down
+        resid = loss - s[active]
+        pending, tolerance = _wr_missed(resid, now, now_slope, now_up, now_down)
+        active, resid = active[pending], resid[pending]
+    if active.size:
         raise NonConvergenceError(
             f"loss inverse did not reach |loss(t) - s| <= {float(np.max(tolerance)):.3g} "
             f"within {_LOSS_INVERSE_MAX_ITER} iterations"
@@ -674,8 +716,8 @@ def loss_inverse_with_replacement(spec: MechanismSpec, s: np.ndarray) -> np.ndar
     s, and NonConvergenceError if the tolerance is not met within the
     iteration cap.
     """
-    reach, t = _wr_solve(spec, s)[:2]
-    return _wr_mirror(s, reach, t, -t)
+    index, t = _wr_solve(spec, s)[:2]
+    return _wr_mirror(s, index, t, -t)
 
 
 @_pointwise
@@ -687,7 +729,7 @@ def pld_density_with_replacement(spec: MechanismSpec, s: np.ndarray) -> np.ndarr
     the log-sum-exp of the root finder's last kernel evaluation, and
     lse_down in place of lse_up gives f_X(-t).
     """
-    reach, t, slope, lse_up, lse_down = _wr_solve(spec, s)
+    index, t, slope, lse_up, lse_down = _wr_solve(spec, s)
     two_var = 2.0 * spec.sigma * spec.sigma
     square = np.multiply(t, t, out=t)
     square /= two_var
@@ -701,4 +743,5 @@ def pld_density_with_replacement(spec: MechanismSpec, s: np.ndarray) -> np.ndarr
         # that sample as not finite (spectral._inverse), so numpy need not.
         with np.errstate(divide="ignore", invalid="ignore"):
             omega /= slope
-    return _wr_mirror(s, reach, lse_up, lse_down)
+    del t, slope, square
+    return _wr_mirror(s, index, lse_up, lse_down)

@@ -31,6 +31,7 @@ from dpconv import (
     epsilon_of_delta,
     spectral,
 )
+import dpconv.mechanisms
 from dpconv.accountant import delta_of_epsilons
 from dpconv.cli import build_parser, main
 
@@ -380,6 +381,16 @@ class TestConvergeSubcommand:
             i_2n = library_delta(size=2 * row["n"]).value
             assert row["value"] == i_n
             assert row["err"] == pytest.approx(2.0 * abs(i_n - i_2n), rel=1e-12)
+
+    def test_with_replacement_over_n_builds_one_loss_table(self, capsys, fresh_wr_tables):
+        # Five grids of radius 12, the last for the last row's estimate: the
+        # loss table is built for the first and kept for the other four.
+        argv = ["converge", *WR_FLAT, "--L", "12", "--eps", "1", "--over", "n",
+                "--start", "1024", "--doublings", "3"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and len(json.loads(out)) == 4
+        info = dpconv.mechanisms._wr_loss_table.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
 
     def test_doubling_schedule_over_half_width(self, capsys):
         code, out, _ = run_cli(
@@ -869,7 +880,7 @@ class TestExitCodes:
         assert code == 4
         assert "injected" in err
 
-    def test_loss_inverse_iteration_cap_is_four(self, capsys, monkeypatch):
+    def test_loss_inverse_iteration_cap_is_four(self, capsys, monkeypatch, fresh_wr_tables):
         # The table's quintic start meets the tolerance at once on this grid,
         # so the cap is reached with a table of one cell.
         monkeypatch.setattr("dpconv.mechanisms._LOSS_INVERSE_MAX_ITER", 1)

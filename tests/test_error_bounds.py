@@ -22,6 +22,7 @@ from dpconv import (
     delta_of_epsilon,
     discretization_estimate,
     discretize,
+    epsilon_of_delta,
     periodisation_bound,
     tail_estimate,
 )
@@ -275,11 +276,25 @@ class TestDiscretizationEstimate:
             for g in (grid, grid.refine())
         )
 
-    def test_zero_when_values_coincide(self):
-        # Passing the refined-grid result as its own refinement reproduces the
-        # trivial I_n = I_2n case: the estimate is exactly zero.
-        _coarse, fine = self.results()
-        assert discretization_estimate(fine, fine) == BoundResult(value=0.0)
+    def test_rejects_a_refined_result_of_another_query(self):
+        # Only the result's own query at its epsilon on the doubled grid
+        # refines it: not the result itself (which gave 0 with no violation),
+        # nor another epsilon, radius or count, nor an epsilon result.
+        coarse, fine = self.results()
+        other_eps = delta_of_epsilon(dataclasses.replace(fine.query, epsilon=1.5))
+        other_radius = self.results(Grid(half_width=11.0, size=8192))[0]
+        other_count = self.results(k=9)[1]
+        as_epsilon = epsilon_of_delta(dataclasses.replace(fine.query, epsilon=None, delta=1e-5))
+        for result, refined in (
+            (fine, fine),
+            (coarse, coarse),
+            (coarse, other_eps),
+            (coarse, other_radius),
+            (coarse, other_count),
+            (coarse, as_epsilon),
+        ):
+            with pytest.raises(DomainError, match="doubled grid"):
+                discretization_estimate(result, refined)
 
     def test_definition(self):
         coarse, fine = self.results()

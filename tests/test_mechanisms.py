@@ -37,6 +37,7 @@ from dpconv.mechanisms import (
 )
 from dpconv.accountant import CompositionQuery, delta_of_epsilon
 from dpconv.discretization import Grid, discretize
+from conftest import clear_wr_caches
 
 POISSON = MechanismSpec(sigma=1.5, q=0.01)
 WOR = MechanismSpec(sigma=2.0, scheme=Scheme.WITHOUT_REPLACEMENT, q=0.1)
@@ -332,12 +333,13 @@ class TestWithReplacement:
         t = loss_inverse_with_replacement(WR_WIDE, s)
         assert np.max(np.abs(loss_with_replacement(WR_WIDE, t) - s)) <= 1e-13
 
-    def test_chunking_leaves_results_unchanged(self, monkeypatch):
+    def test_chunking_leaves_results_unchanged(self, monkeypatch, fresh_wr_tables):
         # 100 rows in chunks of 7 leave a short last chunk. The row sums may
         # round differently in another memory layout, by an ulp or so.
         s = np.linspace(-9.0, 9.0, 100)
         want = pld_density_with_replacement(WR_WIDE, s)
         monkeypatch.setattr(dpconv.mechanisms, "_KERNEL_CHUNK_ROWS", 7)
+        clear_wr_caches()
         np.testing.assert_allclose(pld_density_with_replacement(WR_WIDE, s), want, rtol=1e-14)
 
     def test_scalar_input(self):
@@ -450,12 +452,12 @@ class TestWithReplacement:
                 density[i], rel=1e-12
             )
 
-    def test_each_magnitude_costs_one_newton_row(self, monkeypatch):
+    def test_each_magnitude_costs_one_newton_row(self, monkeypatch, fresh_wr_tables):
         # The benchmark's request: on its grid every |s| but 0 and 12 occurs
         # twice, 8193 magnitudes in all, and the quintic start lets each
-        # converge on its first kernel row. The loss table's rows (its extent
-        # and its 1025 points) are counted apart; with them a request costs
-        # 9234 rows.
+        # converge on its first kernel row. The loss table's rows (its 8
+        # trial extents and its 1025 points) are counted apart; with them a
+        # request costs 9226 rows.
         rows = []
         kernel = dpconv.mechanisms._wr_kernel
         monkeypatch.setattr(
@@ -464,12 +466,64 @@ class TestWithReplacement:
         dpconv.mechanisms._wr_loss_table(WR_WIDE, 12.0)
         table_rows = sum(rows)
         rows.clear()
+        clear_wr_caches()
         query = CompositionQuery.homogeneous(
             WR_WIDE, k=1000, grid=Grid(half_width=12.0, size=2 ** 14), epsilon=1.0
         )
         delta_of_epsilon(query)
         assert sum(rows) - table_rows == 8193 == np.unique(np.abs(query.grid.points())).size
         assert sum(rows) <= 9300
+
+    def test_a_repeated_request_reuses_the_loss_table(self, monkeypatch, fresh_wr_tables):
+        # The table and the log weights are kept per process, so the same
+        # request again costs its 8193 Newton rows alone: one kernel call
+        # per chunk of 2731 rows, where the first request made two more for
+        # the table's extent and its points.
+        calls = []
+        kernel = dpconv.mechanisms._wr_kernel
+        monkeypatch.setattr(
+            dpconv.mechanisms, "_wr_kernel", lambda spec, t: calls.append(t.size) or kernel(spec, t)
+        )
+        query = CompositionQuery.homogeneous(
+            WR_WIDE, k=1000, grid=Grid(half_width=12.0, size=2 ** 14), epsilon=1.0
+        )
+        first = delta_of_epsilon(query)
+        assert (sum(calls), len(calls)) == (9226, 5)
+        calls.clear()
+        assert delta_of_epsilon(query) == first
+        assert calls == [2731, 2731, 2731]
+        info = dpconv.mechanisms._wr_loss_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_cached_arrays_are_read_only(self):
+        table = dpconv.mechanisms._wr_loss_table(WR_WIDE, 12.0)
+        weights = dpconv.mechanisms._wr_log_weights(WR_WIDE)
+        assert dpconv.mechanisms._wr_loss_table(WR_WIDE, 12.0) is table
+        for array in (*table, *weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["random", "asymmetric"])
+    def test_rank_mirror_matches_a_binary_search(self, kind):
+        # The rank index of each |s| is where a binary search among the
+        # distinct |s| finds it, so the mirror keeps every bit: on random s
+        # with repeated magnitudes, +-0.0 and +-1e-300 (in three chunks of
+        # the mirror), and on the asymmetric L = 7.3, n = 1000 grid.
+        if kind == "random":
+            s = np.random.default_rng(3).uniform(-9.0, 9.0, 9000)
+            s[::3] = -s[1::3]
+            s[2::3] = s[1::3]
+            s = np.append(s, [0.0, -0.0, 0.0, 1e-300, -1e-300])
+        else:
+            s = Grid(half_width=7.3, size=1000).points()
+        index, t, slope, lse_up, lse_down = dpconv.mechanisms._wr_solve(WR_WIDE, s)
+        reach = np.unique(np.abs(s))
+        at = np.searchsorted(reach, np.abs(s))
+        assert index.dtype == np.int32 and t.size == reach.size
+        np.testing.assert_array_equal(index, at)
+        for plus, minus in ((t, -t), (lse_up, lse_down)):
+            want = np.where(np.signbit(s), minus[at], plus[at])
+            assert dpconv.mechanisms._wr_mirror(s, index, plus, minus).tobytes() == want.tobytes()
 
     def test_hermite_coefficients_meet_the_interpolation_conditions(self):
         # p(u) = sum_k a_k u^k with a = _HERMITE_QUINTIC @ data matches
@@ -483,7 +537,7 @@ class TestWithReplacement:
     @pytest.mark.parametrize("batch_size", [1, 64, 256])
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 5.0])
     def test_start_converges_on_the_first_row_almost_everywhere(
-        self, monkeypatch, sigma, batch_size, half_width, size
+        self, monkeypatch, fresh_wr_tables, sigma, batch_size, half_width, size
     ):
         # The quintic start meets the tolerance at about 94% of the
         # magnitudes or more on each of these grids (1.00-1.06 rows each,
@@ -504,7 +558,9 @@ class TestWithReplacement:
         dpconv.mechanisms._wr_loss_table(spec, half_width)
         table_rows = sum(rows)
         rows.clear()
-        reach, t = dpconv.mechanisms._wr_solve(spec, s)[:2]
+        clear_wr_caches()
+        t = dpconv.mechanisms._wr_solve(spec, s)[1]
+        reach = np.unique(np.abs(s))
         assert sum(rows) - table_rows <= 1.1 * reach.size
         assert np.max(np.abs(kernel(spec, t)[0] - reach)) <= 1e-13
 
@@ -611,7 +667,9 @@ class TestKernelWindow:
 
     @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 5.0, 50.0])
     @pytest.mark.parametrize("batch_size", [1, 64, 256, 1000])
-    def test_matches_the_full_sum_within_eight_ulp(self, monkeypatch, batch_size, sigma):
+    def test_matches_the_full_sum_within_eight_ulp(
+        self, monkeypatch, fresh_wr_tables, batch_size, sigma
+    ):
         # Chunks of three neighbouring t give each chunk its own narrow
         # window; the last six t are chunks of their own.
         spec = MechanismSpec(
@@ -637,7 +695,9 @@ class TestKernelWindow:
                 ulp = np.finfo(float).eps * np.maximum(1.0, np.abs(want[finite]))
             assert np.all(np.abs(have[finite] - want[finite]) <= 8 * ulp), name
 
-    def test_sums_at_most_a_third_of_the_columns_on_a_benchmark_grid(self, monkeypatch):
+    def test_sums_at_most_a_third_of_the_columns_on_a_benchmark_grid(
+        self, monkeypatch, fresh_wr_tables
+    ):
         rows, cells = [], []
         kernel, lse = dpconv.mechanisms._wr_kernel, dpconv.mechanisms._shifted_lse
         monkeypatch.setattr(
