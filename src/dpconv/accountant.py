@@ -1,16 +1,16 @@
 """Tight (epsilon, delta) guarantees for composed subsampled Gaussian mechanisms.
 
-A CompositionQuery names a composition, a grid and a target. The
-composition is convolved once per likelihood-ratio direction (module
-spectral); each ConvolvedPld is read at an epsilon or inverted at a delta
-target. The convolutions do not depend on the target, so delta_of_epsilons
-answers any number of epsilons from them.
+A CompositionQuery names a composition, a grid and a target. Its specs are
+grouped once into factors, which are convolved once per likelihood-ratio
+direction (module spectral); each ConvolvedPld is read at an epsilon or
+inverted at a delta target. The convolutions do not depend on the target,
+so delta_of_epsilons answers any number of epsilons from them.
 
 The remove/add relation is asymmetric: the tight delta is the larger of the
 two likelihood-ratio directions, so Poisson queries convolve once per
-direction and report both. The two convolutions run concurrently and share
-the spectra of self-dual factors (see spectral.convolve_factors). The
-substitute schemes alone are self-dual and convolve once.
+direction and report both, sharing the spectra of self-dual factors (see
+spectral.convolve_factors, which orients each factor). The substitute
+schemes alone are self-dual and convolve once.
 
 _build_result alone decides what a result reports (a sum above 1 as 1).
 """
@@ -46,8 +46,8 @@ class CompositionQuery:
     specs[i], an integer each, convolved together. At most one of epsilon
     (for delta_of_epsilon) or delta (for epsilon_of_delta) may be set.
     directions restricts the likelihood-ratio directions evaluated; None
-    takes the tight max over both where the relation is asymmetric. Each
-    spec keeps the default direction and is oriented to every evaluated one.
+    takes the tight max over both where the relation is asymmetric. The
+    convolution orients every spec to each evaluated direction.
     """
 
     specs: tuple[MechanismSpec, ...]
@@ -70,11 +70,6 @@ class CompositionQuery:
             raise DomainError(f"all repetition counts must be >= 1, got {self.counts}")
         if self.epsilon is not None and self.delta is not None:
             raise DomainError("a query takes an epsilon target or a delta target, not both")
-        if any(spec.direction is not Direction.X_OVER_Y for spec in self.specs):
-            raise DomainError(
-                "a query's specs must keep the default direction; choose the likelihood-ratio "
-                "directions with directions="
-            )
         if self.epsilon is not None and not self.epsilon >= 0.0:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
@@ -148,20 +143,14 @@ class DeltaResult:
 
 
 def convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld]]:
-    """C for every evaluated direction, grouping repeated specs into powers.
-
-    A self-dual factor, the same in both directions, is built once. A
-    composed mass off 1 is warned about (see spectral.convolve_factors).
-    """
+    """C for every evaluated direction, from the query's specs grouped once
+    into powers (see spectral.convolve_factors, which builds a self-dual
+    factor once and warns of a composed mass off 1)."""
+    groups: dict[MechanismSpec, int] = {}
+    for spec, count in zip(query.specs, query.counts):
+        groups[spec] = groups.get(spec, 0) + int(count)
     directions = query.evaluated_directions
-    factor_lists = []
-    for direction in directions:
-        groups: dict[MechanismSpec, int] = {}
-        for spec, count in zip(query.specs, query.counts):
-            oriented = spec.with_direction(direction)
-            groups[oriented] = groups.get(oriented, 0) + int(count)
-        factor_lists.append(list(groups.items()))
-    return list(zip(directions, convolve_factors(factor_lists, query.grid)))
+    return list(zip(directions, convolve_factors(list(groups.items()), directions, query.grid)))
 
 
 def _build_result(

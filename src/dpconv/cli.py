@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     mech = common.add_argument_group("mechanism")
-    mech.add_argument("--scheme", choices=[s.value for s in Scheme], default=Scheme.POISSON.value)
+    mech.add_argument("--scheme", choices=[s.value for s in Scheme], help="default poisson")
     mech.add_argument("--sigma", type=float, help="noise scale, at most 1e50")
     mech.add_argument("--q", type=float, help="sampling fraction (poisson, without-replacement)")
     mech.add_argument("--batch-size", type=int, help="draw count (with-replacement)")
@@ -74,13 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict to one likelihood-ratio direction instead of the tight max",
     )
-    mech.add_argument("--k", type=int, default=1, help="number of compositions")
+    mech.add_argument("--k", type=int, help="number of compositions, default 1")
     mech.add_argument(
         "--mech",
         action="append",
         metavar="KEY=VAL,...",
         help="one heterogeneous mechanism group, e.g. scheme=poisson,sigma=1.5,q=0.01,count=10;"
-        " repeat per distinct mechanism (overrides the flat mechanism flags)",
+        " repeat per distinct mechanism (not with the flat mechanism flags)",
     )
     num = common.add_argument_group("numerics")
     num.add_argument(
@@ -156,13 +156,17 @@ def _build_query(args, parser, epsilon=None, delta=None) -> CompositionQuery:
     if args.n % 2:
         parser.error(f"--n must be even, got {args.n}")
     grid = Grid(half_width=args.L, size=args.n)
+    flat = {key: getattr(args, key) for key in ("scheme", *dict(_MECH_NUMBERS), "k")}
     if args.mech:
+        given = [f"--{key.replace('_', '-')}" for key, value in flat.items() if value is not None]
+        if given:
+            parser.error(f"--mech does not take the flat mechanism flags {', '.join(given)}")
         specs, counts = zip(*(_parse_mech_group(g, parser) for g in args.mech))
     else:
         if args.sigma is None:
             parser.error("--sigma is required (or use --mech groups)")
-        numbers = {key: getattr(args, key) for key, _kind in _MECH_NUMBERS}
-        specs, counts = (MechanismSpec(scheme=Scheme(args.scheme), **numbers),), (args.k,)
+        scheme, k = Scheme(flat.pop("scheme") or Scheme.POISSON.value), flat.pop("k")
+        specs, counts = (MechanismSpec(scheme=scheme, **flat),), (1 if k is None else k,)
     return CompositionQuery(
         specs=tuple(specs),
         counts=tuple(counts),

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridTooSmallError
-from .mechanisms import MechanismSpec, Scheme
+from .mechanisms import Direction, MechanismSpec, Scheme
 
 # Points per sampling and spectral block: a block of complex128 values is
 # 256 KiB, small enough to stay in a core's private cache.
@@ -58,9 +59,11 @@ class Grid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.half_width) and self.half_width > 0):
             raise DomainError(f"half_width must be positive and finite, got {self.half_width}")
+        if isinstance(self.size, bool) or not isinstance(self.size, numbers.Integral):
+            raise DomainError(f"size must be an integer, got {self.size!r}")
         if self.size < 2 or self.size % 2:
             raise DomainError(f"size must be an even integer >= 2, got {self.size}")
-        if 16 * self.size > np.iinfo(np.intp).max:
+        if 16 * int(self.size) > np.iinfo(np.intp).max:  # a numpy integer would wrap
             raise DomainError(f"size {self.size} is too large for numpy to address as complex")
         if not (0.0 < self.dx < math.inf):
             raise DomainError(
@@ -176,9 +179,9 @@ def swapped(block: slice, size: int) -> slice:
     return slice(block.start + shift, block.stop + shift)
 
 
-def samples(spec: MechanismSpec, grid: Grid):
+def samples(spec: MechanismSpec, grid: Grid, direction: Direction = Direction.X_OVER_Y):
     """(block, values) for each slice of blocks(grid.size): the samples of
-    spec's privacy loss density at the grid indices of block.
+    spec's privacy loss density in direction at the grid indices of block.
 
     Nothing is evaluated until the first item is taken, so a caller can make
     the generator in one thread and sample in another. Each block is
@@ -189,54 +192,48 @@ def samples(spec: MechanismSpec, grid: Grid):
     (see check_support).
     """
     if spec.scheme is Scheme.WITH_REPLACEMENT:
-        whole = np.asarray(spec.density(grid.points()), dtype=float)
+        whole = spec.density(grid.points(), direction)
         for block in blocks(grid.size):
             yield block, whole[block]
         return
     for block in blocks(grid.size):
-        yield block, np.asarray(spec.density(grid.points(block.start, block.stop)), dtype=float)
+        yield block, spec.density(grid.points(block.start, block.stop), direction)
 
 
 def check_support(spec: MechanismSpec, grid: Grid) -> None:
     """Raises GridTooSmallError if the density has a finite support edge at
     or outside the grid boundary, since then the grid cannot see where the
-    density actually lives. A density supported on all of R keeps no sample
-    of its mass beyond the boundary. No bound accounts for that loss; a
-    composed mass short of 1 by more than _MASS_TOL reports it (see
+    density actually lives; on the symmetric grid the X-over-Y edge decides
+    for the mirrored Y-over-X one too. A density supported on all of R keeps
+    no sample of its mass beyond the boundary. No bound accounts for that
+    loss; a composed mass short of 1 by more than _MASS_TOL reports it (see
     composed_off_unity).
     """
-    lo, hi = spec.support
-    if math.isfinite(lo) and lo <= -grid.half_width:
+    edge = spec.support[0]
+    if math.isfinite(edge) and edge <= -grid.half_width:
         raise GridTooSmallError(
-            f"support edge {lo:.6g} lies at or below the grid boundary {-grid.half_width:.6g}; "
-            "increase the truncation radius"
-        )
-    if math.isfinite(hi) and hi >= grid.half_width:
-        raise GridTooSmallError(
-            f"support edge {hi:.6g} lies at or above the grid boundary {grid.half_width:.6g}; "
+            f"support edge {edge:.6g} lies at or below the grid boundary {-grid.half_width:.6g}; "
             "increase the truncation radius"
         )
 
 
-def _name(spec: MechanismSpec) -> str:
-    """spec's set fields as key=value pairs; its direction only if spec.directional."""
-    fields = {key: getattr(value, "value", value) for key, value in vars(spec).items()}
-    if not spec.directional:
-        del fields["direction"]
-    return ", ".join(f"{key}={value}" for key, value in fields.items() if value is not None)
+def _name(spec: MechanismSpec, direction: Direction) -> str:
+    """spec's set fields as key=value pairs, then direction if spec.directional."""
+    fields = {**vars(spec), "direction": direction if spec.directional else None}
+    return ", ".join(f"{k}={getattr(v, 'value', v)}" for k, v in fields.items() if v is not None)
 
 
-def over_unity(spec: MechanismSpec, mass: float) -> str | None:
+def over_unity(spec: MechanismSpec, direction: Direction, mass: float) -> str | None:
     """A warning naming spec if its sampled mass exceeds 1 + _MASS_TOL, else None."""
     if not mass > 1.0 + _MASS_TOL:
         return None
-    name = _name(spec)
+    name = _name(spec, direction)
     return f"sampled mass {mass:.6g} of mechanism ({name}) exceeds 1: the grid under-resolves it"
 
 
-def composed_off_unity(factors: list[tuple[MechanismSpec, int]], mass: float) -> str | None:
-    """A warning naming the (spec, count) factors of a convolution if its
-    composed mass lies off 1 by more than _MASS_TOL, else None.
+def composed_off_unity(factors: list[tuple], mass: float) -> str | None:
+    """A warning naming the (spec, count, direction) factors of a convolution
+    if its composed mass lies off 1 by more than _MASS_TOL, else None.
 
     The convolution is circular, so it keeps mass: bin 0 of the product
     spectrum is exactly prod mass_i ** count_i of the sampled factors. What
@@ -255,21 +252,23 @@ def composed_off_unity(factors: list[tuple[MechanismSpec, int]], mass: float) ->
         verdict = "exceeds 1: the grid under-resolves"
     else:
         verdict = "falls short of 1: the grid under-resolves or truncates"
-    names = " + ".join(f"{count} x mechanism ({_name(spec)})" for spec, count in factors)
+    names = " + ".join(f"{count} x mechanism ({_name(spec, d)})" for spec, count, d in factors)
     return f"composed mass {mass:.6g} of {names} {verdict} the composition"
 
 
-def discretize(spec: MechanismSpec, grid: Grid) -> ConvolvedPld:
-    """Samples a mechanism's privacy loss density on a grid, block by block
-    (see samples). Its warnings name spec if the sampled mass exceeds
-    1 + _MASS_TOL (see over_unity).
+def discretize(
+    spec: MechanismSpec, grid: Grid, direction: Direction = Direction.X_OVER_Y
+) -> ConvolvedPld:
+    """Samples a mechanism's privacy loss density in direction on a grid,
+    block by block (see samples). Its warnings name spec if the sampled mass
+    exceeds 1 + _MASS_TOL (see over_unity).
 
     Raises GridTooSmallError when the grid cuts into a finite support edge.
     """
     check_support(spec, grid)
     values = np.empty(grid.size)
-    for block, part in samples(spec, grid):
+    for block, part in samples(spec, grid, direction):
         values[block] = part
-    note = over_unity(spec, grid.dx * values.sum())
+    note = over_unity(spec, direction, grid.dx * values.sum())
     return ConvolvedPld(grid=grid, samples=values, warnings=(note,) if note else ())
 

@@ -16,7 +16,8 @@ are covered:
 * Poisson subsampling under the remove/add neighbouring relation, where
   f_X = q N(1, sigma^2) + (1-q) N(0, sigma^2) and f_Y = N(0, sigma^2).
   The loss image is (log(1-q), +inf); the two likelihood-ratio directions
-  differ and are linked by omega_xy(s) = exp(s) * omega_yx(-s).
+  differ and are linked by omega_yx(s) = exp(s) * omega_xy(-s), so the
+  direction is an argument of MechanismSpec.density, not part of a spec.
 * Sampling without replacement under the substitute relation, where
   f_Y = q N(-1, sigma^2) + (1-q) N(0, sigma^2). The loss is odd, so the two
   directions coincide and omega(s) = exp(s) * omega(-s).
@@ -36,7 +37,6 @@ with-replacement loss inverse raises DomainError for a non-finite s.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
@@ -117,7 +117,6 @@ class MechanismSpec:
         batch_size: integer number of independent draws (WITH_REPLACEMENT only).
         dataset_size: integer number of records, each hit by a draw with
             probability 1 / dataset_size (WITH_REPLACEMENT only).
-        direction: likelihood-ratio direction; X_OVER_Y for substitute schemes.
     """
 
     sigma: float
@@ -125,7 +124,6 @@ class MechanismSpec:
     q: float | None = None
     batch_size: int | None = None
     dataset_size: int | None = None
-    direction: Direction = Direction.X_OVER_Y
 
     def __post_init__(self) -> None:
         # 1/sigma^2 enters every density, so its square must not underflow.
@@ -159,8 +157,6 @@ class MechanismSpec:
                 raise DomainError(
                     f"batch_size {self.batch_size} exceeds dataset_size {self.dataset_size}"
                 )
-        if not self.directional and self.direction is not Direction.X_OVER_Y:
-            raise DomainError(f"the {self.scheme.value} scheme has no direction but x-over-y")
 
     @property
     def directional(self) -> bool:
@@ -168,34 +164,31 @@ class MechanismSpec:
         remove/add relation only (substitute losses are odd)."""
         return self.scheme is Scheme.POISSON
 
-    def with_direction(self, direction: Direction) -> "MechanismSpec":
-        """This mechanism in the given likelihood-ratio direction.
-
-        Returns self when the direction is unchanged or the scheme is a
-        substitute one, whose two directions coincide.
-        """
-        if not self.directional or self.direction is direction:
-            return self
-        return dataclasses.replace(self, direction=direction)
-
     @property
     def support(self) -> tuple[float, float]:
-        """(lo, hi), outside which the privacy loss density is zero. Only a
-        subsampled Poisson mechanism has a finite edge, log(1-q), mirrored
-        in the Y_OVER_X direction."""
+        """(lo, hi), outside which the X-over-Y privacy loss density is zero.
+        Only a subsampled Poisson mechanism has a finite edge, log(1-q)."""
         if not self.directional or self.q == 1.0:
             return -math.inf, math.inf
-        edge = math.log1p(-self.q)
-        return (edge, math.inf) if self.direction is Direction.X_OVER_Y else (-math.inf, -edge)
+        return math.log1p(-self.q), math.inf
 
-    def density(self, s):
-        """The privacy loss density omega at s, a scalar or an array, by the
-        scheme's formula, looked up in the module namespace at each call."""
-        if self.scheme is Scheme.POISSON:
-            return pld_density_poisson(self, s)
+    def density(self, s, direction: Direction = Direction.X_OVER_Y):
+        """The privacy loss density omega at s, a scalar or an array, in a
+        likelihood-ratio direction, by the scheme's formula, looked up in the
+        module namespace at each call. A self-dual spec ignores direction; a
+        Poisson one in Y_OVER_X is exp(s) * omega_xy(-s), with exp(s) applied
+        only where omega_xy(-s) > 0, so that s = inf gives 0, not inf * 0."""
+        if not isinstance(direction, Direction):
+            raise DomainError(f"direction must be a Direction, got {direction!r}")
         if self.scheme is Scheme.WITHOUT_REPLACEMENT:
             return pld_density_without_replacement(self, s)
-        return pld_density_with_replacement(self, s)
+        if self.scheme is Scheme.WITH_REPLACEMENT:
+            return pld_density_with_replacement(self, s)
+        if direction is Direction.X_OVER_Y:
+            return pld_density_poisson(self, s)
+        mirrored = np.asarray(pld_density_poisson(self, np.negative(s)))
+        dual = np.multiply(np.exp(s), mirrored, out=mirrored, where=mirrored > 0.0)
+        return dual if dual.ndim else float(dual)
 
 
 def _pointwise(formula):
@@ -273,30 +266,16 @@ def loss_inverse_poisson(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
     return t
 
 
-def _poisson_density_xy(sigma: float, q: float, arr: np.ndarray) -> np.ndarray:
-    """The X-over-Y density; 0 outside the support and at s = inf, where
-    the slope is inf / inf."""
-    out = np.zeros_like(arr)
-    inside = (arr > (math.log1p(-q) if q < 1.0 else -math.inf)) & (arr < math.inf)
-    t, slope = _poisson_inverse(sigma, q, arr[inside])
-    out[inside] = _mixture_pdf(t, sigma, q) * slope
-    return out
-
-
 @_pointwise
 def pld_density_poisson(spec: MechanismSpec, s: np.ndarray) -> np.ndarray:
-    """Privacy loss density for Poisson subsampling.
-
-    The X-over-Y direction is evaluated directly from the loss inverse and
-    its derivative; the Y-over-X direction follows from the identity
-    omega_yx(s) = exp(s) * omega_xy(-s), so its support is the mirrored
-    interval (-inf, -log(1-q)). The factor exp(s) is applied only where
-    omega_xy(-s) is positive, so that s = inf gives 0, not inf * 0.
-    """
-    if spec.direction is Direction.X_OVER_Y:
-        return _poisson_density_xy(spec.sigma, spec.q, s)
-    mirrored = _poisson_density_xy(spec.sigma, spec.q, -s)
-    return np.multiply(np.exp(s), mirrored, out=mirrored, where=mirrored > 0.0)
+    """Privacy loss density for Poisson subsampling, X over Y, from the loss
+    inverse and its slope; 0 outside the support and at s = inf, where the
+    slope is inf / inf. MechanismSpec.density gives Y over X."""
+    out = np.zeros_like(s)
+    inside = (s > spec.support[0]) & (s < math.inf)
+    t, slope = _poisson_inverse(spec.sigma, spec.q, s[inside])
+    out[inside] = _mixture_pdf(t, spec.sigma, spec.q) * slope
+    return out
 
 
 # ---------------------------------------------------------------------------

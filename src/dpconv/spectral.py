@@ -14,7 +14,7 @@ k-fold circular convolution on the original grid, and
 dx * sum(C_k) = mass ** k is preserved exactly up to rounding. That
 composed mass is bin 0 of the product spectrum.
 
-Memory and threads. Each factor, one (density, count) pair, owns one
+Memory and threads. Each factor, one oriented (density, count) pair, owns one
 complex buffer: its cell masses are written into the real part block by
 block, transformed in place and raised to the count in place. A product of
 factors is accumulated into a buffer of one of its own factors and inverse
@@ -48,7 +48,7 @@ from .discretization import (
     swapped,
 )
 from .errors import SpectralResidueError
-from .mechanisms import MechanismSpec
+from .mechanisms import Direction, MechanismSpec
 
 _IMAG_RESIDUE_TOL = 1e-6
 _ARENA_LIMIT_BYTES = 32 * 2 ** 20  # glibc gives any larger block a mapping of its own
@@ -205,33 +205,37 @@ def _inverse(
 
 
 def convolve_factors(
-    factor_lists: list[list[tuple[MechanismSpec, int]]], grid: Grid
+    factors: list[tuple[MechanismSpec, int]], directions: tuple[Direction, ...], grid: Grid
 ) -> list[ConvolvedPld]:
-    """The convolution of each list of (spec, count) factors on grid.
+    """The convolution of the (spec, count) factors on grid in each of the
+    likelihood-ratio directions.
 
-    Every distinct factor across the lists is sampled, transformed and
-    powered once; a factor several lists share (a self-dual mechanism in
-    both likelihood-ratio directions) is shared, read-only. Factors build
-    concurrently; then each list's product is formed, and the inverse
-    transforms run concurrently. Within a list the spectra multiply in the
-    order of the factors' reprs, a total order on (spec, count), so the
-    order of the list does not change the result (elementwise rounding is
-    not symmetric under operand swaps on fused-multiply-add hardware; the
-    mathematical product of course is).
+    Each factor is oriented, as (spec, count, direction), and sampled,
+    transformed and powered once; a self-dual one is oriented X_OVER_Y in
+    every direction and shared, read-only. Factors build concurrently; then
+    each direction's product is formed, and the inverse transforms run
+    concurrently. The spectra multiply in the order of the (spec, count)
+    reprs, a total order, so the order of factors does not change the
+    result (elementwise rounding is not symmetric under operand swaps on
+    fused-multiply-add hardware; the mathematical product of course is).
 
-    The support of each distinct spec is checked first, in the calling
-    thread, so a GridTooSmallError (the grid cuts into a support edge) is
-    raised there before any buffer is allocated; every density is evaluated
-    in its factor's build. Each result's warnings name its factors whose
-    sampled mass exceeds 1 (see over_unity). If none does, they name the
-    product whose composed mass, bin 0 of its spectrum, lies off 1 (see
+    The support of each spec is checked first, in the calling thread, so a
+    GridTooSmallError (the grid cuts into a support edge) is raised there
+    before any buffer is allocated; every density is evaluated in its
+    factor's build. Each result's warnings name its factors whose sampled
+    mass exceeds 1 (see over_unity). If none does, they name the product
+    whose composed mass, bin 0 of its spectrum, lies off 1 (see
     composed_off_unity, which says why that mass is exactly the product of
     the factors' masses).
     """
-    for spec in dict.fromkeys(spec for factors in factor_lists for spec, _count in factors):
+    for spec, _count in factors:
         check_support(spec, grid)
-    ordered = [sorted(factors, key=repr) for factors in factor_lists]
-    uses = Counter(factor for factors in ordered for factor in factors)
+    by_repr = sorted(factors, key=repr)
+    ordered = [
+        [(spec, count, d if spec.directional else Direction.X_OVER_Y) for spec, count in by_repr]
+        for d in directions
+    ]
+    uses = Counter(factor for product in ordered for factor in product)
 
     # The full-size arrays are allocated here, in the calling thread. What a
     # worker thread frees stays in its own malloc arena, and buffers of this
@@ -249,12 +253,12 @@ def convolve_factors(
         first.fill(0)
         _PLANNED.add(n)
 
-    def build(factor: tuple[MechanismSpec, int]) -> tuple[np.ndarray, float]:
-        spec, count = factor
-        return _factor_spectrum(buffers.pop(factor), samples(spec, grid), grid.dx, count)
+    def build(factor: tuple[MechanismSpec, int, Direction]) -> tuple[np.ndarray, float]:
+        spec, count, direction = factor
+        return _factor_spectrum(buffers.pop(factor), samples(spec, grid, direction), grid.dx, count)
 
     built = dict(zip(uses, _map(build, list(uses))))
-    notes = {factor: over_unity(factor[0], mass) for factor, (_spectrum, mass) in built.items()}
+    notes = {factor: over_unity(factor[0], factor[2], mass) for factor, (_, mass) in built.items()}
     # Every product is formed before any inverse transform starts, so a
     # shared factor is freed before the transforms' scratch is allocated.
     jobs = []

@@ -142,7 +142,7 @@ def direct_convolution_delta(
         raise DomainError(f"epsilon must be >= 0, got {epsilon}")
     best = -math.inf
     for direction in CompositionQuery.homogeneous(spec, k, grid).evaluated_directions:
-        pld = discretize(spec.with_direction(direction), grid)
+        pld = discretize(spec, grid, direction)
         if k == 1:
             conv = _clamped(pld.samples, grid)
         else:

@@ -95,15 +95,6 @@ class TestQueryValidation:
         with pytest.raises(DomainError, match="not both"):
             query(epsilon=1.0, delta=1e-5)
 
-    def test_spec_direction_is_rejected_not_ignored(self):
-        # convolutions orients every spec to each evaluated direction, so a
-        # flipped spec would give the x-over-y result unchanged.
-        flipped = SPEC.with_direction(Direction.Y_OVER_X)
-        with pytest.raises(DomainError, match="directions="):
-            CompositionQuery(specs=(flipped,), counts=(1,), grid=GRID, epsilon=1.0)
-        with pytest.raises(DomainError, match="directions="):
-            CompositionQuery(specs=(SPEC, flipped), counts=(1, 1), grid=GRID, epsilon=1.0)
-
     def test_homogeneous_forwards_keyword_fields_only(self):
         # Every field past grid goes to the dataclass by name, with its defaults.
         fields = dict(delta=1e-5, directions=(Direction.Y_OVER_X,))
@@ -466,7 +457,7 @@ class TestUnderResolvedDensity:
         grid = Grid(half_width=12.0, size=1024)
         result = delta_of_epsilon(query(epsilon=1.0, k=10, grid=grid))
         named = [
-            f"sampled mass {discretize(SPEC.with_direction(d), grid).mass:.6g} of mechanism "
+            f"sampled mass {discretize(SPEC, grid, d).mass:.6g} of mechanism "
             f"(sigma=1.5, scheme=poisson, q=0.01, direction={d.value}) exceeds 1: "
             "the grid under-resolves it"
             for d in Direction

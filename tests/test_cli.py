@@ -624,12 +624,16 @@ class TestExitCodes:
               "--stop", "5", "--count", "3"], "sweep --over k does not take --start, --stop, --count"),
             (["sweep", *BASE, "--over", "k", "--values", "1,2", "--eps", "1", "--count", "10"],
              "sweep --over k does not take --count"),
+            (["delta", "--eps", "1", "--mech", "scheme=poisson,sigma=1.5,q=0.01,count=10",
+              "--sigma", "3", "--k", "7", "--scheme", "without-replacement", "--L", "12",
+              "--n", "4096"],
+             "--mech does not take the flat mechanism flags --scheme, --sigma, --k"),
         ],
         ids=["mech-no-equals", "mech-no-sigma", "mech-unknown-scheme", "mech-unknown-key",
              "sweep-eps-no-stop", "sweep-k-no-values", "sweep-k-no-eps", "sweep-k-mech",
              "converge-negative-doublings", "newton-tol-unknown", "mech-repeated-key",
              "mech-repeated-spaced-key", "sweep-eps-with-k-flags", "sweep-default-with-values",
-             "sweep-k-with-eps-flags", "sweep-k-with-default-count"],
+             "sweep-k-with-eps-flags", "sweep-k-with-default-count", "mech-with-flat-flags"],
     )
     def test_flag_error_names_its_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as excinfo:
@@ -692,9 +696,9 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_grid_too_small_is_three_from_the_calling_thread(self, capsys, monkeypatch):
-        # log(1 - q) = -11.5 lies outside [-10, 10) in both directions. The
-        # support is checked in the calling thread before any factor builds,
-        # so the x-over-y check fails there first and nothing is transformed.
+        # log(1 - q) = -11.5 lies outside [-10, 10), and so does its y-over-x
+        # mirror. The support is checked once per spec, in the calling thread,
+        # before any factor builds, so it fails there and nothing is transformed.
         failed, built = [], []
         check = spectral.check_support
 
@@ -702,7 +706,7 @@ class TestExitCodes:
             try:
                 check(spec, grid)
             except GridTooSmallError:
-                failed.append((spec.direction, threading.current_thread().name))
+                failed.append((spec, threading.current_thread().name))
                 raise
 
         monkeypatch.setattr(spectral, "check_support", recorded)
@@ -713,8 +717,21 @@ class TestExitCodes:
         with pytest.raises(GridTooSmallError) as expected:
             discretize(MechanismSpec(sigma=1.5, q=0.99999), Grid(half_width=10.0, size=4096))
         assert err == f"error: {expected.value}\n"
-        assert failed == [(Direction.X_OVER_Y, threading.current_thread().name)]
+        assert failed == [(MechanismSpec(sigma=1.5, q=0.99999), threading.current_thread().name)]
         assert built == []
+
+    def test_grid_too_small_names_the_x_over_y_edge_in_either_direction(self, capsys):
+        # The y-over-x support (-inf, 2.30...) is the mirror of x-over-y's
+        # (-2.30..., inf), so a grid that cuts one cuts the other, and the
+        # one check names the x-over-y edge whichever direction is read.
+        flags = ["--sigma", "1", "--q", "0.9", "--k", "10", "--L", "2", "--n", "4096", "--eps", "1"]
+        for direction in ("y-over-x", "x-over-y"):
+            code, out, err = run_cli(["delta", "--direction", direction, *flags], capsys)
+            assert (code, out) == (3, "")
+            assert err == (
+                "error: support edge -2.30259 lies at or below the grid boundary -2; "
+                "increase the truncation radius\n"
+            )
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpconv import (
+    CompositionQuery,
     ConvolvedPld,
     Direction,
     DomainError,
@@ -13,6 +14,7 @@ from dpconv import (
     GridTooSmallError,
     MechanismSpec,
     Scheme,
+    delta_of_epsilon,
     discretize,
 )
 from dpconv.discretization import blocks, samples
@@ -33,6 +35,21 @@ class TestGrid:
             Grid(half_width=4.0, size=7)
         with pytest.raises(DomainError):
             Grid(half_width=4.0, size=0)
+
+    @pytest.mark.parametrize("size", [4096.0, True], ids=["float", "bool"])
+    def test_rejects_a_size_that_is_not_an_integer(self, size):
+        # A float size once constructed and then failed in numpy with a
+        # TypeError, not an AccountingError. A bool is an int, but no count.
+        with pytest.raises(DomainError, match=f"size must be an integer, got {size!r}"):
+            Grid(half_width=12.0, size=size)
+
+    def test_a_numpy_integer_size_works(self):
+        plain = CompositionQuery.homogeneous(SPEC, 10, Grid(12.0, 4096), epsilon=1.0)
+        numpy = CompositionQuery.homogeneous(SPEC, 10, Grid(12.0, np.int64(4096)), epsilon=1.0)
+        assert delta_of_epsilon(numpy).value == delta_of_epsilon(plain).value
+        # 16 n in int64 would wrap past the addressable size and pass.
+        with pytest.raises(DomainError, match="too large for numpy to address"):
+            Grid(half_width=12.0, size=np.int64(2 ** 62))
 
     def test_rejects_bad_half_width(self):
         with pytest.raises(DomainError):
@@ -111,9 +128,11 @@ class TestDiscretize:
             discretize(wide, Grid(half_width=2.0, size=64))
 
     def test_truncation_radius_must_cover_right_edge_mirrored(self):
-        wide = MechanismSpec(sigma=1.0, q=0.9, direction=Direction.Y_OVER_X)
-        with pytest.raises(GridTooSmallError):
-            discretize(wide, Grid(half_width=2.0, size=64))
+        # The y-over-x support (-inf, 2.30...) is the mirror of x-over-y's, so
+        # the symmetric grid cuts both, and the x-over-y edge is named.
+        wide = MechanismSpec(sigma=1.0, q=0.9)
+        with pytest.raises(GridTooSmallError, match="support edge -2.30259 lies at or below"):
+            discretize(wide, Grid(half_width=2.0, size=64), Direction.Y_OVER_X)
 
     def test_q_one_has_unbounded_support(self):
         gauss = MechanismSpec(sigma=1.0, q=1.0)
@@ -142,26 +161,37 @@ class TestDiscretize:
 
 WOR = MechanismSpec(sigma=1.5, q=0.01, scheme=Scheme.WITHOUT_REPLACEMENT)
 WR = MechanismSpec(sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=64, dataset_size=6400)
-BLOCKED_SPECS = [SPEC, SPEC.with_direction(Direction.Y_OVER_X), WOR, WR]
+# (spec, direction) pairs: both Poisson directions and the substitute schemes.
+BLOCKED_SPECS = [
+    (SPEC, Direction.X_OVER_Y),
+    (SPEC, Direction.Y_OVER_X),
+    (WOR, Direction.X_OVER_Y),
+    (WR, Direction.X_OVER_Y),
+]
 
 
 class TestBlockedSampling:
-    @pytest.mark.parametrize("spec", BLOCKED_SPECS, ids=lambda s: s.scheme.value)
+    @pytest.mark.parametrize("oriented", BLOCKED_SPECS, ids=lambda o: o[0].scheme.value)
     @pytest.mark.parametrize("size", [8, 2 ** 14 + 2, 2 ** 15 + 6])
-    def test_blocks_equal_one_call_over_the_grid(self, spec, size):
+    def test_blocks_equal_one_call_over_the_grid(self, oriented, size):
+        spec, direction = oriented
         grid = Grid(half_width=12.0, size=size)
-        whole = spec.density(grid.points())
-        assert np.array_equal(discretize(spec, grid).samples, whole)
+        whole = spec.density(grid.points(), direction)
+        assert np.array_equal(discretize(spec, grid, direction).samples, whole)
 
-    @pytest.mark.parametrize("spec", BLOCKED_SPECS, ids=lambda s: s.scheme.value)
-    def test_samples_evaluate_nothing_until_taken(self, spec, monkeypatch):
+    @pytest.mark.parametrize("oriented", BLOCKED_SPECS, ids=lambda o: o[0].scheme.value)
+    def test_samples_evaluate_nothing_until_taken(self, oriented, monkeypatch):
+        spec, direction = oriented
         grid = Grid(half_width=12.0, size=2 ** 15 + 6)
         calls = []
         density = MechanismSpec.density
-        monkeypatch.setattr(
-            MechanismSpec, "density", lambda self, s: calls.append(s.size) or density(self, s)
-        )
-        generator = samples(spec, grid)
+
+        def counted(self, s, direction):
+            calls.append(s.size)
+            return density(self, s, direction)
+
+        monkeypatch.setattr(MechanismSpec, "density", counted)
+        generator = samples(spec, grid, direction)
         assert calls == []
         taken = list(generator)
         assert [block for block, _values in taken] == list(blocks(grid.size))
@@ -172,4 +202,4 @@ class TestBlockedSampling:
             assert calls == [block.stop - block.start for block in blocks(grid.size)]
         monkeypatch.undo()
         whole = np.concatenate([values for _block, values in taken])
-        assert np.array_equal(whole, spec.density(grid.points()))
+        assert np.array_equal(whole, spec.density(grid.points(), direction))

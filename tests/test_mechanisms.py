@@ -48,9 +48,9 @@ WR_WIDE = MechanismSpec(
 )
 
 
-def quadrature_mass(spec, half_width, size):
+def quadrature_mass(spec, half_width, size, direction=Direction.X_OVER_Y):
     grid = Grid(half_width=half_width, size=size)
-    return grid.dx * discretize(spec, grid).samples.sum()
+    return grid.dx * discretize(spec, grid, direction).samples.sum()
 
 
 class TestSpecValidation:
@@ -124,25 +124,9 @@ class TestSpecValidation:
             sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=2, dataset_size=10
         ).density(0.5)
 
-    def test_with_direction(self):
-        flipped = POISSON.with_direction(Direction.Y_OVER_X)
-        assert flipped.direction is Direction.Y_OVER_X and flipped.q == POISSON.q
-        assert POISSON.with_direction(Direction.X_OVER_Y) is POISSON
-        assert flipped.with_direction(Direction.X_OVER_Y) == POISSON
-        # The substitute schemes have a single direction.
-        assert WOR.with_direction(Direction.Y_OVER_X) is WOR
-        assert WR.with_direction(Direction.Y_OVER_X) is WR
-
     def test_only_poisson_is_directional(self):
         assert POISSON.directional
         assert not WOR.directional and not WR.directional
-
-    @pytest.mark.parametrize("spec", [WOR, WR], ids=["without-replacement", "with-replacement"])
-    def test_substitute_schemes_reject_a_direction(self, spec):
-        # Such a spec would compare unequal to the default one, and a query
-        # holding both would build a second, identical factor.
-        with pytest.raises(DomainError, match="direction"):
-            dataclasses.replace(spec, direction=Direction.Y_OVER_X)
 
 
 class TestPoissonLossInverse:
@@ -212,7 +196,7 @@ class TestPoissonDensity:
 
     def test_dual_relation_pointwise(self):
         assert pld_density_poisson(POISSON, 0.2) == pytest.approx(
-            math.exp(0.2) * pld_density_poisson(POISSON.with_direction(Direction.Y_OVER_X), -0.2),
+            math.exp(0.2) * POISSON.density(-0.2, Direction.Y_OVER_X),
             rel=1e-12,
         )
 
@@ -220,15 +204,29 @@ class TestPoissonDensity:
         rng = np.random.default_rng(11)
         s = rng.uniform(math.log(0.99) + 1e-3, 8.0, size=1000)
         fwd = pld_density_poisson(POISSON, s)
-        mirrored = pld_density_poisson(POISSON.with_direction(Direction.Y_OVER_X), -s)
+        mirrored = POISSON.density(-s, Direction.Y_OVER_X)
         np.testing.assert_allclose(fwd, np.exp(s) * mirrored, rtol=1e-12)
+
+    def test_density_is_exp_loss_times_the_y_density(self):
+        # f_X = exp(loss) f_Y, taken through the loss inverse t(s): the
+        # density is exp(s) phi_sigma(t) dt/ds, with phi_sigma the N(0, sigma^2)
+        # pdf f_Y and dt/ds = sigma^2 exp(s) / (exp(s) - (1 - q)). No
+        # mixture and no mirror enter, unlike the dual relation above.
+        rng = np.random.default_rng(11)
+        s = rng.uniform(math.log(0.99) + 1e-3, 8.0, size=1000)
+        sigma, q = POISSON.sigma, POISSON.q
+        t = loss_inverse_poisson(POISSON, s)
+        slope = sigma * sigma * np.exp(s) / (np.expm1(s) + q)
+        phi = np.exp(-t * t / (2.0 * sigma * sigma)) / math.sqrt(2.0 * math.pi * sigma * sigma)
+        np.testing.assert_allclose(pld_density_poisson(POISSON, s), np.exp(s) * phi * slope,
+                                   rtol=1e-12)
 
     def test_normalisation(self):
         assert quadrature_mass(POISSON, 12.0, 10 ** 6) == pytest.approx(1.0, abs=1e-8)
 
     def test_normalisation_reverse_direction(self):
-        spec = POISSON.with_direction(Direction.Y_OVER_X)
-        assert quadrature_mass(spec, 12.0, 10 ** 6) == pytest.approx(1.0, abs=1e-8)
+        mass = quadrature_mass(POISSON, 12.0, 10 ** 6, Direction.Y_OVER_X)
+        assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 class TestWithoutReplacement:
@@ -713,37 +711,49 @@ class TestKernelWindow:
 def test_pld_density_dispatch():
     edge = math.log1p(-0.01)
     assert POISSON.support == (edge, math.inf)
-    assert POISSON.with_direction(Direction.Y_OVER_X).support == (-math.inf, -edge)
     assert MechanismSpec(sigma=1.5, q=1.0).support == (-math.inf, math.inf)
     assert WOR.support == WR.support == (-math.inf, math.inf)
     assert POISSON.density(0.3) == pld_density_poisson(POISSON, 0.3)
     assert WOR.density(0.3) == pld_density_without_replacement(WOR, 0.3)
     assert WR.density(0.3) == pld_density_with_replacement(WR, 0.3)
+    # A self-dual spec ignores the direction; a Poisson one mirrors.
+    assert WOR.density(0.3, Direction.Y_OVER_X) == WOR.density(0.3)
+    assert WR.density(0.3, Direction.Y_OVER_X) == WR.density(0.3)
+    assert POISSON.density(0.3, Direction.Y_OVER_X) == 0.0
+    assert POISSON.density(-0.3, Direction.Y_OVER_X) == math.exp(-0.3) * POISSON.density(0.3)
+    # A direction's value is not a Direction: read as one, "x-over-y" would
+    # not be X_OVER_Y and would give the mirrored density.
+    for spec in (POISSON, WOR, WR):
+        with pytest.raises(DomainError, match="direction must be a Direction, got 'x-over-y'"):
+            spec.density(0.3, "x-over-y")
 
 
+X, Y = Direction.X_OVER_Y, Direction.Y_OVER_X
+# (spec, direction) pairs.
 INFINITE_S_SPECS = [
-    POISSON,
-    POISSON.with_direction(Direction.Y_OVER_X),
-    MechanismSpec(sigma=1.5, q=1.0),
-    MechanismSpec(sigma=1.5, q=1.0, direction=Direction.Y_OVER_X),
-    WOR,
-    MechanismSpec(sigma=2.0, scheme=Scheme.WITHOUT_REPLACEMENT, q=1.0),
+    (POISSON, X),
+    (POISSON, Y),
+    (MechanismSpec(sigma=1.5, q=1.0), X),
+    (MechanismSpec(sigma=1.5, q=1.0), Y),
+    (WOR, X),
+    (MechanismSpec(sigma=2.0, scheme=Scheme.WITHOUT_REPLACEMENT, q=1.0), X),
     # c = q exp(-1/(2 sigma^2)) underflows, so every point takes the log form.
-    MechanismSpec(sigma=0.03, scheme=Scheme.WITHOUT_REPLACEMENT, q=0.01),
+    (MechanismSpec(sigma=0.03, scheme=Scheme.WITHOUT_REPLACEMENT, q=0.01), X),
 ]
 
 
 @pytest.mark.parametrize("s", [math.inf, -math.inf])
 @pytest.mark.parametrize(
-    "spec",
+    "oriented",
     INFINITE_S_SPECS,
-    ids=lambda spec: f"{spec.scheme.value}-q{spec.q:g}-s{spec.sigma:g}-{spec.direction.value}",
+    ids=lambda o: f"{o[0].scheme.value}-q{o[0].q:g}-s{o[0].sigma:g}-{o[1].value}",
 )
-def test_density_is_zero_at_infinite_loss(spec, s):
+def test_density_is_zero_at_infinite_loss(oriented, s):
     # Under the suite's error::RuntimeWarning, inf / inf or inf * 0 would fail.
-    assert spec.density(s) == 0.0
-    values = spec.density(np.array([s, 0.001, s]))
-    assert values[0] == values[2] == 0.0 and values[1] == spec.density(0.001)
+    spec, direction = oriented
+    assert spec.density(s, direction) == 0.0
+    values = spec.density(np.array([s, 0.001, s]), direction)
+    assert values[0] == values[2] == 0.0 and values[1] == spec.density(0.001, direction)
 
 
 def test_density_calls_the_formula_the_module_holds_now(monkeypatch):

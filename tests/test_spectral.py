@@ -48,7 +48,8 @@ def poisson_pld(size=2048, half_width=12.0, sigma=1.5, q=0.01):
 
 def power(size=2048, k=1, half_width=12.0):
     """The k-fold convolution of SPEC's density on one grid."""
-    return convolve_factors([[(SPEC, k)]], Grid(half_width=half_width, size=size))[0]
+    grid = Grid(half_width=half_width, size=size)
+    return convolve_factors([(SPEC, k)], (Direction.X_OVER_Y,), grid)[0]
 
 
 def convolve_samples(samples, grid, k):
@@ -193,12 +194,12 @@ class TestConvolutionPower:
 class TestConvolutionProduct:
     def test_pair_equals_power(self):
         grid = Grid(half_width=12.0, size=2048)
-        prod = convolve_factors([[(SPEC, 1), (SPEC, 1)]], grid)[0]
+        prod = convolve_factors([(SPEC, 1), (SPEC, 1)], (Direction.X_OVER_Y,), grid)[0]
         np.testing.assert_allclose(prod.samples, power(k=2).samples, atol=1e-12)
 
     def test_counts_expand_to_repetition(self):
         grid = Grid(half_width=12.0, size=512)
-        split = convolve_factors([[(SPEC, 2), (SPEC, 1)]], grid)[0]
+        split = convolve_factors([(SPEC, 2), (SPEC, 1)], (Direction.X_OVER_Y,), grid)[0]
         np.testing.assert_allclose(split.samples, power(size=512, k=3).samples, atol=1e-13)
 
 
@@ -215,7 +216,7 @@ def test_heterogeneous_pair_matches_quadratic_oracle():
     a = poisson_pld(size=2048, sigma=1.5, q=0.01)
     b = poisson_pld(size=2048, sigma=2.0, q=0.02)
     other = MechanismSpec(sigma=2.0, q=0.02)
-    fast = convolve_factors([[(SPEC, 1), (other, 1)]], a.grid)[0]
+    fast = convolve_factors([(SPEC, 1), (other, 1)], (Direction.X_OVER_Y,), a.grid)[0]
     slow = direct_convolution_combine(a, b)
     scale = np.max(np.abs(slow.samples))
     np.testing.assert_allclose(fast.samples / scale, slow.samples / scale, atol=1e-10)
@@ -229,16 +230,14 @@ def referenceconvolutions(query):
     the order of the (spec, count) factors' reprs, starting from ones.
     """
     grid = query.grid
+    groups = {}
+    for spec, count in zip(query.specs, query.counts):
+        groups[spec] = groups.get(spec, 0) + count
     convolutions = []
     for direction in query.evaluated_directions:
-        groups = {}
-        for spec, count in zip(query.specs, query.counts):
-            if spec.scheme is Scheme.POISSON:
-                spec = spec.with_direction(direction)
-            groups[spec] = groups.get(spec, 0) + count
         spectrum = np.ones(grid.size, dtype=complex)
         for spec, count in sorted(groups.items(), key=repr):
-            samples = spec.density(grid.points())
+            samples = spec.density(grid.points(), direction)
             spectrum *= power_by_squaring(np.fft.fft(half_swap(samples) * grid.dx), count)
         raw = half_swap(np.fft.ifft(spectrum)).real / grid.dx
         convolutions.append(np.maximum(raw, 0.0))
@@ -355,10 +354,9 @@ class TestWorkerThreads:
         monkeypatch.undo()
         made = [event[1:] for event in events if event[0] == "support"]
         main = threading.current_thread().name
-        # The without-replacement factor serves both directions.
-        oriented = [SPEC, WOR, SPEC.with_direction(Direction.Y_OVER_X)]
-        assert made == [(spec, main) for spec in oriented]
-        assert events[3:] and all(event == ("buffer",) for event in events[3:])
+        # A spec's support is checked once, whichever directions are read.
+        assert made == [(SPEC, main), (WOR, main)]
+        assert events[2:] and all(event == ("buffer",) for event in events[2:])
 
     def test_heterogeneous_product_samples_no_density_in_the_caller(self, monkeypatch):
         # Ordering the factors looks at no sample, so every density,
@@ -367,9 +365,9 @@ class TestWorkerThreads:
         sampled = []
         density = MechanismSpec.density
 
-        def recorded(self, s):
-            sampled.append((self, threading.current_thread().name))
-            return density(self, s)
+        def recorded(self, s, direction):
+            sampled.append(((self, direction), threading.current_thread().name))
+            return density(self, s, direction)
 
         monkeypatch.setattr(MechanismSpec, "density", recorded)
         query = CompositionQuery(
@@ -377,7 +375,9 @@ class TestWorkerThreads:
         )
         convolutions(query)
         monkeypatch.undo()
-        oriented = {SPEC, WOR, WR, SPEC.with_direction(Direction.Y_OVER_X)}
+        # The self-dual factors are sampled oriented x-over-y only.
+        oriented = {(SPEC, Direction.X_OVER_Y), (SPEC, Direction.Y_OVER_X),
+                    (WOR, Direction.X_OVER_Y), (WR, Direction.X_OVER_Y)}
         assert {spec for spec, _thread in sampled} == oriented
         assert threading.current_thread().name not in {thread for _spec, thread in sampled}
 
