@@ -145,7 +145,7 @@ class DeltaResult:
 def convolutions(query: CompositionQuery) -> list[tuple[Direction, ConvolvedPld]]:
     """C for every evaluated direction, from the query's specs grouped once
     into powers (see spectral.convolve_factors, which builds a self-dual
-    factor once and warns of a composed mass off 1)."""
+    factor once). Each C words its own warnings from the masses it records."""
     groups: dict[MechanismSpec, int] = {}
     for spec, count in zip(query.specs, query.counts):
         groups[spec] = groups.get(spec, 0) + int(count)

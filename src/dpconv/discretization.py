@@ -11,7 +11,9 @@ the natural left-to-right layout becomes the wrap-around layout the
 discrete Fourier transform expects for a function on a circle. A
 ConvolvedPld holds such samples: one mechanism's (from discretize) or a
 convolution's. It reads delta(eps) off them as a weighted tail sum and
-inverts that sum exactly on the grid.
+inverts that sum exactly on the grid. It also records the masses its
+warnings are worded from, and the one rule that words them lives here,
+next to its tolerances.
 
 Sampling runs in blocks of at most 2^14 points (see blocks), so the
 temporaries a density evaluation makes stay cache-sized at any grid size,
@@ -42,6 +44,10 @@ _MAX_HALF_WIDTH = 700.0
 # on the benchmark's queries); 2^12-point grids at L = 12 give 1.0023 and
 # 1.076, and a spike no grid resolves 1e18 and more.
 _MASS_TOL = 1e-3
+# The edge band is the outer size // _EDGE_CELLS cells at each end of a grid.
+# A composition whose samples there carry more than _EDGE_TOL wraps around.
+_EDGE_CELLS = 20
+_EDGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,24 +108,59 @@ class Grid:
 
 @dataclass(frozen=True)
 class ConvolvedPld:
-    """Density samples of a privacy loss density or of a convolution of them.
+    """Density samples of a privacy loss density or of a convolution of them,
+    with the figures its warnings are worded from.
 
     samples live on grid in the natural layout (index 0 at -half_width) and
-    are nonnegative. mass is the discrete integral dx * sum(samples): one
-    mechanism's sampled mass or, for a convolution, the product of its
-    factors' sampled masses, which the circular convolution keeps up to
-    rounding (see composed_off_unity). warnings name the mechanisms whose
-    sampled mass exceeded 1 (see over_unity), or else a composed mass off 1
-    (see composed_off_unity).
+    are nonnegative. factors lists each (spec, count, direction, sampled
+    mass) in the order the spectra multiply; discretize records its one
+    mechanism with count 1. mass is the composed mass: bin 0 of the product
+    spectrum, or one mechanism's dx * sum(samples). edge_mass is the mass of
+    the samples in the grid's edge band (see edge_mass).
     """
 
     grid: Grid
     samples: np.ndarray
-    warnings: tuple[str, ...] = ()
+    factors: tuple[tuple[MechanismSpec, int, Direction, float], ...]
+    mass: float
+    edge_mass: float
 
     @property
-    def mass(self) -> float:
-        return float(self.grid.dx * self.samples.sum())
+    def warnings(self) -> tuple[str, ...]:
+        """Each factor whose sampled mass exceeds 1 + _MASS_TOL, in factor
+        order; or else the composed mass if it lies off 1 by more than
+        _MASS_TOL; or else the edge-band mass if it exceeds _EDGE_TOL.
+
+        The circular convolution keeps mass: bin 0 of the product spectrum is
+        exactly prod mass_i ** count_i, so a composed mass off 1 means only
+        that the factors were sampled off 1, under-resolved or cut at +-L,
+        though each may lie within the tolerance (at n = 2^16, L = 20 the
+        default query's 1 + 7.9e-6 composes to 1.082, and delta is 8% high).
+        What reaches beyond +-L wraps around and shows in the edge band
+        instead, which is read once the masses hold.
+        """
+        over = tuple(
+            f"sampled mass {mass:.6g} of mechanism ({_name(spec, d)}) exceeds 1: "
+            "the grid under-resolves it"
+            for spec, _count, d, mass in self.factors
+            if mass > 1.0 + _MASS_TOL
+        )
+        if over:
+            return over
+        names = " + ".join(f"{c} x mechanism ({_name(spec, d)})" for spec, c, d, _ in self.factors)
+        if abs(self.mass - 1.0) > _MASS_TOL:
+            if self.mass > 1.0:
+                verdict = "exceeds 1: the grid under-resolves"
+            else:
+                verdict = "falls short of 1: the grid under-resolves or truncates"
+            return (f"composed mass {self.mass:.6g} of {names} {verdict} the composition",)
+        if self.edge_mass > _EDGE_TOL:
+            return (
+                f"edge-band mass {self.edge_mass:.3g} of {names} exceeds {_EDGE_TOL:g}: the "
+                "composition reaches the edge of the grid and may wrap around; increase the "
+                "truncation radius",
+            )
+        return ()
 
     def delta(self, epsilon: float) -> float:
         """This density's discretised delta at eps = epsilon, not clamped:
@@ -207,7 +248,7 @@ def check_support(spec: MechanismSpec, grid: Grid) -> None:
     for the mirrored Y-over-X one too. A density supported on all of R keeps
     no sample of its mass beyond the boundary. No bound accounts for that
     loss; a composed mass short of 1 by more than _MASS_TOL reports it (see
-    composed_off_unity).
+    ConvolvedPld.warnings).
     """
     edge = spec.support[0]
     if math.isfinite(edge) and edge <= -grid.half_width:
@@ -223,45 +264,21 @@ def _name(spec: MechanismSpec, direction: Direction) -> str:
     return ", ".join(f"{k}={getattr(v, 'value', v)}" for k, v in fields.items() if v is not None)
 
 
-def over_unity(spec: MechanismSpec, direction: Direction, mass: float) -> str | None:
-    """A warning naming spec if its sampled mass exceeds 1 + _MASS_TOL, else None."""
-    if not mass > 1.0 + _MASS_TOL:
-        return None
-    name = _name(spec, direction)
-    return f"sampled mass {mass:.6g} of mechanism ({name}) exceeds 1: the grid under-resolves it"
-
-
-def composed_off_unity(factors: list[tuple], mass: float) -> str | None:
-    """A warning naming the (spec, count, direction) factors of a convolution
-    if its composed mass lies off 1 by more than _MASS_TOL, else None.
-
-    The convolution is circular, so it keeps mass: bin 0 of the product
-    spectrum is exactly prod mass_i ** count_i of the sampled factors. What
-    the composition carries beyond +-L wraps around as periodisation error
-    and does not lower the mass, so a composed mass off 1 means only that
-    the factors were sampled off 1: under-resolved, or cut at +-L.
-
-    Each mass_i may lie within the tolerance while the product does not: at
-    n = 2^16, L = 20 the default query's factor has 1 + 7.9e-6, raised to
-    10^4 it gives 1.082, and delta comes out 8% high. At k = 100, L = 12 and
-    n = 8192 factors of 0.989 compose to 0.317, and delta comes out 52% low.
-    """
-    if not abs(mass - 1.0) > _MASS_TOL:
-        return None
-    if mass > 1.0:
-        verdict = "exceeds 1: the grid under-resolves"
-    else:
-        verdict = "falls short of 1: the grid under-resolves or truncates"
-    names = " + ".join(f"{count} x mechanism ({_name(spec, d)})" for spec, count, d in factors)
-    return f"composed mass {mass:.6g} of {names} {verdict} the composition"
+def edge_mass(samples: np.ndarray, grid: Grid) -> float:
+    """dx times the samples in the outer size // _EDGE_CELLS cells at each
+    end of grid: where a composition that reaches beyond +-L wraps around
+    to, and what it carries there before it does."""
+    band = grid.size // _EDGE_CELLS
+    return grid.dx * float(samples[:band].sum() + samples[grid.size - band :].sum())
 
 
 def discretize(
     spec: MechanismSpec, grid: Grid, direction: Direction = Direction.X_OVER_Y
 ) -> ConvolvedPld:
     """Samples a mechanism's privacy loss density in direction on a grid,
-    block by block (see samples). Its warnings name spec if the sampled mass
-    exceeds 1 + _MASS_TOL (see over_unity).
+    block by block (see samples). It records spec as its one factor and
+    dx * sum(samples) as both that factor's mass and the composed one, so
+    its warnings are those of the one-fold convolution.
 
     Raises GridTooSmallError when the grid cuts into a finite support edge.
     """
@@ -269,6 +286,6 @@ def discretize(
     values = np.empty(grid.size)
     for block, part in samples(spec, grid, direction):
         values[block] = part
-    note = over_unity(spec, direction, grid.dx * values.sum())
-    return ConvolvedPld(grid=grid, samples=values, warnings=(note,) if note else ())
+    mass = float(grid.dx * values.sum())
+    return ConvolvedPld(grid, values, ((spec, 1, direction, mass),), mass, edge_mass(values, grid))
 

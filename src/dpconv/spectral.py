@@ -12,7 +12,10 @@ transform and IFFT its inverse with the 1/n factor. Then IFFT(FFT(y) ** k),
 rotated back by n/2 and divided by dx, gives C_k: density samples of the
 k-fold circular convolution on the original grid, and
 dx * sum(C_k) = mass ** k is preserved exactly up to rounding. That
-composed mass is bin 0 of the product spectrum.
+composed mass is bin 0 of the product spectrum, which the inverse transform
+reads before it overwrites the buffer. This module records figures (the
+factors' sampled masses, the composed mass, the edge-band mass) and words
+no warning.
 
 Memory and threads. Each factor, one oriented (density, count) pair, owns one
 complex buffer: its cell masses are written into the real part block by
@@ -37,16 +40,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .discretization import (
-    ConvolvedPld,
-    Grid,
-    blocks,
-    check_support,
-    composed_off_unity,
-    over_unity,
-    samples,
-    swapped,
-)
+from .discretization import ConvolvedPld, Grid, blocks, check_support, edge_mass, samples, swapped
 from .errors import SpectralResidueError
 from .mechanisms import Direction, MechanismSpec
 
@@ -169,14 +163,15 @@ def _product(factors: list[np.ndarray], owned: list[bool]) -> np.ndarray:
     return product
 
 
-def _inverse(
-    product: np.ndarray, samples: np.ndarray, grid: Grid, warnings: tuple[str, ...] = ()
-) -> ConvolvedPld:
+def _inverse(product: np.ndarray, samples: np.ndarray, grid: Grid, factors: tuple) -> ConvolvedPld:
     """Density samples of an owned product spectrum, inverse transformed in
-    place, written into samples. warnings are its mass warnings (see
-    convolve_factors); a non-finite result repeats them in its error."""
+    place, written into samples, with the product's recorded (spec, count,
+    direction, sampled mass) factors, its composed mass (bin 0, read before
+    the transform overwrites it) and its edge-band mass. A non-finite
+    result repeats the record's warnings in its error."""
     from scipy import fft
 
+    mass = float(product[0].real)
     raw = fft.ifft(product, overwrite_x=True)
 
     n, dx = grid.size, grid.dx
@@ -188,20 +183,21 @@ def _inverse(
         out = samples[swapped(block, n)]
         np.divide(part.real, dx, out=out)
         np.maximum(out, 0.0, out=out)
+    pld = ConvolvedPld(grid, samples, factors, mass, edge_mass(samples, grid))
     scale = max(float(np.max(peaks)), 1e-300)
     residue = float(np.max(residues)) / scale
     if not math.isfinite(scale):
         raise SpectralResidueError(
             "the convolved density is not finite: a density sample was not finite, or the "
             "grid under-resolves a density whose mass then exceeds 1 and its power overflows"
-            + "".join(f"; {warning}" for warning in warnings)
+            + "".join(f"; {warning}" for warning in pld.warnings)
         )
     if not residue <= _IMAG_RESIDUE_TOL:
         raise SpectralResidueError(
             f"imaginary residue {residue:.3g} after the inverse transform exceeds "
             f"{_IMAG_RESIDUE_TOL:.0e}; the input was likely not a real density"
         )
-    return ConvolvedPld(grid=grid, samples=samples, warnings=warnings)
+    return pld
 
 
 def convolve_factors(
@@ -222,11 +218,9 @@ def convolve_factors(
     The support of each spec is checked first, in the calling thread, so a
     GridTooSmallError (the grid cuts into a support edge) is raised there
     before any buffer is allocated; every density is evaluated in its
-    factor's build. Each result's warnings name its factors whose sampled
-    mass exceeds 1 (see over_unity). If none does, they name the product
-    whose composed mass, bin 0 of its spectrum, lies off 1 (see
-    composed_off_unity, which says why that mass is exactly the product of
-    the factors' masses).
+    factor's build. Each result records its factors with their sampled
+    masses, in the order they multiply, and the figures _inverse reads;
+    ConvolvedPld.warnings words them.
     """
     for spec, _count in factors:
         check_support(spec, grid)
@@ -258,16 +252,12 @@ def convolve_factors(
         return _factor_spectrum(buffers.pop(factor), samples(spec, grid, direction), grid.dx, count)
 
     built = dict(zip(uses, _map(build, list(uses))))
-    notes = {factor: over_unity(factor[0], factor[2], mass) for factor, (_, mass) in built.items()}
     # Every product is formed before any inverse transform starts, so a
     # shared factor is freed before the transforms' scratch is allocated.
     jobs = []
     for factors in ordered:
         product = _product([built[f][0] for f in factors], [uses[f] == 1 for f in factors])
-        named = tuple(notes[f] for f in factors if notes[f])
-        if not named:
-            note = composed_off_unity(factors, float(product[0].real))
-            named = (note,) if note else ()
-        jobs.append((product, np.empty(grid.size), grid, named))
+        record = tuple((*f, built[f][1]) for f in factors)
+        jobs.append((product, np.empty(grid.size), grid, record))
     built.clear()
     return _map(lambda job: _inverse(*job), jobs)

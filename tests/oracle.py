@@ -29,6 +29,7 @@ from dpconv import (
     discretize,
 )
 from dpconv.accountant import convolutions
+from dpconv.discretization import edge_mass
 
 _MAX_DIRECT_SIZE = 8192
 _MAX_DIRECT_CONVOLUTIONS = 3
@@ -90,7 +91,11 @@ def _direct_circular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _clamped(samples: np.ndarray, grid: Grid) -> ConvolvedPld:
-    return ConvolvedPld(grid=grid, samples=np.maximum(samples, 0.0))
+    """A record of the clamped samples alone: no factors, and the mass and
+    edge-band mass of the samples themselves."""
+    clamped = np.maximum(samples, 0.0)
+    mass = grid.dx * float(clamped.sum())
+    return ConvolvedPld(grid, clamped, factors=(), mass=mass, edge_mass=edge_mass(clamped, grid))
 
 
 def direct_convolution_combine(

@@ -354,7 +354,8 @@ class TestExactInverse:
         # No mass at or right of 0: delta(0) = 0 already meets any target, in
         # the first cell.
         grid = Grid(half_width=4.0, size=8)
-        conv = ConvolvedPld(grid=grid, samples=np.where(grid.points() < 0.0, 0.25, 0.0))
+        samples = np.where(grid.points() < 0.0, 0.25, 0.0)
+        conv = ConvolvedPld(grid, samples, factors=(), mass=1.0, edge_mass=0.0)
         assert conv.delta(0.0) == 0.0
         assert conv.epsilon(1e-3) == 0.0
 
@@ -558,21 +559,85 @@ class TestComposedMass:
     def test_a_composition_that_wraps_around_keeps_its_mass(self):
         # At L = 2 the default query's composition reaches far beyond the
         # grid, and tail_estimate is a valid 0.332. The circular convolution
-        # wraps that tail around, so the composed mass stays 1 and nothing
-        # warns, though delta is 15% low. The samples sum to 1 + 5.4e-10
-        # once _inverse has clamped their negative rounding.
+        # wraps that tail around, so the composed mass stays 1 and no mass
+        # warning fires, though delta is 15% low. The edge band, the outer
+        # n/20 cells at each end, carries 0.0183 and 0.0171 of it and names it.
         q = query(epsilon=1.0, k=10_000, grid=Grid(half_width=2.0, size=2 ** 16))
         tail = tail_estimate(q)
         assert tail.valid and tail.value == pytest.approx(0.332, abs=1e-3)
-        for _direction, conv in convolutions(q):
+        convolved = convolutions(q)
+        for direction, conv in convolved:
             assert conv.mass == pytest.approx(1.0, abs=1e-9)
-            assert conv.warnings == ()
+            assert conv.warnings == (self.edge_warning(direction, conv.edge_mass),)
+        assert [round(conv.edge_mass, 4) for _direction, conv in convolved] == [0.0183, 0.0171]
         result = delta_of_epsilon(q)
-        assert result.warnings == ()
+        assert result.warnings == tuple(
+            sorted(self.edge_warning(d, conv.edge_mass) for d, conv in convolved)
+        )
         assert result.value == pytest.approx(0.0422152, rel=1e-5)
+
+    def edge_warning(self, direction, edge_mass):
+        return (
+            f"edge-band mass {edge_mass:.3g} of 10000 x mechanism (sigma=1.5, scheme=poisson, "
+            f"q=0.01, direction={direction.value}) exceeds 1e-06: the composition reaches the "
+            "edge of the grid and may wrap around; increase the truncation radius"
+        )
 
     def test_a_named_factor_is_not_named_again_as_a_composition(self):
         # At n = 4096, L = 12 each direction's factor has mass 1.076, so its
         # sampled-mass warning stands alone.
         for _direction, conv in convolutions(query(epsilon=1.0, k=3, grid=Grid(12.0, 4096))):
             assert len(conv.warnings) == 1 and conv.warnings[0].startswith("sampled mass")
+
+
+class TestWrapAround:
+    """A composition that reaches beyond +-L wraps around and keeps its
+    mass; the edge band, dx times the samples in the outer n/20 cells at
+    each end, names it. Exact values: 0.99745 for Poisson sigma=1, q=1,
+    k=40 and 0.94349 for without-replacement sigma=1.5, q=1, k=10 at eps=1."""
+
+    WOR = MechanismSpec(sigma=1.5, q=1.0, scheme=Scheme.WITHOUT_REPLACEMENT)
+    WR = MechanismSpec(sigma=1.0, scheme=Scheme.WITH_REPLACEMENT, batch_size=64,
+                       dataset_size=6400)
+
+    @pytest.mark.parametrize(
+        "spec, k, half_width, size, edge, value",
+        [
+            # The default query, against 0.0496014103: 15%, 2.6%, 0.29% and
+            # 0.001% low.
+            (SPEC, 10_000, 2.0, 2 ** 16, 0.0183, 0.0422152),
+            (SPEC, 10_000, 2.5, 2 ** 16, 4.25e-3, 0.0483071),
+            (SPEC, 10_000, 3.0, 2 ** 16, 6.83e-4, 0.0494565),
+            (SPEC, 10_000, 4.0, 2 ** 16, 6.47e-6, 0.0496009),
+            (MechanismSpec(sigma=1.0, q=1.0), 40, 20.0, 2 ** 14, 0.248, 0.497654),
+            (MechanismSpec(sigma=1.0, q=1.0), 40, 6.0, 2 ** 14, 0.1, 0.332674),
+            (WOR, 10, 12.0, 2 ** 14, 0.172, 0.713176),
+            (WOR, 10, 20.0, 2 ** 14, 0.0144, 0.939285),
+            # tail_estimate is out of its envelope here; L = 12 gives 0.0336066.
+            (WR, 1000, 1.5, 2 ** 14, 0.0383, 0.0186544),
+            (WR, 1000, 2.0, 2 ** 14, 9.95e-3, 0.0305164),
+            # 1.9e-4 below 0.1900814 at L = 40, n = 2^22; the y-over-x band
+            # holds 1.14e-6.
+            (MechanismSpec(sigma=0.8, q=0.02), 1000, 6.0, 2 ** 18, 3.36e-4, 0.189893),
+        ],
+    )
+    def test_a_composition_that_wraps_around_warns(self, spec, k, half_width, size, edge, value):
+        q = query(epsilon=1.0, k=k, spec=spec, grid=Grid(half_width, size))
+        convolved = convolutions(q)
+        assert convolved[0][1].edge_mass == pytest.approx(edge, rel=5e-3)
+        for _direction, conv in convolved:
+            (warning,) = conv.warnings
+            assert warning.startswith(f"edge-band mass {conv.edge_mass:.3g} of {k} x mechanism")
+            assert abs(conv.mass - 1.0) <= 1e-3
+        result = delta_of_epsilon(q)
+        assert result.warnings == tuple(sorted(conv.warnings[0] for _d, conv in convolved))
+        assert result.value == pytest.approx(value, rel=1e-5)
+
+    def test_a_wide_enough_radius_is_silent(self):
+        # The default query at L = 12 reads 0, and so does the benchmark's
+        # poisson-delta query; with-replacement reads 3.5e-15.
+        for q in (query(epsilon=1.0, k=10_000), query(epsilon=1.0, k=1000, spec=self.WR,
+                                                      grid=Grid(12.0, 2 ** 14))):
+            for _direction, conv in convolutions(q):
+                assert conv.edge_mass < 1e-14
+            assert delta_of_epsilon(q).warnings == ()

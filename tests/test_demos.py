@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/, with
+a RuntimeWarning an error, as the suite's own filterwarnings rule makes it."""
 
 from __future__ import annotations
 
@@ -18,6 +19,10 @@ def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert done.returncode == 0, done.stderr

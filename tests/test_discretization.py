@@ -17,7 +17,8 @@ from dpconv import (
     delta_of_epsilon,
     discretize,
 )
-from dpconv.discretization import blocks, samples
+from dpconv.accountant import convolutions
+from dpconv.discretization import blocks, edge_mass, samples
 from dpconv.mechanisms import pld_density_poisson
 
 SPEC = MechanismSpec(sigma=1.5, q=0.01)
@@ -157,6 +158,71 @@ class TestDiscretize:
 
     def test_resolved_density_does_not_warn(self):
         assert discretize(SPEC, Grid(half_width=12.0, size=2 ** 14)).warnings == ()
+
+    def test_matches_the_one_fold_convolution(self):
+        # At L = 2 the Gaussian's sampled mass is 0.923406: discretize and
+        # the pipeline at k = 1 record the same figures and give one text.
+        gauss, grid = MechanismSpec(sigma=1.0, q=1.0), Grid(half_width=2.0, size=64)
+        pld = discretize(gauss, grid)
+        query = CompositionQuery.homogeneous(gauss, 1, grid, directions=(Direction.X_OVER_Y,))
+        ((_direction, conv),) = convolutions(query)
+        assert pld.warnings == conv.warnings == (
+            "composed mass 0.923406 of 1 x mechanism (sigma=1.0, scheme=poisson, q=1.0, "
+            "direction=x-over-y) falls short of 1: the grid under-resolves or truncates the "
+            "composition",
+        )
+        assert pld.factors == ((gauss, 1, Direction.X_OVER_Y, pld.mass),)
+        assert pld.edge_mass == edge_mass(pld.samples, grid) > 0.03
+
+
+class TestWarnings:
+    """A record's warnings are a function of its recorded figures alone."""
+
+    GRID = Grid(half_width=4.0, size=8)
+    POISSON = (SPEC, 3, Direction.Y_OVER_X)
+    WOR = (
+        MechanismSpec(sigma=2.0, q=0.1, scheme=Scheme.WITHOUT_REPLACEMENT), 2, Direction.X_OVER_Y
+    )
+    NAMES = (
+        "3 x mechanism (sigma=1.5, scheme=poisson, q=0.01, direction=y-over-x) + "
+        "2 x mechanism (sigma=2.0, scheme=without-replacement, q=0.1)"
+    )
+
+    def record(self, masses, mass, edge=0.0):
+        factors = tuple((*f, m) for f, m in zip((self.POISSON, self.WOR), masses))
+        return ConvolvedPld(self.GRID, np.zeros(8), factors, mass, edge)
+
+    def test_each_factor_over_is_named_in_factor_order(self):
+        assert self.record((1.5, 1.25), 7.0, edge=0.5).warnings == (
+            "sampled mass 1.5 of mechanism (sigma=1.5, scheme=poisson, q=0.01, "
+            "direction=y-over-x) exceeds 1: the grid under-resolves it",
+            "sampled mass 1.25 of mechanism (sigma=2.0, scheme=without-replacement, q=0.1) "
+            "exceeds 1: the grid under-resolves it",
+        )
+        (named,) = self.record((1.0, 1.002), 1.0).warnings
+        assert named.startswith("sampled mass 1.002 of mechanism (sigma=2.0,")
+
+    def test_the_composed_mass_is_named_only_when_no_factor_is(self):
+        assert self.record((1.0009, 1.0), 1.0027, edge=0.5).warnings == (
+            f"composed mass 1.0027 of {self.NAMES} exceeds 1: the grid under-resolves "
+            "the composition",
+        )
+        assert self.record((0.9, 0.95), 0.6, edge=0.5).warnings == (
+            f"composed mass 0.6 of {self.NAMES} falls short of 1: the grid under-resolves or "
+            "truncates the composition",
+        )
+        assert self.record((1.0, 1.0), 1.0009).warnings == ()
+
+    def test_the_edge_band_is_named_only_when_the_masses_hold(self):
+        assert self.record((1.0, 1.0), 1.0, edge=2e-6).warnings == (
+            f"edge-band mass 2e-06 of {self.NAMES} exceeds 1e-06: the composition reaches the "
+            "edge of the grid and may wrap around; increase the truncation radius",
+        )
+        assert self.record((1.0, 1.0), 1.0, edge=1e-6).warnings == ()
+
+    def test_a_nan_mass_names_nothing(self):
+        assert self.record((1.0, 1.0), math.nan, edge=math.nan).warnings == ()
+        assert self.record((math.nan, math.nan), math.nan).warnings == ()
 
 
 WOR = MechanismSpec(sigma=1.5, q=0.01, scheme=Scheme.WITHOUT_REPLACEMENT)

@@ -60,7 +60,7 @@ def convolve_samples(samples, grid, k):
         grid.dx,
         k,
     )
-    return _inverse(spectrum, np.empty(grid.size), grid)
+    return _inverse(spectrum, np.empty(grid.size), grid, factors=())
 
 
 def forward(values):
@@ -154,7 +154,7 @@ class TestConvolutionPower:
         spectrum = np.zeros(8, dtype=complex)
         spectrum[1] = 1.0
         with pytest.raises(SpectralResidueError):
-            _inverse(spectrum, np.empty(8), Grid(half_width=4.0, size=8))
+            _inverse(spectrum, np.empty(8), Grid(half_width=4.0, size=8), factors=())
 
     def test_non_finite_density_is_an_error_not_a_nan(self):
         pld = poisson_pld(size=64)
@@ -171,7 +171,7 @@ class TestConvolutionPower:
         product = _product([big.copy(), big.copy()], [True, True])
         assert not np.isfinite(product).any()
         with pytest.raises(SpectralResidueError, match="not finite"):
-            _inverse(product, np.empty(8), Grid(half_width=4.0, size=8))
+            _inverse(product, np.empty(8), Grid(half_width=4.0, size=8), factors=())
 
     def test_spectrum_power_matches_builtin(self):
         rng = np.random.default_rng(9)
